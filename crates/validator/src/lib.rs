@@ -1,10 +1,10 @@
-//! Runtime validation of generic DOM trees against a compiled schema —
-//! the **baseline** the paper argues against (Sect. 2: "Invalid documents
+//! Runtime validation of XML documents against a compiled schema — the
+//! **baseline** the paper argues against (Sect. 2: "Invalid documents
 //! usually cannot be detected until runtime requiring extensive
 //! testing").
 //!
-//! Given a [`dom::Document`] built by hand or by the parser, the
-//! validator walks the tree and checks, per element:
+//! The schema's rules live once, in the streaming core
+//! ([`StreamingValidator`], module [`stream`]), which checks per element:
 //!
 //! * the element is declared (top level or within its parent's type);
 //! * the child-element sequence matches the type's content-model DFA;
@@ -15,9 +15,14 @@
 //!   undeclared attributes rejected (namespace declarations exempt);
 //! * abstract elements and abstract types do not appear in instances.
 //!
-//! All violations are collected (not just the first), each with the
-//! source span recorded by the parser — this is the "extensive testing at
-//! runtime" cost centre measured by benches B1/B2.
+//! Every entry point feeds that core: [`validate_str_streaming`] and its
+//! chunk/reader siblings with parser events, [`validate_document`] with a
+//! walk over a [`dom::Document`] built by hand or by the parser, and the
+//! [`IncrementalValidator`]'s patch rechecks with a walk over just the
+//! edited subtree. All violations are collected (not just the first),
+//! each with the source span the parser recorded, or none for
+//! programmatic nodes — this is the "extensive testing at runtime" cost
+//! centre measured by benches B1/B2.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,10 +31,9 @@ pub mod error;
 pub mod patch;
 pub mod stream;
 
-use automata::Matcher;
-use dom::{Document, NodeId, NodeKind};
+use dom::{Document, NodeId};
 use limits::{Limits, ResourceErrorKind};
-use schema::{AttributeUse, CompiledSchema, ContentModel, TypeDef, TypeRef};
+use schema::{AttributeUse, CompiledSchema, TypeRef};
 use xmlchars::Span;
 
 pub use error::{ValidationError, ValidationErrorKind};
@@ -50,7 +54,7 @@ pub(crate) fn node_span(doc: &Document, node: NodeId) -> Option<Span> {
 }
 
 /// Records a finished validation pass's error population, labeled by
-/// validator mode (`tree` / `streaming`) and error kind.
+/// validator mode (`tree` / `streaming` / `patch`) and error kind.
 pub(crate) fn record_errors(mode: &'static str, errors: &[ValidationError]) {
     if !obs::enabled() {
         return;
@@ -70,9 +74,7 @@ pub(crate) fn record_errors(mode: &'static str, errors: &[ValidationError]) {
 /// Applies a budget's `max_errors` ceiling to a collected error list:
 /// keeps the exact prefix an unbounded run produced, then appends one
 /// [`ValidationErrorKind::Resource`] marker carrying the span of the
-/// first suppressed error. Returns whether the cap tripped. Shared by
-/// the tree and streaming validators so the capped list is identical
-/// whichever one hit it.
+/// first suppressed error. Returns whether the cap tripped.
 pub(crate) fn cap_errors(errors: &mut Vec<ValidationError>, limits: &Limits) -> bool {
     if errors.len() <= limits.max_errors {
         return false;
@@ -101,10 +103,11 @@ pub fn validate_document(compiled: &CompiledSchema, doc: &Document) -> Vec<Valid
 }
 
 /// [`validate_document`] under an explicit resource budget. The tree is
-/// already parsed, so only the collection-side budgets apply here: an
-/// expired deadline or cancelled token rejects the document up front
-/// (the walk itself is not interrupted), and `max_errors` caps the list
-/// via [`cap_errors`] semantics — exact unbounded prefix plus one
+/// already parsed, so only the collection-side budgets apply here, with
+/// the streaming path's semantics: an expired deadline or cancelled
+/// token rejects the document up front (and stops the walk if it expires
+/// on the way), and `max_errors` caps the list via [`cap_errors`]
+/// semantics — exact unbounded prefix plus one
 /// [`ValidationErrorKind::Resource`] marker. Parse-side ceilings are
 /// enforced where the tree is built
 /// ([`xmlparse::parse_document_with_limits`]).
@@ -124,11 +127,7 @@ pub fn validate_document_with_limits(
                 true,
             )
         }
-        None => {
-            let mut errors = validate_document_inner(compiled, doc);
-            let tripped = cap_errors(&mut errors, limits);
-            (errors, tripped)
-        }
+        None => stream::walk_document(compiled, doc, limits),
     };
     // one end-of-run clock read shared by the trace record and the
     // histogram, so the two surfaces always agree on the duration
@@ -151,243 +150,19 @@ pub fn validate_document_with_limits(
     errors
 }
 
-fn validate_document_inner(compiled: &CompiledSchema, doc: &Document) -> Vec<ValidationError> {
-    let mut errors = Vec::new();
-    let root = match doc.root_element() {
-        Some(r) => r,
-        None => {
-            errors.push(ValidationError::nowhere(ValidationErrorKind::NoRootElement));
-            return errors;
-        }
-    };
-    let root_name = doc.tag_name(root).unwrap_or_default().to_string();
-    match compiled.schema().element(&root_name) {
-        Some(decl) => {
-            if decl.is_abstract {
-                errors.push(ValidationError::at_opt(
-                    ValidationErrorKind::AbstractElement(root_name),
-                    node_span(doc, root),
-                ));
-            } else {
-                let type_ref = decl.type_ref.clone();
-                validate_element(compiled, doc, root, &type_ref, &mut errors);
-            }
-        }
-        None => errors.push(ValidationError::at_opt(
-            ValidationErrorKind::UndeclaredRoot(root_name),
-            node_span(doc, root),
-        )),
-    }
-    errors
-}
-
 /// Convenience: `true` when [`validate_document`] finds no violations.
 pub fn is_valid(compiled: &CompiledSchema, doc: &Document) -> bool {
     validate_document(compiled, doc).is_empty()
 }
 
-/// Validates the subtree rooted at `node`, assuming it should conform to
-/// `type_ref`. Appends violations to `errors`.
-pub fn validate_element(
-    compiled: &CompiledSchema,
-    doc: &Document,
-    node: NodeId,
-    type_ref: &TypeRef,
-    errors: &mut Vec<ValidationError>,
-) {
-    let span = node_span(doc, node);
-    let schema = compiled.schema();
-    match type_ref {
-        // Element of a built-in simple type: text-only content.
-        TypeRef::Builtin(_) => {
-            validate_simple_element(compiled, doc, node, type_ref, errors);
-            validate_attributes(compiled, doc, node, None, errors);
-        }
-        TypeRef::Named(name) | TypeRef::Anonymous(name) => match schema.type_def(name) {
-            Some(TypeDef::Simple(_)) => {
-                validate_simple_element(compiled, doc, node, type_ref, errors);
-                validate_attributes(compiled, doc, node, None, errors);
-            }
-            Some(TypeDef::Complex(ct)) => {
-                if ct.is_abstract {
-                    errors.push(ValidationError::at_opt(
-                        ValidationErrorKind::AbstractType(name.clone()),
-                        span,
-                    ));
-                }
-                validate_attributes(compiled, doc, node, Some(name), errors);
-                match &ct.content {
-                    ContentModel::Simple(simple) => {
-                        let simple = simple.clone();
-                        validate_simple_element(compiled, doc, node, &simple, errors);
-                    }
-                    ContentModel::Empty | ContentModel::ElementOnly(_) => {
-                        validate_complex_content(compiled, doc, node, name, false, errors);
-                    }
-                    ContentModel::Mixed(_) => {
-                        validate_complex_content(compiled, doc, node, name, true, errors);
-                    }
-                }
-            }
-            None => errors.push(ValidationError::at_opt(
-                ValidationErrorKind::UnknownType(name.clone()),
-                span,
-            )),
-        },
-    }
-}
-
-pub(crate) fn validate_simple_element(
-    compiled: &CompiledSchema,
-    doc: &Document,
-    node: NodeId,
-    type_ref: &TypeRef,
-    errors: &mut Vec<ValidationError>,
-) {
-    let span = node_span(doc, node);
-    // no element children allowed
-    for child in doc.child_elements(node) {
-        errors.push(ValidationError::at_opt(
-            ValidationErrorKind::UnexpectedChild {
-                parent: doc.tag_name(node).unwrap_or_default().to_string(),
-                child: doc.tag_name(child).unwrap_or_default().to_string(),
-                expected: Vec::new(),
-            },
-            node_span(doc, child),
-        ));
-    }
-    let text = doc.text_content(node).unwrap_or_default();
-    if let Err(e) = compiled.schema().check_simple_value(type_ref, &text) {
-        errors.push(ValidationError::at_opt(
-            ValidationErrorKind::SimpleType {
-                element: doc.tag_name(node).unwrap_or_default().to_string(),
-                message: e.to_string(),
-            },
-            span,
-        ));
-    }
-}
-
-fn validate_complex_content(
-    compiled: &CompiledSchema,
-    doc: &Document,
-    node: NodeId,
-    type_name: &str,
-    mixed: bool,
-    errors: &mut Vec<ValidationError>,
-) {
-    let parent_name = doc.tag_name(node).unwrap_or_default().to_string();
-    let dfa = match compiled.content_dfa(type_name) {
-        Ok(d) => d,
-        Err(e) => {
-            errors.push(ValidationError::at_opt(
-                ValidationErrorKind::SimpleType {
-                    element: parent_name,
-                    message: e.to_string(),
-                },
-                node_span(doc, node),
-            ));
-            return;
-        }
-    };
-    let mut matcher = dfa.start();
-    let mut content_ok = true;
-    for child in doc.child_vec(node).unwrap_or_default() {
-        match doc.kind(child) {
-            Ok(NodeKind::Element { name, .. }) => {
-                let name = name.clone();
-                if content_ok {
-                    if let Err(e) = matcher.step(&name) {
-                        errors.push(ValidationError::at_opt(
-                            ValidationErrorKind::UnexpectedChild {
-                                parent: parent_name.clone(),
-                                child: name.clone(),
-                                expected: e.expected,
-                            },
-                            node_span(doc, child),
-                        ));
-                        content_ok = false;
-                    }
-                }
-                // recurse regardless, so nested errors surface too
-                if let Some(child_type) = compiled.child_element_type(type_name, &name) {
-                    validate_element(compiled, doc, child, &child_type, errors)
-                }
-                // undeclared children were already reported by the DFA step
-            }
-            Ok(NodeKind::Text(t)) if !mixed && !t.trim().is_empty() => {
-                errors.push(ValidationError::at_opt(
-                    ValidationErrorKind::TextNotAllowed {
-                        element: parent_name.clone(),
-                    },
-                    node_span(doc, child),
-                ));
-            }
-            // comments and PIs are always permitted
-            _ => {}
-        }
-    }
-    if content_ok && !matcher.is_accepting() {
-        errors.push(ValidationError::at_opt(
-            ValidationErrorKind::IncompleteContent {
-                element: parent_name,
-                expected: matcher.expected(),
-            },
-            node_span(doc, node),
-        ));
-    }
-}
-
-fn validate_attributes(
-    compiled: &CompiledSchema,
-    doc: &Document,
-    node: NodeId,
-    complex_type: Option<&str>,
-    errors: &mut Vec<ValidationError>,
-) {
-    let element = doc.tag_name(node).unwrap_or_default();
-    let present: Vec<(&str, &str)> = doc
-        .attributes(node)
-        .unwrap_or(&[])
-        .iter()
-        .map(|a| (a.name.as_str(), a.value.as_str()))
-        .collect();
-    check_attributes(
-        compiled,
-        element,
-        &present,
-        complex_type,
-        node_span(doc, node),
-        errors,
-    );
-}
-
-/// A uniform read-only view of an attribute, so the shared checks run
-/// over tree attribute lists, owned parser events, and the zero-copy
-/// borrowed events without collecting into an intermediate `Vec`.
+/// A uniform read-only view of an attribute, so the attribute checks run
+/// over the parser's borrowed attributes and a tree's attribute lists
+/// without collecting into an intermediate `Vec`.
 pub(crate) trait AttrView {
     /// Lexical attribute name.
     fn attr_name(&self) -> &str;
     /// Normalized attribute value.
     fn attr_value(&self) -> &str;
-}
-
-impl AttrView for (&str, &str) {
-    fn attr_name(&self) -> &str {
-        self.0
-    }
-    fn attr_value(&self) -> &str {
-        self.1
-    }
-}
-
-impl AttrView for xmlparse::AttributeEvent {
-    fn attr_name(&self) -> &str {
-        &self.name
-    }
-    fn attr_value(&self) -> &str {
-        &self.value
-    }
 }
 
 impl AttrView for xmlparse::BorrowedAttribute<'_> {
@@ -399,36 +174,23 @@ impl AttrView for xmlparse::BorrowedAttribute<'_> {
     }
 }
 
-/// The attribute checks shared by the tree and streaming validators:
-/// declared values validate against their simple types, `fixed` values
-/// must match, required attributes must be present, undeclared attributes
-/// are rejected.
+impl AttrView for dom::Attribute {
+    fn attr_name(&self) -> &str {
+        &self.name
+    }
+    fn attr_value(&self) -> &str {
+        &self.value
+    }
+}
+
+/// The attribute rules, checked when an element opens against its plan's
+/// resolved declared list: declared values validate against their simple
+/// types, `fixed` values must match, required attributes must be
+/// present, undeclared attributes are rejected.
 ///
 /// Namespace declarations (`xmlns`, `xmlns:*`) are never schema-validated.
 /// `xml:*` attributes (`xml:lang`, `xml:space`, …) are validated when the
 /// type declares them and exempt only when it does not.
-fn check_attributes(
-    compiled: &CompiledSchema,
-    element: &str,
-    present: &[(&str, &str)],
-    complex_type: Option<&str>,
-    span: Option<Span>,
-    errors: &mut Vec<ValidationError>,
-) {
-    let declared = complex_type.and_then(|t| compiled.effective_attributes(t).ok());
-    check_attributes_declared(
-        compiled,
-        element,
-        present,
-        declared.as_deref().unwrap_or(&[]),
-        span,
-        errors,
-    );
-}
-
-/// [`check_attributes`] against an already-resolved declared list — the
-/// form the streaming validator's precomputed [`schema::ElemPlan`]s call
-/// directly, skipping the per-element `effective_attributes` lookup.
 pub(crate) fn check_attributes_declared<A: AttrView>(
     compiled: &CompiledSchema,
     element: &str,
@@ -491,6 +253,28 @@ pub(crate) fn check_attributes_declared<A: AttrView>(
                 span,
             ));
         }
+    }
+}
+
+/// The simple-content rule, checked when an element closes: the text
+/// collected under a simple-typed element must validate against its type
+/// (whitespace → built-in → facets).
+pub(crate) fn check_simple_text(
+    compiled: &CompiledSchema,
+    element: &str,
+    type_ref: &TypeRef,
+    text: &str,
+    span: Option<Span>,
+    errors: &mut Vec<ValidationError>,
+) {
+    if let Err(e) = compiled.schema().check_simple_value(type_ref, text) {
+        errors.push(ValidationError::at_opt(
+            ValidationErrorKind::SimpleType {
+                element: element.to_string(),
+                message: e.to_string(),
+            },
+            span,
+        ));
     }
 }
 
@@ -775,6 +559,80 @@ mod tests {
         assert_eq!(marker.span, unbounded[5].span);
         // the default cap leaves this document untouched
         assert_eq!(validate_document(&c, &doc), unbounded);
+    }
+
+    #[test]
+    fn tree_walk_pins_shapes_the_parser_never_produces() {
+        let xsd = r#"<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+          <xsd:element name="r" type="R"/>
+          <xsd:complexType name="R">
+            <xsd:sequence>
+              <xsd:element name="n" type="xsd:integer" maxOccurs="unbounded"/>
+            </xsd:sequence>
+          </xsd:complexType>
+        </xsd:schema>"#;
+        let c = CompiledSchema::parse(xsd).unwrap();
+        let mut doc = Document::new();
+        let add = |doc: &mut Document, parent: NodeId, node: NodeId| {
+            doc.append_child(parent, node).unwrap();
+            node
+        };
+        let dn = doc.document_node();
+        let r = doc.create_element("r").unwrap();
+        add(&mut doc, dn, r);
+        // two adjacent text nodes in element-only content
+        for text in ["x", "y"] {
+            let t = doc.create_text(text);
+            add(&mut doc, r, t);
+        }
+        // an empty text node in simple content
+        let n = doc.create_element("n").unwrap();
+        let n1 = add(&mut doc, r, n);
+        let t = doc.create_text("");
+        add(&mut doc, n1, t);
+        // a comment splitting simple-content text: "1" + "2" is valid
+        let n = doc.create_element("n").unwrap();
+        let n2 = add(&mut doc, r, n);
+        let t = doc.create_text("1");
+        add(&mut doc, n2, t);
+        let t = doc.create_comment("c");
+        add(&mut doc, n2, t);
+        let t = doc.create_text("2");
+        add(&mut doc, n2, t);
+        // an undeclared child inside simple content; its text still counts
+        let n = doc.create_element("n").unwrap();
+        let n3 = add(&mut doc, r, n);
+        let t = doc.create_text("3");
+        add(&mut doc, n3, t);
+        let b = doc.create_element("bogus").unwrap();
+        let bogus = add(&mut doc, n3, b);
+        let t = doc.create_text("x");
+        add(&mut doc, bogus, t);
+
+        let nowhere = |kind| ValidationError { kind, span: None };
+        let text_not_allowed = || {
+            nowhere(ValidationErrorKind::TextNotAllowed {
+                element: "r".into(),
+            })
+        };
+        let not_an_integer = |lexical: &str| {
+            nowhere(ValidationErrorKind::SimpleType {
+                element: "n".into(),
+                message: format!("\"{lexical}\" is not a valid xsd:integer (integer)"),
+            })
+        };
+        let expected = vec![
+            text_not_allowed(),
+            text_not_allowed(),
+            not_an_integer(""),
+            nowhere(ValidationErrorKind::UnexpectedChild {
+                parent: "n".into(),
+                child: "bogus".into(),
+                expected: Vec::new(),
+            }),
+            not_an_integer("3x"),
+        ];
+        assert_eq!(validate_document(&c, &doc), expected);
     }
 
     #[test]

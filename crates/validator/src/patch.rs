@@ -39,12 +39,13 @@ use std::sync::Arc;
 use automata::{ContentDfa, Matcher};
 use dom::{Document, NodeId, NodeKind};
 use limits::{Limits, ResourceErrorKind};
-use schema::{CompiledSchema, ContentPlan, ElemPlan, RootPlan, TypeRef};
+use schema::{CompiledSchema, ContentPlan, ElemPlan, RootPlan};
 use symbols::Sym;
 
 use crate::error::{ValidationError, ValidationErrorKind};
-use crate::{cap_errors, check_attributes_declared, node_span, record_errors, validate_element};
-use crate::{validate_document_with_limits, validate_simple_element};
+use crate::stream::check_subtree;
+use crate::validate_document_with_limits;
+use crate::{cap_errors, check_attributes_declared, check_simple_text, node_span, record_errors};
 
 /// Addresses a node as child indexes from the document node: `[]` is the
 /// document node itself, `[0]` its first child (usually the root
@@ -387,8 +388,8 @@ fn insert_unchecked(
 enum ParentCtx {
     /// The document node: root-declaration rules apply.
     Document,
-    /// Simple (text-only) content of this type.
-    Simple(TypeRef),
+    /// Simple (text-only) content under this open plan.
+    Simple(Arc<ElemPlan>),
     /// Complex content stepped by the type's interned DFA.
     Complex {
         type_sym: Sym,
@@ -645,7 +646,7 @@ impl IncrementalValidator {
         }
         let plan = self.elem_plan(parent)?;
         match &plan.content {
-            ContentPlan::Simple(type_ref) => Ok(ParentCtx::Simple(type_ref.clone())),
+            ContentPlan::Simple(_) => Ok(ParentCtx::Simple(plan.clone())),
             ContentPlan::Complex {
                 type_sym,
                 dfa,
@@ -678,8 +679,11 @@ impl IncrementalValidator {
                 v.push(m.state());
                 for child in children {
                     if let Ok(NodeKind::Element { name, .. }) = doc.kind(child) {
-                        // the held document is valid: every step succeeds
-                        let _ = m.step(name);
+                        // the held document is valid: every step succeeds,
+                        // by symbol unless the name was never interned
+                        if !symbols::lookup(name).is_some_and(|s| m.try_step_sym(s)) {
+                            let _ = m.step(name);
+                        }
                     }
                     v.push(m.state());
                 }
@@ -723,8 +727,17 @@ impl IncrementalValidator {
             .map_err(|e| structure(format!("{e}")))?;
         let mut errors = Vec::new();
         match ctx {
-            ParentCtx::Simple(type_ref) => {
-                validate_simple_element(&self.compiled, &self.doc, parent, &type_ref, &mut errors);
+            ParentCtx::Simple(plan) => {
+                if let ContentPlan::Simple(type_ref) = &plan.content {
+                    check_simple_text(
+                        &self.compiled,
+                        self.doc.tag_name(parent).unwrap_or_default(),
+                        type_ref,
+                        &self.doc.text_content(parent).unwrap_or_default(),
+                        node_span(&self.doc, parent),
+                        &mut errors,
+                    );
+                }
             }
             ParentCtx::Complex { mixed: false, .. } => {
                 if !text.trim().is_empty() {
@@ -793,24 +806,14 @@ impl IncrementalValidator {
             },
         }
         let mut errors = Vec::new();
-        {
-            let element = self.doc.tag_name(node).unwrap_or_default();
-            let present: Vec<(&str, &str)> = self
-                .doc
-                .attributes(node)
-                .unwrap_or(&[])
-                .iter()
-                .map(|a| (a.name.as_str(), a.value.as_str()))
-                .collect();
-            check_attributes_declared(
-                &self.compiled,
-                element,
-                &present,
-                &plan.attrs,
-                node_span(&self.doc, node),
-                &mut errors,
-            );
-        }
+        check_attributes_declared(
+            &self.compiled,
+            self.doc.tag_name(node).unwrap_or_default(),
+            self.doc.attributes(node).unwrap_or(&[]),
+            &plan.attrs,
+            node_span(&self.doc, node),
+            &mut errors,
+        );
         self.last_nodes_rechecked = 1;
         if errors.is_empty() {
             Ok(())
@@ -904,9 +907,9 @@ impl IncrementalValidator {
         // Revalidate the edit locus.
         let (mut errors, trial_states) = match &ctx {
             ParentCtx::Document => (self.recheck_document_level(new), Vec::new()),
-            ParentCtx::Simple(type_ref) => {
-                let mut errors = Vec::new();
-                validate_simple_element(&self.compiled, &self.doc, parent, type_ref, &mut errors);
+            ParentCtx::Simple(plan) => {
+                // re-walk the parent: its children and text, checked at close
+                let errors = check_subtree(&self.compiled, &self.doc, parent, Some(plan.clone()));
                 self.last_nodes_rechecked = self.doc.child_count(parent).unwrap_or(0).max(1);
                 (errors, Vec::new())
             }
@@ -991,46 +994,20 @@ impl IncrementalValidator {
     /// Document-level recheck: reproduces `validate_document`'s root
     /// handling on the (already mutated) top-level child list.
     fn recheck_document_level(&mut self, new: Option<NodeId>) -> Vec<ValidationError> {
-        let mut errors = Vec::new();
         self.last_nodes_rechecked = 1;
         match self.doc.root_element() {
-            None => errors.push(ValidationError::nowhere(ValidationErrorKind::NoRootElement)),
-            Some(root) => {
-                // Only a freshly spliced root needs validation; an
-                // untouched root is valid by the session invariant.
-                if Some(root) == new {
-                    let root_name = self.doc.tag_name(root).unwrap_or_default().to_string();
-                    match self.compiled.schema().element(&root_name) {
-                        Some(decl) => {
-                            if decl.is_abstract {
-                                errors.push(ValidationError::at_opt(
-                                    ValidationErrorKind::AbstractElement(root_name),
-                                    node_span(&self.doc, root),
-                                ));
-                            } else {
-                                let type_ref = decl.type_ref.clone();
-                                validate_element(
-                                    &self.compiled,
-                                    &self.doc,
-                                    root,
-                                    &type_ref,
-                                    &mut errors,
-                                );
-                                self.last_nodes_rechecked = subtree_size(&self.doc, root);
-                            }
-                        }
-                        None => errors.push(ValidationError::at_opt(
-                            ValidationErrorKind::UndeclaredRoot(root_name),
-                            node_span(&self.doc, root),
-                        )),
-                    }
-                }
+            None => vec![ValidationError::nowhere(ValidationErrorKind::NoRootElement)],
+            // Only a freshly spliced root needs validation; an untouched
+            // root is valid by the session invariant.
+            Some(root) if Some(root) == new => {
+                self.last_nodes_rechecked = subtree_size(&self.doc, root);
+                check_subtree(&self.compiled, &self.doc, root, None)
             }
+            Some(_) => Vec::new(),
         }
-        errors
     }
 
-    /// The heart of the tentpole: resume the parent's DFA at the edit
+    /// The core of incremental checking: resume the parent's DFA at the edit
     /// point and walk only the sibling suffix, re-syncing with the old
     /// state snapshot as soon as the automaton provably re-converges.
     /// Returns the locus errors plus the trial state snapshot for slots
@@ -1045,7 +1022,7 @@ impl IncrementalValidator {
         ctx: ComplexCtx,
     ) -> (Vec<ValidationError>, Vec<usize>) {
         let parent_name = self.doc.tag_name(parent).unwrap_or_default().to_string();
-        let type_name = symbols::name(ctx.type_sym);
+        let plans = self.compiled.sym_index();
         let children = self.doc.child_vec(parent).unwrap_or_default();
         let mut matcher = ctx.dfa.resume(old_states[index]);
         let mut content_ok = true;
@@ -1084,9 +1061,11 @@ impl IncrementalValidator {
             trial.push(matcher.state());
             match self.doc.kind(child) {
                 Ok(NodeKind::Element { name, .. }) => {
-                    let name = name.clone();
-                    if content_ok {
-                        if let Err(e) = matcher.step(&name) {
+                    let sym = symbols::lookup(name);
+                    // step by symbol; re-step by string only on a miss, for
+                    // the rich error
+                    if content_ok && !sym.is_some_and(|s| matcher.try_step_sym(s)) {
+                        if let Err(e) = matcher.step(name) {
                             errors.push(ValidationError::at_opt(
                                 ValidationErrorKind::UnexpectedChild {
                                     parent: parent_name.clone(),
@@ -1098,18 +1077,16 @@ impl IncrementalValidator {
                             content_ok = false;
                         }
                     }
-                    // Recurse only into the freshly spliced subtree;
-                    // untouched siblings are valid by the invariant.
+                    // Walk only the freshly spliced subtree; untouched
+                    // siblings are valid by the invariant.
                     if Some(child) == new {
-                        if let Some(child_type) = self.compiled.child_element_type(type_name, &name)
-                        {
-                            validate_element(
+                        if let Some(plan) = sym.and_then(|s| plans.child(ctx.type_sym, s)) {
+                            errors.extend(check_subtree(
                                 &self.compiled,
                                 &self.doc,
                                 child,
-                                &child_type,
-                                &mut errors,
-                            );
+                                Some(plan.clone()),
+                            ));
                             rechecked += subtree_size(&self.doc, child).saturating_sub(1);
                         }
                     }

@@ -1,45 +1,53 @@
-//! Streaming validation over the pull parser's events — the same checks
-//! as the tree validator, without ever materializing a [`dom::Document`].
+//! The validation engine. [`StreamingValidator`] is the one place the
+//! schema's rules are stated: it consumes element events — start (name,
+//! attributes, span), text, end — and checks attributes at element open,
+//! steps the parent's content DFA per child, checks text placement per
+//! text run, and checks buffered simple values at element close.
 //!
-//! [`StreamingValidator`] consumes parser events and keeps only a stack
-//! of open-element frames: element name, start-tag span, and either a
-//! content-model DFA matcher (complex content) or a text buffer plus
-//! simple-type reference (simple content). Memory is O(depth + deepest
-//! buffered leaf text), so arbitrarily long documents validate in
-//! constant space — the server-page use case, where a rendered page is
-//! checked on its way out rather than parsed into a tree first (bench
-//! B2b measures the difference).
+//! Two event sources drive it:
 //!
-//! The hot path is **allocation-free**: [`Self::feed_borrowed`] takes the
-//! reader's zero-copy [`BorrowedEvent`]s, dispatches through the schema's
-//! precomputed [`SymIndex`] (two integer hash lookups per element: root
-//! or `(type, child)` → [`ElemPlan`]), steps the content DFA by interned
-//! symbol, and buffers leaf text as a borrowed slice of the source. For
-//! a valid, entity-free document, no string is hashed, compared, copied,
-//! or allocated between the start tag and the error check — the
-//! allocation-counter test in `tests/tests/alloc_smoke.rs` holds this at
-//! exactly zero per event.
+//! * the pull parser's zero-copy events, via [`StreamingValidator::feed`]
+//!   and the `validate_*_streaming` entry points, without ever
+//!   materializing a [`dom::Document`];
+//! * a walk over a [`dom::Document`], for
+//!   [`validate_document`](crate::validate_document) and the patch
+//!   rechecks of [`crate::patch`]. The walk keeps an explicit stack, so
+//!   tree depth costs heap, not call stack, and its text events borrow
+//!   the document's strings.
 //!
-//! The checks and their order are identical to
-//! [`validate_document`](crate::validate_document) — attribute checks at
-//! element open, DFA steps per child, text-placement per text run, and
-//! buffered simple-value checks at element close — so both validators
-//! produce the same error list (kinds *and* spans) for any well-formed
-//! input; `tests/tests/streaming_prop.rs` and
-//! `tests/tests/zero_copy_prop.rs` assert this differentially.
+//! Both sources produce the same error list (kinds *and* spans) for a
+//! parsed document; `tests/tests/streaming_prop.rs` and
+//! `tests/tests/zero_copy_prop.rs` hold this differentially. Nodes built
+//! programmatically carry no span, so their errors have none.
+//!
+//! The validator keeps only a stack of open-element frames: element
+//! name, start span, and either a content-model DFA matcher (complex
+//! content) or a text buffer plus simple-type reference (simple
+//! content). Memory is O(depth + deepest buffered leaf text), so
+//! arbitrarily long documents validate in constant space.
+//!
+//! The parser path is **allocation-free**: the schema's precomputed
+//! [`SymIndex`] dispatches each element with two integer hash lookups
+//! (root or `(type, child)` → [`ElemPlan`]), the content DFA steps by
+//! interned symbol, and leaf text buffers as a borrowed slice of the
+//! source. For a valid, entity-free document, no string is hashed,
+//! compared, copied, or allocated between the start tag and the error
+//! check — `tests/tests/alloc_smoke.rs` holds this at exactly zero
+//! allocations per event.
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
 use automata::{DfaMatcher, Matcher};
+use dom::{Document, NodeId, NodeKind};
 use limits::Limits;
 use schema::{CompiledSchema, ContentPlan, ElemPlan, RootPlan, SymIndex};
 use symbols::Sym;
 use xmlchars::Span;
-use xmlparse::{BorrowedEvent, Event, FeedReader, ParseError, ParseErrorKind, Reader};
+use xmlparse::{BorrowedEvent, FeedReader, ParseError, ParseErrorKind, Reader};
 
 use crate::error::{ValidationError, ValidationErrorKind};
-use crate::{check_attributes_declared, AttrView};
+use crate::{check_attributes_declared, check_simple_text, node_span, AttrView};
 
 /// Buffered character data of a simple-content frame. Starts borrowing
 /// the source; promotes to an owned buffer only when a second text run
@@ -81,9 +89,10 @@ impl<'src> TextBuf<'src> {
     }
 }
 
-/// One text run on its way into the validator: a `Cow` straight off the
-/// zero-copy stream (storable as-is), or a transient borrow from an owned
-/// [`Event`] (copied only if a simple-content frame actually buffers it).
+/// One text run on its way into the validator: a `Cow` that lives as
+/// long as the validator (source or document text, storable as-is), or a
+/// transient borrow from a chunk window (copied only if a simple-content
+/// frame actually buffers it).
 enum TextRun<'src, 't> {
     Zero(Cow<'src, str>),
     Copy(&'t str),
@@ -98,11 +107,11 @@ impl TextRun<'_, '_> {
     }
 }
 
-/// An open-element frame, mirroring the tree validator's three regimes
-/// for an element's content. Only checked frames carry their name (as an
-/// interned symbol — every checked element is, by construction, declared
-/// somewhere in the schema and therefore interned at index build time);
-/// skipped subtrees carry nothing at all.
+/// An open-element frame: the three regimes for an element's content.
+/// Only checked frames carry their name (as an interned symbol — every
+/// checked element is, by construction, declared somewhere in the schema
+/// and therefore interned at index build time); skipped subtrees carry
+/// nothing at all. Spans are `None` for programmatic nodes.
 enum Frame<'src> {
     /// Complex element-only or mixed content: child names step a DFA.
     Complex {
@@ -113,9 +122,9 @@ enum Frame<'src> {
         matcher: DfaMatcher,
         mixed: bool,
         /// Cleared by the first failed DFA step; suppresses the
-        /// close-time completeness check, exactly like the tree walk.
+        /// close-time completeness check.
         content_ok: bool,
-        span: Span,
+        span: Option<Span>,
     },
     /// Simple-typed content: text buffers until the close tag, then
     /// validates (whitespace → built-in → facets) in one shot.
@@ -125,26 +134,24 @@ enum Frame<'src> {
         /// check at close.
         plan: Arc<ElemPlan>,
         text: TextBuf<'src>,
-        span: Span,
+        span: Option<Span>,
     },
     /// A subtree that cannot be validated — undeclared child, unknown or
     /// abstract root, uncompilable content model. The error (if any) was
-    /// reported when the frame opened; the subtree is consumed silently,
-    /// as the tree validator does by not recursing.
+    /// reported when the frame opened; the subtree is consumed silently.
     Skip,
 }
 
-/// An incremental validator over parser events.
+/// An incremental validator over element events.
 ///
-/// Feed zero-copy events via [`feed_borrowed`](Self::feed_borrowed) (the
-/// allocation-free path) or owned events via [`feed`](Self::feed);
-/// collect the violations with [`finish`](Self::finish) (or inspect them
+/// Feed the parser's zero-copy events via [`feed`](Self::feed); collect
+/// the violations with [`finish`](Self::finish) (or inspect them
 /// mid-stream with [`errors`](Self::errors)). The event source is
 /// typically [`xmlparse::Reader`]; [`validate_str_streaming`] wires the
 /// two together.
 ///
-/// `'src` is the source buffer borrowed events slice; for owned-event
-/// feeding it is unconstrained.
+/// `'src` is the source buffer the events borrow; buffered leaf text
+/// keeps borrowing it.
 pub struct StreamingValidator<'a, 'src> {
     compiled: &'a CompiledSchema,
     /// The schema's precomputed symbol-keyed dispatch plans.
@@ -199,76 +206,98 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
         }
     }
 
-    /// Consumes one owned event. Events must arrive in the order the
-    /// reader produced them; `Eof` is accepted and ignored. Once a
-    /// budget trips ([`tripped`](Self::tripped)), events are discarded.
-    pub fn feed(&mut self, event: &Event) {
-        if self.gate(owned_event_span(event)) {
-            return;
-        }
+    /// Consumes one zero-copy event. Buffered leaf text borrows the
+    /// source (`'src`) instead of being copied. Events must arrive in the
+    /// order the reader produced them; `Eof` is accepted and ignored.
+    /// Once a budget trips ([`tripped`](Self::tripped)), events are
+    /// discarded.
+    pub fn feed(&mut self, event: BorrowedEvent<'src, '_>) {
+        // the element and text events dispatch here directly: routing them
+        // through `feed_transient` measurably slows the hot path
         match event {
-            Event::StartElement {
+            BorrowedEvent::StartElement {
                 name,
                 attributes,
                 span,
                 ..
-            } => self.on_start(name, attributes, *span),
-            Event::EndElement { .. } => self.on_end(),
-            Event::Text { text, span } => self.on_text(TextRun::Copy(text), *span),
+            } => self.step(Some(span), |v| v.on_start(name, attributes, Some(span))),
+            BorrowedEvent::EndElement { span, .. } => self.step(Some(span), Self::on_end),
+            BorrowedEvent::Text { text, span } => {
+                self.step(Some(span), |v| v.on_text(TextRun::Zero(text), Some(span)))
+            }
+            event => self.feed_transient(&event),
+        }
+    }
+
+    /// [`feed`](Self::feed) for an event whose source does *not* outlive
+    /// the validator — the chunked path, where events borrow a window
+    /// that mutates between chunks. Leaf text of simple-content frames is
+    /// copied when buffered; everything else stays allocation-free. The
+    /// two cannot be one method: storing a borrowed text run needs it to
+    /// live for `'src`, and a window event's text does not.
+    fn feed_transient(&mut self, event: &BorrowedEvent<'_, '_>) {
+        let span = match event {
+            BorrowedEvent::StartElement { span, .. }
+            | BorrowedEvent::EndElement { span, .. }
+            | BorrowedEvent::Text { span, .. }
+            | BorrowedEvent::Comment { span, .. }
+            | BorrowedEvent::ProcessingInstruction { span, .. } => Some(*span),
+            BorrowedEvent::Eof => None,
+        };
+        self.step(span, |v| match event {
+            BorrowedEvent::StartElement {
+                name, attributes, ..
+            } => v.on_start(name, attributes, span),
+            BorrowedEvent::EndElement { .. } => v.on_end(),
+            BorrowedEvent::Text { text, .. } => v.on_text(TextRun::Copy(text), span),
             // comments and PIs are always permitted
-            Event::Comment { .. } | Event::ProcessingInstruction { .. } | Event::Eof => {}
-        }
-        self.enforce_error_cap();
+            _ => {}
+        });
     }
 
-    /// Consumes one zero-copy event — the allocation-free hot path.
-    /// Buffered leaf text borrows the source (`'src`) instead of being
-    /// copied. Once a budget trips ([`tripped`](Self::tripped)), events
-    /// are discarded.
-    pub fn feed_borrowed(&mut self, event: BorrowedEvent<'src, '_>) {
-        if self.gate(borrowed_event_span(&event)) {
-            return;
+    /// Walks the subtrees rooted at `nodes`, in order, as events: a start
+    /// per element, a text event per text node (the text borrowed from
+    /// `doc`), an end per element. Comments and PIs are skipped, as in
+    /// the parsed stream; spans follow [`node_span`]. Iterative: the
+    /// `open` stack holds one sibling cursor per open element.
+    pub(crate) fn walk(&mut self, doc: &'src Document, nodes: &[NodeId]) {
+        let mut open = vec![nodes.iter()];
+        while let Some(siblings) = open.last_mut() {
+            match siblings.next() {
+                Some(&node) => match doc.kind(node) {
+                    Ok(NodeKind::Element { name, attributes }) => {
+                        let span = node_span(doc, node);
+                        self.step(span, |v| v.on_start(name, attributes, span));
+                        open.push(doc.child_slice(node).unwrap_or_default().iter());
+                    }
+                    Ok(NodeKind::Text(text)) => {
+                        let span = node_span(doc, node);
+                        self.step(span, |v| {
+                            v.on_text(TextRun::Zero(Cow::Borrowed(text.as_str())), span)
+                        });
+                    }
+                    _ => {}
+                },
+                None => {
+                    open.pop();
+                    if !open.is_empty() {
+                        self.step(None, Self::on_end);
+                    }
+                }
+            }
+            if self.tripped {
+                return;
+            }
         }
-        match event {
-            BorrowedEvent::StartElement {
-                name,
-                attributes,
-                span,
-                ..
-            } => self.on_start(name, attributes, span),
-            BorrowedEvent::EndElement { .. } => self.on_end(),
-            BorrowedEvent::Text { text, span } => self.on_text(TextRun::Zero(text), span),
-            BorrowedEvent::Comment { .. }
-            | BorrowedEvent::ProcessingInstruction { .. }
-            | BorrowedEvent::Eof => {}
-        }
-        self.enforce_error_cap();
     }
 
-    /// Consumes one zero-copy event whose source buffer does *not*
-    /// outlive the validator — the chunked-feed path, where events
-    /// borrow a window that mutates between chunks. Leaf text of
-    /// simple-content frames is copied when buffered (everything else
-    /// stays allocation-free), which is the price of not holding the
-    /// feed buffer alive; complex-content documents still validate with
-    /// zero per-event allocations.
-    pub fn feed_transient(&mut self, event: &BorrowedEvent<'_, '_>) {
-        if self.gate(borrowed_event_span(event)) {
+    /// Runs one event's checks between the budget gate and the error
+    /// cap; every event source goes through here.
+    fn step(&mut self, span: Option<Span>, checks: impl FnOnce(&mut Self)) {
+        if self.gate(span) {
             return;
         }
-        match event {
-            BorrowedEvent::StartElement {
-                name,
-                attributes,
-                span,
-                ..
-            } => self.on_start(name, attributes, *span),
-            BorrowedEvent::EndElement { .. } => self.on_end(),
-            BorrowedEvent::Text { text, span } => self.on_text(TextRun::Copy(text), *span),
-            BorrowedEvent::Comment { .. }
-            | BorrowedEvent::ProcessingInstruction { .. }
-            | BorrowedEvent::Eof => {}
-        }
+        checks(self);
         self.enforce_error_cap();
     }
 
@@ -322,27 +351,6 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
         self.tripped
     }
 
-    /// Feeds every event from `events` in order, returning the number of
-    /// violations found so far (over the whole stream, not just this
-    /// batch). Accepts owned events or references, so a handler can pipe
-    /// an event source straight through and abort on a rising
-    /// [`error_count`](Self::error_count) without collecting anything:
-    ///
-    /// ```ignore
-    /// if validator.feed_all(&batch) > limit {
-    ///     return reject(validator.into_errors());
-    /// }
-    /// ```
-    pub fn feed_all<E: std::borrow::Borrow<Event>>(
-        &mut self,
-        events: impl IntoIterator<Item = E>,
-    ) -> usize {
-        for event in events {
-            self.feed(event.borrow());
-        }
-        self.errors.len()
-    }
-
     /// The violations found so far.
     pub fn errors(&self) -> &[ValidationError] {
         &self.errors
@@ -367,15 +375,11 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
     }
 
     /// Finishes the document and returns all violations. Reports
-    /// [`ValidationErrorKind::NoRootElement`] if no element was ever fed,
-    /// mirroring the tree validator on an empty document. A tripped
-    /// stream skips that check — the budget stopped the run, so "no root
-    /// seen" proves nothing.
+    /// [`ValidationErrorKind::NoRootElement`] if no element was ever fed.
+    /// A tripped stream skips that check — the budget stopped the run, so
+    /// "no root seen" proves nothing.
     pub fn finish(mut self) -> Vec<ValidationError> {
-        if !self.saw_root && !self.tripped {
-            self.errors
-                .push(ValidationError::nowhere(ValidationErrorKind::NoRootElement));
-        }
+        self.check_root_seen();
         self.flush_metrics();
         self.errors
     }
@@ -384,6 +388,13 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
     pub fn into_errors(self) -> Vec<ValidationError> {
         self.flush_metrics();
         self.errors
+    }
+
+    fn check_root_seen(&mut self) {
+        if !self.saw_root && !self.tripped {
+            self.errors
+                .push(ValidationError::nowhere(ValidationErrorKind::NoRootElement));
+        }
     }
 
     /// Records this stream's error population and depth once, at the
@@ -403,7 +414,7 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
             .observe(self.max_depth as f64);
     }
 
-    fn on_start<A: AttrView>(&mut self, name: &str, attributes: &[A], span: Span) {
+    fn on_start<A: AttrView>(&mut self, name: &str, attributes: &[A], span: Option<Span>) {
         // documents name only what a schema declared (plus hostile noise);
         // a name the schema never interned cannot be valid anywhere, and
         // lookup never grows the table, so attacker input stays O(1)
@@ -424,7 +435,7 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                         // so the re-step sees the exact same state)
                         if let Err(e) = matcher.step(name) {
                             *content_ok = false;
-                            self.errors.push(ValidationError::at(
+                            self.errors.push(ValidationError::at_opt(
                                 ValidationErrorKind::UnexpectedChild {
                                     parent: symbols::name(*parent_name).to_string(),
                                     child: name.to_string(),
@@ -436,23 +447,15 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                     }
                     // enter declared children regardless, so nested errors
                     // surface too; undeclared ones were just reported
-                    match sym.and_then(|s| index.child(*type_sym, s)) {
-                        Some(plan) => {
-                            let plan = plan.clone();
-                            self.open_with_plan(
-                                sym.expect("child plan implies sym"),
-                                plan,
-                                attributes,
-                                span,
-                            )
-                        }
+                    match sym.and_then(|s| index.child(*type_sym, s).map(|p| (s, p))) {
+                        Some((s, plan)) => self.open(s, plan.clone(), attributes, span),
                         None => Frame::Skip,
                     }
                 }
                 Frame::Simple {
                     name: parent_name, ..
                 } => {
-                    self.errors.push(ValidationError::at(
+                    self.errors.push(ValidationError::at_opt(
                         ValidationErrorKind::UnexpectedChild {
                             parent: symbols::name(*parent_name).to_string(),
                             child: name.to_string(),
@@ -468,18 +471,15 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
             self.saw_root = true;
             match sym.and_then(|s| index.root(s).map(|p| (s, p))) {
                 Some((_, RootPlan::Abstract)) => {
-                    self.errors.push(ValidationError::at(
+                    self.errors.push(ValidationError::at_opt(
                         ValidationErrorKind::AbstractElement(name.to_string()),
                         span,
                     ));
                     Frame::Skip
                 }
-                Some((s, RootPlan::Elem(plan))) => {
-                    let plan = plan.clone();
-                    self.open_with_plan(s, plan, attributes, span)
-                }
+                Some((s, RootPlan::Elem(plan))) => self.open(s, plan.clone(), attributes, span),
                 None => {
-                    self.errors.push(ValidationError::at(
+                    self.errors.push(ValidationError::at_opt(
                         ValidationErrorKind::UndeclaredRoot(name.to_string()),
                         span,
                     ));
@@ -492,27 +492,24 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
     }
 
     /// Runs the element-open checks (abstract type, attributes) against a
-    /// precomputed plan and builds the frame — the symbol-path twin of
-    /// the old per-element dispatch on a `TypeRef`, with the same checks
-    /// in the same order.
-    fn open_with_plan<A: AttrView>(
+    /// precomputed plan and builds the frame.
+    fn open<A: AttrView>(
         &mut self,
         name: Sym,
         plan: Arc<ElemPlan>,
         attributes: &[A],
-        span: Span,
+        span: Option<Span>,
     ) -> Frame<'src> {
-        // an unresolvable type reports only itself: no attribute checks,
-        // exactly like the tree walk (which returns before them)
+        // an unresolvable type reports only itself: no attribute checks
         if let ContentPlan::Unknown(type_name) = &plan.content {
-            self.errors.push(ValidationError::at(
+            self.errors.push(ValidationError::at_opt(
                 ValidationErrorKind::UnknownType(type_name.clone()),
                 span,
             ));
             return Frame::Skip;
         }
         if let Some(type_name) = &plan.abstract_type {
-            self.errors.push(ValidationError::at(
+            self.errors.push(ValidationError::at_opt(
                 ValidationErrorKind::AbstractType(type_name.clone()),
                 span,
             ));
@@ -522,7 +519,7 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
             symbols::name(name),
             attributes,
             &plan.attrs,
-            Some(span),
+            span,
             &mut self.errors,
         );
         match &plan.content {
@@ -545,7 +542,7 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                 span,
             },
             ContentPlan::Broken(message) => {
-                self.errors.push(ValidationError::at(
+                self.errors.push(ValidationError::at_opt(
                     ValidationErrorKind::SimpleType {
                         element: symbols::name(name).to_string(),
                         message: message.clone(),
@@ -558,12 +555,11 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
         }
     }
 
-    fn on_text(&mut self, text: TextRun<'src, '_>, span: Span) {
+    fn on_text(&mut self, text: TextRun<'src, '_>, span: Option<Span>) {
         // Walk inward-out: the nearest frame decides. A Skip frame defers
-        // to its enclosing frames only for simple-content buffering (the
-        // tree's `text_content` concatenates *descendant* text), never for
-        // text-placement errors (the tree walk does not descend into
-        // undeclared subtrees).
+        // to its enclosing frames only for simple-content buffering (a
+        // simple element's value is all its *descendant* text), never for
+        // text-placement errors (undeclared subtrees are not checked).
         let top = match self.stack.len().checked_sub(1) {
             Some(top) => top,
             // text with no open element (prolog/epilog whitespace)
@@ -576,7 +572,7 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                 Frame::Complex { name, mixed, .. } => {
                     if i == top && !*mixed && !text.as_str().trim().is_empty() {
                         let element = symbols::name(*name).to_string();
-                        self.errors.push(ValidationError::at(
+                        self.errors.push(ValidationError::at_opt(
                             ValidationErrorKind::TextNotAllowed { element },
                             span,
                         ));
@@ -604,19 +600,14 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                     ContentPlan::Simple(t) => t,
                     _ => unreachable!("Simple frames hold Simple plans"),
                 };
-                if let Err(e) = self
-                    .compiled
-                    .schema()
-                    .check_simple_value(type_ref, text.as_str())
-                {
-                    self.errors.push(ValidationError::at(
-                        ValidationErrorKind::SimpleType {
-                            element: symbols::name(name).to_string(),
-                            message: e.to_string(),
-                        },
-                        span,
-                    ));
-                }
+                check_simple_text(
+                    self.compiled,
+                    symbols::name(name),
+                    type_ref,
+                    text.as_str(),
+                    span,
+                    &mut self.errors,
+                );
             }
             Frame::Complex {
                 name,
@@ -626,7 +617,7 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                 ..
             } => {
                 if content_ok && !matcher.is_accepting() {
-                    self.errors.push(ValidationError::at(
+                    self.errors.push(ValidationError::at_opt(
                         ValidationErrorKind::IncompleteContent {
                             element: symbols::name(name).to_string(),
                             expected: matcher.expected(),
@@ -640,29 +631,46 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
     }
 }
 
-/// The source span an owned event would anchor an error to (`None` for
-/// `Eof`, which has no position).
-fn owned_event_span(event: &Event) -> Option<Span> {
-    match event {
-        Event::StartElement { span, .. }
-        | Event::EndElement { span, .. }
-        | Event::Text { span, .. }
-        | Event::Comment { span, .. }
-        | Event::ProcessingInstruction { span, .. } => Some(*span),
-        Event::Eof => None,
+/// Validates a whole tree by walking its root element into a validator
+/// under `limits`. Returns the errors and whether a budget tripped.
+/// Records no streaming metrics: the caller meters the run as a tree
+/// validation.
+pub(crate) fn walk_document(
+    compiled: &CompiledSchema,
+    doc: &Document,
+    limits: &Limits,
+) -> (Vec<ValidationError>, bool) {
+    let mut v = StreamingValidator::with_limits(compiled, limits.clone());
+    if let Some(root) = doc.root_element() {
+        v.walk(doc, std::slice::from_ref(&root));
     }
+    v.check_root_seen();
+    (v.errors, v.tripped)
 }
 
-/// [`owned_event_span`] for the zero-copy stream.
-fn borrowed_event_span(event: &BorrowedEvent<'_, '_>) -> Option<Span> {
-    match event {
-        BorrowedEvent::StartElement { span, .. }
-        | BorrowedEvent::EndElement { span, .. }
-        | BorrowedEvent::Text { span, .. }
-        | BorrowedEvent::Comment { span, .. }
-        | BorrowedEvent::ProcessingInstruction { span, .. } => Some(*span),
-        BorrowedEvent::Eof => None,
+/// The errors of the element subtree at `node` alone, walked into a
+/// fresh unbounded validator. With a `plan`, `node` opens under it — a
+/// child whose parent's frame is not on the stack; without one, `node` is
+/// dispatched as the document root.
+pub(crate) fn check_subtree(
+    compiled: &CompiledSchema,
+    doc: &Document,
+    node: NodeId,
+    plan: Option<Arc<ElemPlan>>,
+) -> Vec<ValidationError> {
+    let mut v = StreamingValidator::with_limits(compiled, Limits::unbounded());
+    let Some(plan) = plan else {
+        v.walk(doc, std::slice::from_ref(&node));
+        return v.errors;
+    };
+    if let Ok(NodeKind::Element { name, attributes }) = doc.kind(node) {
+        let sym = symbols::lookup(name).expect("an element with a plan has an interned name");
+        let frame = v.open(sym, plan, attributes, node_span(doc, node));
+        v.stack.push(frame);
+        v.walk(doc, doc.child_slice(node).unwrap_or_default());
+        v.on_end();
     }
+    v.errors
 }
 
 /// Parses and validates `src` in one streaming pass, without building a
@@ -724,7 +732,7 @@ fn validate_str_streaming_inner(
                 return (validator.finish(), tally);
             }
             Ok(event) => {
-                validator.feed_borrowed(event);
+                validator.feed(event);
                 if validator.tripped() {
                     // the budget marker is already the last error; stop
                     // pulling events so a hostile tail costs nothing
@@ -795,34 +803,18 @@ pub fn validate_chunks_streaming_with_limits<'c>(
     limits: &Limits,
 ) -> Vec<ValidationError> {
     let span = obs::span!("validate.stream.chunks");
-    let mut feeder = FeedReader::with_limits(limits.clone());
-    let mut validator = StreamingValidator::with_limits(compiled, limits.clone());
-    let mut outcome: Result<bool, ParseError> = Ok(true);
-    for chunk in chunks {
-        outcome = feeder.feed(chunk, |event| {
-            validator.feed_transient(event);
-            !validator.tripped()
-        });
-        if !matches!(outcome, Ok(true)) {
-            break;
+    let fed = validate_feed(compiled, limits, span, "stream.chunks", |push| {
+        for chunk in chunks {
+            if !push(chunk) {
+                break;
+            }
         }
+        Ok::<(), std::convert::Infallible>(())
+    });
+    match fed {
+        Ok(errors) => errors,
+        Err(never) => match never {},
     }
-    if let Ok(true) = outcome {
-        outcome = feeder
-            .finish(|event| {
-                validator.feed_transient(event);
-                !validator.tripped()
-            })
-            .map(|_| true);
-    }
-    let tally = DocTally {
-        stats: feeder.stats(),
-        max_depth: validator.max_depth() as u64,
-    };
-    let errors = conclude_feed(validator, outcome);
-    let elapsed = span.finish();
-    record_stream_run("stream.chunks", elapsed, tally, &errors);
-    errors
 }
 
 /// How many bytes [`validate_read_streaming`] pulls per `read` call.
@@ -833,8 +825,9 @@ const READ_CHUNK_BYTES: usize = 64 * 1024;
 /// Validates a byte stream pulled from `input` — [`validate_chunks_streaming`]
 /// over [`READ_CHUNK_BYTES`]-sized reads, so a multi-gigabyte file (or
 /// socket) validates in O(depth) memory without ever being resident.
-/// I/O errors are the caller's problem and propagate as `Err`; parse and
-/// validation problems come back in the usual error list.
+/// I/O errors are the caller's problem and propagate as `Err`
+/// (`Interrupted` reads are retried); parse and validation problems come
+/// back in the usual error list.
 pub fn validate_read_streaming<R: std::io::Read>(
     compiled: &CompiledSchema,
     input: R,
@@ -849,56 +842,61 @@ pub fn validate_read_streaming_with_limits<R: std::io::Read>(
     limits: &Limits,
 ) -> std::io::Result<Vec<ValidationError>> {
     let span = obs::span!("validate.stream.read");
+    let mut buf = vec![0u8; READ_CHUNK_BYTES];
+    validate_feed(compiled, limits, span, "stream.read", |push| loop {
+        match input.read(&mut buf) {
+            Ok(0) => return Ok(()),
+            Ok(n) => {
+                if !push(&buf[..n]) {
+                    return Ok(());
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    })
+}
+
+/// The feed loop shared by the chunk and reader entry points: `source`
+/// pushes byte chunks through one [`FeedReader`] into one validator
+/// until it runs dry or `push` returns `false` (parse error or budget
+/// trip). A source error ends the run unrecorded and is returned as is.
+fn validate_feed<E>(
+    compiled: &CompiledSchema,
+    limits: &Limits,
+    span: obs::SpanGuard,
+    entry: &'static str,
+    source: impl FnOnce(&mut dyn FnMut(&[u8]) -> bool) -> Result<(), E>,
+) -> Result<Vec<ValidationError>, E> {
     let mut feeder = FeedReader::with_limits(limits.clone());
     let mut validator = StreamingValidator::with_limits(compiled, limits.clone());
-    let mut buf = vec![0u8; READ_CHUNK_BYTES];
     let mut outcome: Result<bool, ParseError> = Ok(true);
-    loop {
-        let n = match input.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        outcome = feeder.feed(&buf[..n], |event| {
-            validator.feed_transient(event);
-            !validator.tripped()
-        });
-        if !matches!(outcome, Ok(true)) {
-            break;
-        }
-    }
+    let mut sink = |event: &BorrowedEvent<'_, '_>| {
+        validator.feed_transient(event);
+        !validator.tripped()
+    };
+    source(&mut |chunk| {
+        outcome = feeder.feed(chunk, &mut sink);
+        matches!(outcome, Ok(true))
+    })?;
     if let Ok(true) = outcome {
-        outcome = feeder
-            .finish(|event| {
-                validator.feed_transient(event);
-                !validator.tripped()
-            })
-            .map(|_| true);
+        outcome = feeder.finish(&mut sink).map(|_| true);
     }
     let tally = DocTally {
         stats: feeder.stats(),
         max_depth: validator.max_depth() as u64,
     };
-    let errors = conclude_feed(validator, outcome);
-    let elapsed = span.finish();
-    record_stream_run("stream.read", elapsed, tally, &errors);
-    Ok(errors)
-}
-
-/// Turns a feed run's outcome into the final error list: a completed
-/// document finishes the validator (root checks included), a stopped or
-/// tripped stream keeps what it found, a parse error appends its
-/// terminal marker.
-fn conclude_feed(
-    validator: StreamingValidator<'_, '_>,
-    outcome: Result<bool, ParseError>,
-) -> Vec<ValidationError> {
-    match outcome {
+    let errors = match outcome {
+        // a completed document finishes the validator (root check
+        // included), a stopped or tripped stream keeps what it found, a
+        // parse error appends its terminal marker
         Ok(true) if !validator.tripped() => validator.finish(),
         Ok(_) => validator.into_errors(),
         Err(e) => terminal_parse_error(validator, e),
-    }
+    };
+    let elapsed = span.finish();
+    record_stream_run(entry, elapsed, tally, &errors);
+    Ok(errors)
 }
 
 /// The per-run observability flush shared by every streaming entry
@@ -1127,24 +1125,15 @@ mod tests {
             page.push_str(&format!("<option value=\"{i}\">o{i}</option>"));
         }
         page.push_str("</select></p></card></wml>");
-        let mut reader = Reader::new(&page);
         let mut v = StreamingValidator::new(&compiled);
         let mut max_depth = 0;
-        loop {
-            match reader.next_event().unwrap() {
-                Event::Eof => break,
-                event => {
-                    v.feed(&event);
-                    max_depth = max_depth.max(v.depth());
-                }
-            }
-        }
+        feed_source(&mut v, &page, |v| max_depth = max_depth.max(v.depth()));
         assert!(max_depth <= 5, "depth grew to {max_depth}");
         assert!(v.finish().is_empty());
     }
 
     #[test]
-    fn borrowed_and_owned_feeding_agree() {
+    fn borrowed_and_transient_feeding_agree() {
         // the two feeding modes run the same machinery; hold them to the
         // same error list on a document that exercises every frame kind
         let compiled = po();
@@ -1155,56 +1144,59 @@ mod tests {
         let mut reader = Reader::new(src.as_str());
         let mut v = StreamingValidator::new(&compiled);
         loop {
-            match reader.next_event().unwrap() {
-                Event::Eof => break,
-                event => v.feed(&event),
+            match reader.next_event_borrowed().unwrap() {
+                BorrowedEvent::Eof => break,
+                event => v.feed_transient(&event),
             }
         }
         assert_eq!(v.finish(), borrowed);
     }
 
     #[test]
-    fn feed_all_counts_errors_without_collecting() {
+    fn error_count_tracks_errors_without_collecting() {
         let compiled = po();
-        let mut reader = Reader::new("<purchaseOrder><junk/></purchaseOrder>");
-        let mut events = Vec::new();
-        loop {
-            match reader.next_event().unwrap() {
-                Event::Eof => break,
-                event => events.push(event),
-            }
-        }
-        // by reference
         let mut v = StreamingValidator::new(&compiled);
         assert_eq!(v.error_count(), 0);
-        let count = v.feed_all(&events);
-        assert_eq!(count, v.error_count());
-        assert_eq!(count, 1, "{:#?}", v.errors());
-        // by value, split into batches: the return value is cumulative
-        let (first, rest) = events.split_at(1);
-        let mut v2 = StreamingValidator::new(&compiled);
-        assert_eq!(v2.feed_all(first.to_vec()), 0);
-        assert_eq!(v2.feed_all(rest.to_vec()), count);
-        assert_eq!(v2.finish().len(), count);
+        let mut counts = Vec::new();
+        feed_source(&mut v, "<purchaseOrder><junk/></purchaseOrder>", |v| {
+            counts.push(v.error_count())
+        });
+        // <junk> is rejected at its start tag, the second event
+        assert_eq!(counts, [0, 1, 1, 1], "{:#?}", v.errors());
+        assert_eq!(v.error_count(), v.errors().len());
+        assert_eq!(v.finish().len(), 1);
     }
 
     #[test]
     fn feed_and_errors_are_incremental() {
         let compiled = po();
         let mut v = StreamingValidator::new(&compiled);
-        let mut reader = Reader::new("<purchaseOrder><junk/></purchaseOrder>");
-        loop {
-            match reader.next_event().unwrap() {
-                Event::Eof => break,
-                event => v.feed(&event),
-            }
-        }
+        feed_source(&mut v, "<purchaseOrder><junk/></purchaseOrder>", |_| {});
         // <junk> rejected mid-stream, before finish()
         assert!(v
             .errors()
             .iter()
             .any(|e| matches!(e.kind, ValidationErrorKind::UnexpectedChild { .. })));
         v.finish();
+    }
+
+    /// Feeds every event of `src` through [`StreamingValidator::feed`],
+    /// reporting the depth after each, and returns the validator unfinished.
+    fn feed_source<'a, 'src>(
+        v: &mut StreamingValidator<'a, 'src>,
+        src: &'src str,
+        mut after_each: impl FnMut(&StreamingValidator<'a, 'src>),
+    ) {
+        let mut reader = Reader::new(src);
+        loop {
+            match reader.next_event_borrowed().unwrap() {
+                BorrowedEvent::Eof => break,
+                event => {
+                    v.feed(event);
+                    after_each(v);
+                }
+            }
+        }
     }
 
     /// A document producing a deterministic flood of validation errors:
@@ -1258,22 +1250,14 @@ mod tests {
     }
 
     #[test]
-    fn feed_all_error_accumulation_is_capped() {
+    fn fed_error_accumulation_is_capped() {
         let compiled = po();
         let src = error_flood(500);
-        let mut reader = Reader::new(&src);
-        let mut events = Vec::new();
-        loop {
-            match reader.next_event().unwrap() {
-                Event::Eof => break,
-                event => events.push(event),
-            }
-        }
         let mut v =
             StreamingValidator::with_limits(&compiled, Limits::default().with_max_errors(8));
-        let count = v.feed_all(&events);
+        feed_source(&mut v, &src, |_| {});
         assert!(v.tripped());
-        assert_eq!(count, 9, "{:#?}", v.errors());
+        assert_eq!(v.error_count(), 9, "{:#?}", v.errors());
         let errors = v.finish();
         assert_eq!(errors.len(), 9);
         assert!(matches!(
@@ -1379,6 +1363,49 @@ mod tests {
         assert_eq!(via_read, whole);
     }
 
+    /// Replays a script of `read` outcomes: `Ok` chunks are served whole,
+    /// errors are returned once each.
+    struct ScriptedRead(std::collections::VecDeque<std::io::Result<&'static [u8]>>);
+
+    impl std::io::Read for ScriptedRead {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Ok(chunk)) => {
+                    assert!(chunk.len() <= buf.len());
+                    buf[..chunk.len()].copy_from_slice(chunk);
+                    Ok(chunk.len())
+                }
+                Some(Err(e)) => Err(e),
+            }
+        }
+    }
+
+    #[test]
+    fn read_streaming_retries_interrupted_and_returns_other_io_errors() {
+        use std::io::{Error, ErrorKind};
+        let compiled = po();
+        let whole = validate_str_streaming(&compiled, PURCHASE_ORDER_XML);
+        let (head, tail) = PURCHASE_ORDER_XML.as_bytes().split_at(100);
+        let interrupted = ScriptedRead(
+            [
+                Err(Error::from(ErrorKind::Interrupted)),
+                Ok(head),
+                Err(Error::from(ErrorKind::Interrupted)),
+                Ok(tail),
+            ]
+            .into(),
+        );
+        assert_eq!(
+            validate_read_streaming(&compiled, interrupted).unwrap(),
+            whole
+        );
+        let broken = ScriptedRead([Ok(head), Err(Error::other("link down")), Ok(tail)].into());
+        let err = validate_read_streaming(&compiled, broken).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Other);
+        assert_eq!(err.to_string(), "link down");
+    }
+
     #[test]
     fn chunked_input_budget_is_cumulative() {
         let compiled = po();
@@ -1402,13 +1429,7 @@ mod tests {
         token.cancel();
         let mut v =
             StreamingValidator::with_limits(&compiled, Limits::default().with_cancel_token(&token));
-        let mut reader = Reader::new(PURCHASE_ORDER_XML);
-        loop {
-            match reader.next_event().unwrap() {
-                Event::Eof => break,
-                event => v.feed(&event),
-            }
-        }
+        feed_source(&mut v, PURCHASE_ORDER_XML, |_| {});
         let errors = v.finish();
         // only the cancellation marker — no misleading NoRootElement
         assert_eq!(errors.len(), 1, "{errors:#?}");

@@ -169,6 +169,13 @@ timeout 120 cargo test -q -p integration-tests --test pxml_compile_prop
 timeout 120 cargo test -q -p webgen compiled
 timeout 120 cargo test -q -p webgen template
 
+echo "==> benchmark self-test (perfbench oracle + BENCHMARK.json agreement)"
+# perfbench is a workspace of its own; its self-test runs every workload
+# once untraced and checks each answer against an oracle built from
+# validate_document and apply_unchecked, so engine changes that alter a
+# verdict fail here before they skew a measurement.
+timeout 600 cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -80,6 +80,59 @@ fn tree_validation_error_counters_match_ground_truth() {
 }
 
 #[test]
+fn tree_validation_leaves_streaming_metrics_alone() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    obs::install_collector();
+    let compiled = CompiledSchema::parse(corpus::PURCHASE_ORDER_XSD).unwrap();
+    let doc = xmlparse::parse_document(BROKEN_PO).unwrap();
+    let expected = by_kind(&validator::validate_document(&compiled, &doc));
+    assert!(!expected.is_empty());
+
+    let errors_by_mode = |mode: &str| -> BTreeMap<&'static str, u64> {
+        expected
+            .keys()
+            .map(|k| {
+                (
+                    *k,
+                    labeled("validator_errors_total", &[("kind", k), ("mode", mode)]),
+                )
+            })
+            .collect()
+    };
+    let histogram_count =
+        |name: &str, bounds: &[f64]| obs::metrics().histogram(name, "", bounds).count();
+    let tree_before = errors_by_mode("tree");
+    let streaming_before = errors_by_mode("streaming");
+    let depth_before = histogram_count("validator_stream_max_depth", obs::DEPTH_BUCKETS);
+    let stream_seconds_before = histogram_count("validator_stream_seconds", obs::DURATION_BUCKETS);
+    let tree_seconds_before = histogram_count("validator_tree_seconds", obs::DURATION_BUCKETS);
+
+    validator::validate_document(&compiled, &doc);
+
+    assert_eq!(errors_by_mode("streaming"), streaming_before);
+    assert_eq!(
+        histogram_count("validator_stream_max_depth", obs::DEPTH_BUCKETS),
+        depth_before
+    );
+    assert_eq!(
+        histogram_count("validator_stream_seconds", obs::DURATION_BUCKETS),
+        stream_seconds_before
+    );
+    let tree_after = errors_by_mode("tree");
+    for (kind, count) in &expected {
+        assert_eq!(
+            tree_after[kind] - tree_before[kind],
+            *count,
+            "tree errors of kind {kind}"
+        );
+    }
+    assert_eq!(
+        histogram_count("validator_tree_seconds", obs::DURATION_BUCKETS),
+        tree_seconds_before + 1
+    );
+}
+
+#[test]
 fn streaming_validation_counters_match_ground_truth() {
     let _guard = OBS_LOCK.lock().unwrap();
     obs::install_collector();
