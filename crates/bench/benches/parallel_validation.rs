@@ -3,8 +3,8 @@
 //! The compiled-DFA investment of Sect. 6 amortizes across cores: one
 //! warmed `CompiledSchema` is shared by every worker of a `pool`
 //! work-stealing thread pool, and a batch of rendered documents fans out
-//! via `SchemaRegistry::validate_batch_streaming_parallel`. Baseline is
-//! the sequential `validate_batch_streaming` over the identical batch
+//! via `SchemaRegistry::validate_batch_parallel`. Baseline is
+//! the sequential `validate_batch` over the identical batch
 //! (the B2b streaming path, batched).
 //!
 //! Expected shape: near-linear scaling in thread count while documents
@@ -16,6 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
+use limits::Limits;
 use pool::ThreadPool;
 use webgen::SchemaRegistry;
 
@@ -56,7 +57,8 @@ fn bench_corpus(
 ) {
     let docs: Vec<&str> = batch.iter().map(String::as_str).collect();
     let bytes: u64 = batch.iter().map(|d| d.len() as u64).sum();
-    let sequential = reg.validate_batch_streaming(schema, &docs).unwrap();
+    let budget = Limits::default();
+    let sequential = reg.validate_batch(schema, &docs, &budget).unwrap();
     assert!(
         sequential.iter().all(Vec::is_empty),
         "bench corpus must be valid"
@@ -64,13 +66,13 @@ fn bench_corpus(
     group.throughput(Throughput::Bytes(bytes));
     group.bench_function(
         BenchmarkId::new(format!("{label}-sequential"), docs.len()),
-        |b| b.iter(|| black_box(reg.validate_batch_streaming(schema, &docs).unwrap().len())),
+        |b| b.iter(|| black_box(reg.validate_batch(schema, &docs, &budget).unwrap().len())),
     );
     for &threads in THREADS {
         let pool = ThreadPool::new(threads);
         // identical output before we measure
         assert_eq!(
-            reg.validate_batch_streaming_parallel(schema, &docs, &pool)
+            reg.validate_batch_parallel(schema, &docs, &pool, &budget)
                 .unwrap(),
             sequential
         );
@@ -80,7 +82,7 @@ fn bench_corpus(
             |b| {
                 b.iter(|| {
                     black_box(
-                        reg.validate_batch_streaming_parallel(schema, &docs, &pool)
+                        reg.validate_batch_parallel(schema, &docs, &pool, &budget)
                             .unwrap()
                             .len(),
                     )

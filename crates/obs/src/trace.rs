@@ -46,6 +46,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
+use crate::json::{self, JsonValue};
+
 /// Whether trace recording is on — the single hot-path check, distinct
 /// from the metrics/span-sink flag so tracing can run with or without
 /// the aggregation layer.
@@ -651,24 +653,6 @@ fn matched_spans(recs: &[Rec]) -> std::collections::HashSet<u64> {
     matched
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Microseconds with sub-µs precision, the trace-event `ts`/`dur` unit.
 fn micros(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1000.0)
@@ -684,55 +668,42 @@ fn micros(ns: u64) -> String {
 pub fn export_chrome_trace() -> String {
     let threads = snapshot();
     let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let push = |out: &mut String, first: &mut bool, ev: String| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str(&ev);
-    };
     for (tid, name, recs, _dropped) in &threads {
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(name)
-            ),
+        let _ = write!(
+            out,
+            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":"
         );
+        json::escape_into(&mut out, name);
+        out.push_str("}},");
         let matched = matched_spans(recs);
-        for rec in recs {
-            if !matched.contains(&rec.span) {
-                continue;
-            }
-            let ev = match rec.kind {
-                RecKind::Begin => format!(
-                    "{{\"ph\":\"B\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"name\":\"{}\",\
-                     \"args\":{{\"span\":{},\"parent\":{}}}}}",
-                    micros(rec.ts),
-                    json_escape(rec.name),
-                    rec.span,
-                    rec.parent
-                ),
-                RecKind::End => format!(
-                    "{{\"ph\":\"E\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"name\":\"{}\"}}",
-                    micros(rec.ts),
-                    json_escape(rec.name)
-                ),
-                RecKind::Complete => format!(
-                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\
-                     \"name\":\"{}\",\"args\":{{\"span\":{},\"parent\":{}}}}}",
-                    micros(rec.ts),
-                    micros(rec.dur),
-                    json_escape(rec.name),
-                    rec.span,
-                    rec.parent
-                ),
+        for rec in recs.iter().filter(|rec| matched.contains(&rec.span)) {
+            let ph = match rec.kind {
+                RecKind::Begin => 'B',
+                RecKind::End => 'E',
+                RecKind::Complete => 'X',
             };
-            push(&mut out, &mut first, ev);
+            let _ = write!(
+                out,
+                "{{\"ph\":\"{ph}\",\"pid\":1,\"tid\":{tid},\"ts\":{}",
+                micros(rec.ts)
+            );
+            if matches!(rec.kind, RecKind::Complete) {
+                let _ = write!(out, ",\"dur\":{}", micros(rec.dur));
+            }
+            out.push_str(",\"name\":");
+            json::escape_into(&mut out, rec.name);
+            if !matches!(rec.kind, RecKind::End) {
+                let _ = write!(
+                    out,
+                    ",\"args\":{{\"span\":{},\"parent\":{}}}",
+                    rec.span, rec.parent
+                );
+            }
+            out.push_str("},");
         }
+    }
+    if out.ends_with(',') {
+        out.pop();
     }
     out.push_str("]}");
     out
@@ -860,281 +831,51 @@ pub struct ChromeStats {
     pub orphan_parents: usize,
 }
 
-/// Minimal JSON value for trace validation — std-only, just enough for
-/// the format [`export_chrome_trace`] emits (and any other spec-valid
-/// trace JSON).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(src: &'a str) -> JsonParser<'a> {
-        JsonParser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn error(&self, msg: &str) -> String {
-        format!("JSON error at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.error("expected a value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("expected {word}")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| self.error(&format!("bad number {text:?}: {e}")))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err(self.error("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            // surrogate pairs don't appear in our output;
-                            // map unpaired surrogates to the replacement char
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.error("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // consume one UTF-8 character
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn parse(mut self) -> Result<Json, String> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.error("trailing data"));
-        }
-        Ok(v)
-    }
-}
-
 /// Parses Chrome trace-event JSON back into its event list. Accepts the
 /// object form (`{"traceEvents": [...]}`) this crate exports.
 pub fn parse_chrome_trace(json: &str) -> Result<Vec<ChromeEvent>, String> {
-    let root = JsonParser::new(json).parse()?;
+    let root = json::parse_json(json)?;
     let events = root.get("traceEvents").ok_or("missing traceEvents field")?;
-    let Json::Arr(items) = events else {
+    let JsonValue::Array(items) = events else {
         return Err("traceEvents is not an array".to_string());
     };
     let mut out = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
         let field_u64 = |key: &str| {
             item.get(key)
-                .and_then(Json::as_f64)
+                .and_then(JsonValue::as_f64)
                 .map(|n| n as u64)
                 .unwrap_or(0)
         };
         let ph = item
             .get("ph")
-            .and_then(Json::as_str)
+            .and_then(JsonValue::as_str)
             .and_then(|s| s.chars().next())
             .ok_or_else(|| format!("event {i}: missing ph"))?;
         let name = item
             .get("name")
-            .and_then(Json::as_str)
+            .and_then(JsonValue::as_str)
             .ok_or_else(|| format!("event {i}: missing name"))?
             .to_string();
-        if item.get("pid").and_then(Json::as_f64).is_none() {
+        if item.get("pid").and_then(JsonValue::as_f64).is_none() {
             return Err(format!("event {i}: missing pid"));
         }
-        if item.get("tid").and_then(Json::as_f64).is_none() {
+        if item.get("tid").and_then(JsonValue::as_f64).is_none() {
             return Err(format!("event {i}: missing tid"));
         }
-        let ts = match item.get("ts").and_then(Json::as_f64) {
+        let ts = match item.get("ts").and_then(JsonValue::as_f64) {
             Some(ts) => ts,
             None if ph == 'M' => 0.0,
             None => return Err(format!("event {i}: missing ts")),
         };
-        let dur = item.get("dur").and_then(Json::as_f64).unwrap_or(0.0);
+        let dur = item.get("dur").and_then(JsonValue::as_f64).unwrap_or(0.0);
         if ph == 'X' && item.get("dur").is_none() {
             return Err(format!("event {i}: X event missing dur"));
         }
         let args = item.get("args");
         let arg_u64 = |key: &str| {
             args.and_then(|a| a.get(key))
-                .and_then(Json::as_f64)
+                .and_then(JsonValue::as_f64)
                 .map(|n| n as u64)
                 .unwrap_or(0)
         };
@@ -1431,5 +1172,18 @@ mod tests {
         assert_eq!(events[0].ph, 'M');
         let stats = validate_chrome_trace(json).unwrap();
         assert_eq!(stats.events, 1);
+    }
+
+    #[test]
+    fn deeply_nested_trace_json_is_an_error_not_a_crash() {
+        // hostile nesting must hit the parser's depth cap, not the stack
+        let depth = 200_000;
+        let json = format!(
+            "{{\"traceEvents\":{}{}}}",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        assert!(parse_chrome_trace(&json).is_err());
+        assert!(validate_chrome_trace(&json).is_err());
     }
 }

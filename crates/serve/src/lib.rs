@@ -880,9 +880,10 @@ fn handle_batch(
         }
         at = end;
     }
-    let results = shared
-        .registry
-        .validate_batch_streaming_parallel_with_limits(schema, &docs, &shared.batch_pool, &limits);
+    let results =
+        shared
+            .registry
+            .validate_batch_parallel(schema, &docs, &shared.batch_pool, &limits);
     match results {
         None => {
             outcome.status = 404;

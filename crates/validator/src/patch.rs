@@ -664,32 +664,29 @@ impl IncrementalValidator {
 
     // ---- DFA state snapshots --------------------------------------------
 
-    /// The per-slot DFA states for `parent`, built on first use by one
-    /// full walk over its (pre-edit, valid) child list. `result[i]` is
-    /// the state before slot `i`; the last entry is the final (always
-    /// accepting) state.
-    fn ensure_states(&mut self, parent: NodeId, dfa: &Arc<ContentDfa>) -> Vec<usize> {
+    /// Makes sure `states` holds the per-slot DFA states for `parent`,
+    /// built on first use by one full walk over its (pre-edit, valid)
+    /// child list. Entry `i` is the state before slot `i`; the last
+    /// entry is the final (always accepting) state.
+    fn ensure_states(&mut self, parent: NodeId, dfa: &ContentDfa) {
         let IncrementalValidator { states, doc, .. } = self;
-        states
-            .entry(parent)
-            .or_insert_with(|| {
-                let children = doc.child_vec(parent).unwrap_or_default();
-                let mut v = Vec::with_capacity(children.len() + 1);
-                let mut m = dfa.start();
-                v.push(m.state());
-                for child in children {
-                    if let Ok(NodeKind::Element { name, .. }) = doc.kind(child) {
-                        // the held document is valid: every step succeeds,
-                        // by symbol unless the name was never interned
-                        if !symbols::lookup(name).is_some_and(|s| m.try_step_sym(s)) {
-                            let _ = m.step(name);
-                        }
+        states.entry(parent).or_insert_with(|| {
+            let children = doc.child_vec(parent).unwrap_or_default();
+            let mut v = Vec::with_capacity(children.len() + 1);
+            let mut m = dfa.start();
+            v.push(m.state());
+            for child in children {
+                if let Ok(NodeKind::Element { name, .. }) = doc.kind(child) {
+                    // the held document is valid: every step succeeds,
+                    // by symbol unless the name was never interned
+                    if !symbols::lookup(name).is_some_and(|s| m.try_step_sym(s)) {
+                        let _ = m.step(name);
                     }
-                    v.push(m.state());
                 }
-                v
-            })
-            .clone()
+                v.push(m.state());
+            }
+            v
+        });
     }
 
     /// Drops state snapshots for every node of a subtree about to be
@@ -861,13 +858,9 @@ impl IncrementalValidator {
         }
 
         // Snapshot DFA states over the *pre-edit* child list.
-        let old_states = match &ctx {
-            ParentCtx::Complex { dfa, .. } => {
-                let dfa = dfa.clone();
-                self.ensure_states(parent, &dfa)
-            }
-            _ => Vec::new(),
-        };
+        if let ParentCtx::Complex { dfa, .. } = &ctx {
+            self.ensure_states(parent, dfa);
+        }
 
         // Materialize and depth-check the incoming node.
         let new = match new_node {
@@ -904,7 +897,10 @@ impl IncrementalValidator {
             }
         }
 
-        // Revalidate the edit locus.
+        // Revalidate the edit locus. The parent's snapshot leaves the map
+        // for the walk (a move, not a copy) and goes back below: spliced
+        // on commit, unchanged on rollback.
+        let old_states = self.states.remove(&parent).unwrap_or_default();
         let (mut errors, trial_states) = match &ctx {
             ParentCtx::Document => (self.recheck_document_level(new), Vec::new()),
             ParentCtx::Simple(plan) => {
@@ -929,7 +925,8 @@ impl IncrementalValidator {
         if errors.is_empty() {
             // Commit: splice states, free the detached subtree.
             if matches!(ctx, ParentCtx::Complex { .. }) {
-                let mut spliced = old_states[..index].to_vec();
+                let mut spliced = old_states;
+                spliced.truncate(index);
                 spliced.extend_from_slice(&trial_states);
                 self.states.insert(parent, spliced);
             }
@@ -940,6 +937,9 @@ impl IncrementalValidator {
             Ok(())
         } else {
             // Rollback: undo the mutation in reverse order.
+            if matches!(ctx, ParentCtx::Complex { .. }) {
+                self.states.insert(parent, old_states);
+            }
             if let Some(id) = new {
                 let _ = self.doc.remove(id);
             }

@@ -360,20 +360,7 @@ impl SchemaRegistry {
         let compiled = self.get(schema_name)?;
         let span = obs::span!("registry.validate_reader", schema = schema_name);
         let result = validator::validate_read_streaming_with_limits(&compiled, input, limits);
-        // one clock read shared by the trace record and the histogram
-        let elapsed = span.finish();
-        if obs::enabled() {
-            if let Some(elapsed) = elapsed {
-                obs::metrics()
-                    .histogram_with(
-                        "registry_validate_seconds",
-                        "Streaming validation latency through the registry, per schema.",
-                        &[("schema", schema_name)],
-                        obs::DURATION_BUCKETS,
-                    )
-                    .observe_duration(elapsed);
-            }
-        }
+        Self::observe_latency(schema_name, span);
         Some(result)
     }
 
@@ -387,7 +374,13 @@ impl SchemaRegistry {
     ) -> Vec<ValidationError> {
         let span = obs::span!("registry.validate", schema = schema_name);
         let errors = validator::validate_str_streaming_with_limits(compiled, document, limits);
-        // one clock read shared by the trace record and the histogram
+        Self::observe_latency(schema_name, span);
+        errors
+    }
+
+    /// Closes a validation span and feeds the per-schema latency
+    /// histogram from the same clock read.
+    fn observe_latency(schema_name: &str, span: obs::SpanGuard) {
         let elapsed = span.finish();
         if obs::enabled() {
             if let Some(elapsed) = elapsed {
@@ -401,7 +394,6 @@ impl SchemaRegistry {
                     .observe_duration(elapsed);
             }
         }
-        errors
     }
 
     /// The error list a document skipped by an expired budget reports:
@@ -424,23 +416,13 @@ impl SchemaRegistry {
 
     /// Batch form of [`validate_streaming`](Self::validate_streaming) for
     /// page handlers that flush several rendered documents at once: one
-    /// error list per document, in order. The schema handle is fetched
-    /// once for the whole batch.
-    pub fn validate_batch_streaming(
-        &self,
-        schema_name: &str,
-        documents: &[&str],
-    ) -> Option<Vec<Vec<ValidationError>>> {
-        self.validate_batch_streaming_with_limits(schema_name, documents, &Limits::default())
-    }
-
-    /// [`validate_batch_streaming`](Self::validate_batch_streaming) under
-    /// an explicit resource budget. The deadline/cancellation state is
-    /// re-checked **between documents**: once it expires, every remaining
-    /// document is skipped with a one-element
+    /// error list per document, in order, fetching the schema handle once
+    /// for the whole batch. The deadline/cancellation state in `limits`
+    /// is re-checked **between documents**: once it expires, every
+    /// remaining document is skipped with a one-element
     /// [`ValidationErrorKind::Resource`] list instead of being validated,
     /// and the abort is counted once in `batch_cancelled_total`.
-    pub fn validate_batch_streaming_with_limits(
+    pub fn validate_batch(
         &self,
         schema_name: &str,
         documents: &[&str],
@@ -465,72 +447,23 @@ impl SchemaRegistry {
         Some(results)
     }
 
-    /// Parallel form of
-    /// [`validate_batch_streaming`](Self::validate_batch_streaming): fans
-    /// the documents out across `pool`'s workers and returns one error
-    /// list per document, **in input order** — kinds, spans, and order
-    /// are identical to the sequential path at any thread count (each
-    /// document is validated by the same pure per-document routine; only
-    /// the scheduling differs).
-    pub fn validate_batch_streaming_parallel(
-        &self,
-        schema_name: &str,
-        documents: &[&str],
-        pool: &ThreadPool,
-    ) -> Option<Vec<Vec<ValidationError>>> {
-        self.validate_batch_streaming_parallel_with_limits(
-            schema_name,
-            documents,
-            pool,
-            &Limits::default(),
-        )
-    }
-
-    /// [`validate_batch_streaming_parallel`](Self::validate_batch_streaming_parallel)
-    /// under an explicit resource budget. Workers check the
-    /// deadline/cancellation state **between documents**
-    /// ([`ThreadPool::map_cancellable`]): documents already in flight
-    /// when the budget expires finish normally, every document not yet
-    /// started is skipped with a one-element
+    /// Parallel form of [`validate_batch`](Self::validate_batch): warms
+    /// the schema (every content-model DFA, attribute table, and
+    /// child-type entry compiled up front, see [`CompiledSchema::warm`];
+    /// warming moves compilation cost out of the first documents and
+    /// never changes a verdict), then fans the documents out across
+    /// `pool`'s workers. Returns one error list per document, **in input
+    /// order** — kinds, spans, and order are identical to the sequential
+    /// path at any thread count (each document is validated by the same
+    /// pure per-document routine; only the scheduling differs).
+    ///
+    /// Workers check the deadline/cancellation state **between
+    /// documents** ([`ThreadPool::map_cancellable`]): documents already
+    /// in flight when the budget expires finish normally, every document
+    /// not yet started is skipped with a one-element
     /// [`ValidationErrorKind::Resource`] list, and the abort is counted
     /// once in `batch_cancelled_total`.
-    pub fn validate_batch_streaming_parallel_with_limits(
-        &self,
-        schema_name: &str,
-        documents: &[&str],
-        pool: &ThreadPool,
-        limits: &Limits,
-    ) -> Option<Vec<Vec<ValidationError>>> {
-        let compiled = self.get(schema_name)?;
-        Some(Self::batch_parallel(
-            schema_name,
-            &compiled,
-            documents,
-            pool,
-            limits,
-        ))
-    }
-
-    /// The serving-path batch entry point: warms the schema (every
-    /// content-model DFA, attribute table, and child-type entry compiled
-    /// up front, see [`CompiledSchema::warm`]) and then validates the
-    /// batch in parallel. Output is identical to
-    /// [`validate_batch_streaming`](Self::validate_batch_streaming);
-    /// warming only moves compilation cost out of the first documents.
     pub fn validate_batch_parallel(
-        &self,
-        schema_name: &str,
-        documents: &[&str],
-        pool: &ThreadPool,
-    ) -> Option<Vec<Vec<ValidationError>>> {
-        self.validate_batch_parallel_with_limits(schema_name, documents, pool, &Limits::default())
-    }
-
-    /// [`validate_batch_parallel`](Self::validate_batch_parallel) under
-    /// an explicit resource budget, with the same between-documents
-    /// cancellation semantics as
-    /// [`validate_batch_streaming_parallel_with_limits`](Self::validate_batch_streaming_parallel_with_limits).
-    pub fn validate_batch_parallel_with_limits(
         &self,
         schema_name: &str,
         documents: &[&str],
@@ -539,36 +472,15 @@ impl SchemaRegistry {
     ) -> Option<Vec<Vec<ValidationError>>> {
         let compiled = self.get(schema_name)?;
         compiled.warm();
-        Some(Self::batch_parallel(
-            schema_name,
-            &compiled,
-            documents,
-            pool,
-            limits,
-        ))
-    }
-
-    /// Shared parallel fan-out. Documents are copied once into `Arc<str>`
-    /// jobs (the pool needs `'static` payloads); per-document latency is
-    /// still recorded by [`validate_one`](Self::validate_one) on the
-    /// worker, and the pool flushes its per-worker queue-wait/steal
-    /// metrics once when the batch completes. Budget expiry is observed
-    /// between documents via the pool's cancellation predicate.
-    fn batch_parallel(
-        schema_name: &str,
-        compiled: &CompiledSchema,
-        documents: &[&str],
-        pool: &ThreadPool,
-        limits: &Limits,
-    ) -> Vec<Vec<ValidationError>> {
         let _span = obs::span!(
             "registry.validate_batch_parallel",
             schema = schema_name,
             docs = documents.len(),
             threads = pool.threads()
         );
+        // documents are copied once into `Arc<str>` jobs: the pool needs
+        // `'static` payloads
         let name: Arc<str> = Arc::from(schema_name);
-        let compiled = compiled.clone();
         let docs: Vec<Arc<str>> = documents.iter().map(|d| Arc::from(*d)).collect();
         let clock = limits.clone();
         let worker_limits = limits.clone();
@@ -590,7 +502,7 @@ impl SchemaRegistry {
         if cancelled {
             limits::record_batch_cancelled();
         }
-        out
+        Some(out)
     }
 }
 
@@ -691,13 +603,15 @@ mod tests {
         let good = crate::render_string(&data);
         let bad = crate::render_string_buggy(&data);
         let results = reg
-            .validate_batch_streaming("wml", &[good.as_str(), bad.as_str()])
+            .validate_batch("wml", &[good.as_str(), bad.as_str()], &Limits::default())
             .unwrap();
         assert_eq!(results.len(), 2);
         assert!(results[0].is_empty(), "{:#?}", results[0]);
         assert!(!results[1].is_empty());
         assert!(reg.validate_streaming("wml", &good).unwrap().is_empty());
-        assert!(reg.validate_batch_streaming("nope", &[]).is_none());
+        assert!(reg
+            .validate_batch("nope", &[], &Limits::default())
+            .is_none());
     }
 
     #[test]
@@ -712,23 +626,22 @@ mod tests {
         let bad = crate::render_string_buggy(&data);
         let malformed = "<wml><card>"; // not well-formed
         let docs: Vec<&str> = vec![&good, &bad, malformed, &good, &bad];
-        let sequential = reg.validate_batch_streaming("wml", &docs).unwrap();
+        let budget = Limits::default();
+        let sequential = reg.validate_batch("wml", &docs, &budget).unwrap();
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(threads);
-            let streamed = reg
-                .validate_batch_streaming_parallel("wml", &docs, &pool)
+            let parallel = reg
+                .validate_batch_parallel("wml", &docs, &pool, &budget)
                 .unwrap();
-            assert_eq!(
-                streamed, sequential,
-                "streaming parallel at {threads} threads"
-            );
-            let warmed = reg.validate_batch_parallel("wml", &docs, &pool).unwrap();
-            assert_eq!(warmed, sequential, "warmed parallel at {threads} threads");
+            assert_eq!(parallel, sequential, "parallel at {threads} threads");
         }
         let pool = ThreadPool::new(2);
-        assert!(reg.validate_batch_parallel("nope", &docs, &pool).is_none());
+        assert!(reg
+            .validate_batch_parallel("nope", &docs, &pool, &budget)
+            .is_none());
         assert_eq!(
-            reg.validate_batch_parallel("wml", &[], &pool).unwrap(),
+            reg.validate_batch_parallel("wml", &[], &pool, &budget)
+                .unwrap(),
             Vec::<Vec<ValidationError>>::new()
         );
     }
@@ -746,9 +659,7 @@ mod tests {
         let token = limits::CancelToken::new();
         token.cancel();
         let budget = Limits::default().with_cancel_token(&token);
-        let sequential = reg
-            .validate_batch_streaming_with_limits("wml", &docs, &budget)
-            .unwrap();
+        let sequential = reg.validate_batch("wml", &docs, &budget).unwrap();
         assert_eq!(sequential.len(), 3);
         for errors in &sequential {
             assert_eq!(errors.len(), 1, "{errors:#?}");
@@ -760,13 +671,9 @@ mod tests {
         }
         let pool = ThreadPool::new(2);
         let parallel = reg
-            .validate_batch_streaming_parallel_with_limits("wml", &docs, &pool, &budget)
+            .validate_batch_parallel("wml", &docs, &pool, &budget)
             .unwrap();
         assert_eq!(parallel, sequential);
-        let warmed = reg
-            .validate_batch_parallel_with_limits("wml", &docs, &pool, &budget)
-            .unwrap();
-        assert_eq!(warmed, sequential);
     }
 
     #[test]
@@ -781,14 +688,16 @@ mod tests {
         let bad = crate::render_string_buggy(&data);
         let docs: Vec<&str> = vec![&good, &bad];
         let pool = ThreadPool::new(2);
-        let baseline = reg.validate_batch_parallel("wml", &docs, &pool).unwrap();
+        let baseline = reg
+            .validate_batch_parallel("wml", &docs, &pool, &Limits::default())
+            .unwrap();
         let unbounded = reg
-            .validate_batch_parallel_with_limits("wml", &docs, &pool, &Limits::unbounded())
+            .validate_batch_parallel("wml", &docs, &pool, &Limits::unbounded())
             .unwrap();
         assert_eq!(baseline, unbounded);
         let live_token = limits::CancelToken::new();
         let governed = reg
-            .validate_batch_parallel_with_limits(
+            .validate_batch_parallel(
                 "wml",
                 &docs,
                 &pool,

@@ -1,76 +1,16 @@
 //! The events produced by the pull reader.
 //!
-//! Two families: the owned [`Event`] (what the tree builder and most
-//! callers consume) and the zero-copy [`BorrowedEvent`], whose names and
-//! text are slices of the source buffer. [`BorrowedEvent::into_owned`]
-//! converts one into the other; [`crate::Reader::next_event`] is exactly
-//! `next_event_borrowed().map(into_owned)`, so the two streams are
-//! identical by construction.
+//! There is one event type, the zero-copy [`BorrowedEvent`]: names are
+//! slices of the source buffer, and text and values are `Cow`s that own
+//! a copy only where entity resolution or normalization rewrote them.
+//! Every consumer — the tree builder, the streaming validator, the
+//! chunked [`crate::FeedReader`] — reads this one stream; a consumer
+//! that keeps data past the next event copies what it keeps (the tree
+//! builder copies each name and value once, into the tree).
 
 use std::borrow::Cow;
 
 use xmlchars::Span;
-
-/// One attribute as read from a start tag.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttributeEvent {
-    /// Lexical attribute name.
-    pub name: String,
-    /// Value after attribute-value normalization and entity resolution.
-    pub value: String,
-}
-
-/// A parsing event.
-///
-/// The reader guarantees that start/end events are properly nested and
-/// that exactly one root element is produced before [`Event::Eof`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
-    /// `<name attr="v" …>` — `self_closing` distinguishes `<name/>`.
-    StartElement {
-        /// Lexical tag name.
-        name: String,
-        /// Attributes in document order.
-        attributes: Vec<AttributeEvent>,
-        /// Whether the tag was `<name/>`; the reader still emits a
-        /// matching [`Event::EndElement`] immediately after.
-        self_closing: bool,
-        /// Source span of the tag.
-        span: Span,
-    },
-    /// `</name>` (also synthesized after a self-closing start tag).
-    EndElement {
-        /// Lexical tag name.
-        name: String,
-        /// Source span of the tag.
-        span: Span,
-    },
-    /// Character data with entities resolved; CDATA sections are folded in.
-    Text {
-        /// Resolved text.
-        text: String,
-        /// Source span of the run.
-        span: Span,
-    },
-    /// `<!-- … -->` without the delimiters.
-    Comment {
-        /// Comment body.
-        text: String,
-        /// Source span.
-        span: Span,
-    },
-    /// `<?target data?>`.
-    ProcessingInstruction {
-        /// PI target.
-        target: String,
-        /// PI data, possibly empty.
-        data: String,
-        /// Source span.
-        span: Span,
-    },
-    /// End of input, after the root element closed.
-    Eof,
-}
 
 /// One attribute as read from a start tag, borrowing the source buffer.
 ///
@@ -83,16 +23,6 @@ pub struct BorrowedAttribute<'src> {
     pub name: &'src str,
     /// Value after normalization; borrowed when already normal.
     pub value: Cow<'src, str>,
-}
-
-impl BorrowedAttribute<'_> {
-    /// An owned copy of this attribute.
-    pub fn to_owned_event(&self) -> AttributeEvent {
-        AttributeEvent {
-            name: self.name.to_string(),
-            value: self.value.clone().into_owned(),
-        }
-    }
 }
 
 /// A parsing event borrowing the source buffer (`'src`) and, for start
@@ -153,46 +83,6 @@ pub enum BorrowedEvent<'src, 'buf> {
 }
 
 impl BorrowedEvent<'_, '_> {
-    /// Copies the event into its owned form.
-    pub fn into_owned(self) -> Event {
-        match self {
-            BorrowedEvent::StartElement {
-                name,
-                attributes,
-                self_closing,
-                span,
-            } => Event::StartElement {
-                name: name.to_string(),
-                attributes: attributes
-                    .iter()
-                    .map(BorrowedAttribute::to_owned_event)
-                    .collect(),
-                self_closing,
-                span,
-            },
-            BorrowedEvent::EndElement { name, span } => Event::EndElement {
-                name: name.to_string(),
-                span,
-            },
-            BorrowedEvent::Text { text, span } => Event::Text {
-                text: text.into_owned(),
-                span,
-            },
-            BorrowedEvent::Comment { text, span } => Event::Comment {
-                text: text.into_owned(),
-                span,
-            },
-            BorrowedEvent::ProcessingInstruction { target, data, span } => {
-                Event::ProcessingInstruction {
-                    target: target.to_string(),
-                    data: data.into_owned(),
-                    span,
-                }
-            }
-            BorrowedEvent::Eof => Event::Eof,
-        }
-    }
-
     /// Whether every string in the event borrows the source buffer (the
     /// zero-allocation case; `false` means entity expansion or
     /// normalization forced an owned copy somewhere).

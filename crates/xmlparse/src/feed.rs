@@ -322,35 +322,34 @@ impl Default for FeedReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
     use crate::Reader;
 
-    /// Every event (including `Eof`) of a whole-input parse, owned.
-    fn whole_events(src: &str) -> Result<Vec<Event>, ParseError> {
+    /// Every event (including `Eof`) of a whole-input parse, as its
+    /// `Debug` rendering (a `Cow` prints the same borrowed or owned).
+    fn whole_events(src: &str) -> Result<Vec<String>, ParseError> {
         let mut r = Reader::new(src);
         let mut out = Vec::new();
         loop {
-            let e = r.next_event()?;
-            let done = e == Event::Eof;
-            out.push(e);
-            if done {
+            let e = r.next_event_borrowed()?;
+            out.push(format!("{e:?}"));
+            if matches!(e, BorrowedEvent::Eof) {
                 return Ok(out);
             }
         }
     }
 
-    /// Every event of a chunked parse over `chunks`, owned.
-    fn feed_events(chunks: &[&[u8]]) -> Result<Vec<Event>, ParseError> {
+    /// Every event of a chunked parse over `chunks`, rendered likewise.
+    fn feed_events(chunks: &[&[u8]]) -> Result<Vec<String>, ParseError> {
         let mut out = Vec::new();
         let mut feeder = FeedReader::new();
         for chunk in chunks {
             feeder.feed(chunk, |e| {
-                out.push(e.clone().into_owned());
+                out.push(format!("{e:?}"));
                 true
             })?;
         }
         feeder.finish(|e| {
-            out.push(e.clone().into_owned());
+            out.push(format!("{e:?}"));
             true
         })?;
         Ok(out)
@@ -525,7 +524,7 @@ mod tests {
                 let mut out = Vec::new();
                 feeder
                     .feed(doc, |e| {
-                        out.push(e.clone().into_owned());
+                        out.push(format!("{e:?}"));
                         true
                     })
                     .unwrap();

@@ -21,7 +21,7 @@ pub mod scan;
 pub mod tree;
 
 pub use error::{ParseError, ParseErrorKind};
-pub use event::{AttributeEvent, BorrowedAttribute, BorrowedEvent, Event};
+pub use event::{BorrowedAttribute, BorrowedEvent};
 pub use feed::FeedReader;
 pub use reader::{Reader, ReaderStats};
 pub use tree::{

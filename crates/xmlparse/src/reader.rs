@@ -5,8 +5,8 @@
 //! [`BorrowedEvent`]s whose names and text are slices of the input, with
 //! `Cow` values that only become owned when entity resolution,
 //! attribute-value normalization, or end-of-line normalization actually
-//! rewrote something. The owned [`Reader::next_event`] is a thin
-//! `.into_owned()` over the same stream.
+//! rewrote something. It is the reader's only event stream; the tree
+//! builder and the streaming validator both consume it.
 //!
 //! Scan loops over character data, attribute values, comments, CDATA,
 //! and PI data run the [`crate::scan`] SWAR classifier: a run of
@@ -31,7 +31,7 @@ use xmlchars::chars::{is_name_char, is_name_start_char, is_xml_char, is_xml_whit
 use xmlchars::{unescape, Position, Span, UnescapeError};
 
 use crate::error::{ParseError, ParseErrorKind};
-use crate::event::{BorrowedAttribute, BorrowedEvent, Event};
+use crate::event::{BorrowedAttribute, BorrowedEvent};
 use crate::scan;
 
 /// The produced event before the attribute buffer is attached — an
@@ -94,8 +94,7 @@ pub(crate) struct Checkpoint {
 
 /// A pull parser over a complete in-memory document.
 ///
-/// Call [`Reader::next_event`] (owned) or
-/// [`Reader::next_event_borrowed`] (zero-copy) repeatedly until `Eof`.
+/// Call [`Reader::next_event_borrowed`] repeatedly until `Eof`.
 /// The reader enforces well-formedness: tag nesting, attribute
 /// uniqueness, character legality, a single root element, and reference
 /// syntax. Errors are fatal; after an error the reader should be
@@ -555,13 +554,6 @@ impl<'a> Reader<'a> {
     }
 
     // ---- event production ----------------------------------------------
-
-    /// Produces the next event, owned. Exactly
-    /// [`next_event_borrowed`](Self::next_event_borrowed) plus
-    /// [`BorrowedEvent::into_owned`].
-    pub fn next_event(&mut self) -> Result<Event, ParseError> {
-        self.next_event_borrowed().map(BorrowedEvent::into_owned)
-    }
 
     /// Produces the next event as zero-copy slices of the source.
     ///
@@ -1107,30 +1099,67 @@ fn normalize_attr_value(raw: &str) -> Result<Cow<'_, str>, UnescapeError> {
 mod tests {
     use super::*;
 
-    fn events(src: &str) -> Result<Vec<Event>, ParseError> {
-        let mut r = Reader::new(src);
+    /// Pulls `r` through `Eof`, keeping what `keep` returns per event.
+    fn pull<T>(
+        mut r: Reader<'_>,
+        mut keep: impl FnMut(BorrowedEvent<'_, '_>) -> Option<T>,
+    ) -> Result<Vec<T>, ParseError> {
         let mut out = Vec::new();
         loop {
-            let e = r.next_event()?;
-            let done = e == Event::Eof;
-            out.push(e);
+            let e = r.next_event_borrowed()?;
+            let done = matches!(e, BorrowedEvent::Eof);
+            out.extend(keep(e));
             if done {
                 return Ok(out);
             }
         }
     }
 
+    /// Every event's `Debug` rendering, `Eof` included (a `Cow` prints
+    /// the same borrowed or owned).
+    fn events(src: &str) -> Result<Vec<String>, ParseError> {
+        pull(Reader::new(src), |e| Some(format!("{e:?}")))
+    }
+
+    /// One token per event: `+start`, `-end`, `"text"`, `<!--comment-->`,
+    /// `<?target data?>`.
+    fn token(e: BorrowedEvent<'_, '_>) -> Option<String> {
+        match e {
+            BorrowedEvent::StartElement { name, .. } => Some(format!("+{name}")),
+            BorrowedEvent::EndElement { name, .. } => Some(format!("-{name}")),
+            BorrowedEvent::Text { text, .. } => Some(format!("\"{text}\"")),
+            BorrowedEvent::Comment { text, .. } => Some(format!("<!--{text}-->")),
+            BorrowedEvent::ProcessingInstruction { target, data, .. } => {
+                Some(format!("<?{target} {data}?>"))
+            }
+            BorrowedEvent::Eof => None,
+        }
+    }
+
+    /// [`token`] per event, `Eof` dropped.
     fn names(src: &str) -> Vec<String> {
-        events(src)
-            .unwrap()
-            .into_iter()
-            .filter_map(|e| match e {
-                Event::StartElement { name, .. } => Some(format!("+{name}")),
-                Event::EndElement { name, .. } => Some(format!("-{name}")),
-                Event::Text { text, .. } => Some(format!("\"{text}\"")),
-                _ => None,
-            })
-            .collect()
+        pull(Reader::new(src), token).unwrap()
+    }
+
+    /// The attribute values of the first start tag.
+    fn first_attr_values(src: &str) -> Vec<String> {
+        let mut tags = pull(Reader::new(src), |e| match e {
+            BorrowedEvent::StartElement { attributes, .. } => {
+                Some(attributes.iter().map(|a| a.value.to_string()).collect())
+            }
+            _ => None,
+        })
+        .unwrap();
+        tags.swap_remove(0)
+    }
+
+    /// Every text run with its span.
+    fn texts(src: &str) -> Vec<(String, Span)> {
+        pull(Reader::new(src), |e| match e {
+            BorrowedEvent::Text { text, span } => Some((text.into_owned(), span)),
+            _ => None,
+        })
+        .unwrap()
     }
 
     #[test]
@@ -1148,41 +1177,24 @@ mod tests {
 
     #[test]
     fn attributes_parsed_and_normalized() {
-        let evs = events("<a x=\"1\" y='two &amp; three'\n z=\"a\tb\"/>").unwrap();
-        match &evs[0] {
-            Event::StartElement { attributes, .. } => {
-                assert_eq!(attributes[0].value, "1");
-                assert_eq!(attributes[1].value, "two & three");
-                assert_eq!(attributes[2].value, "a b"); // tab normalized
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let values = first_attr_values("<a x=\"1\" y='two &amp; three'\n z=\"a\tb\"/>");
+        assert_eq!(values, ["1", "two & three", "a b"]); // tab normalized
     }
 
     #[test]
     fn crlf_in_attribute_value_is_one_space() {
         // §2.11 before §3.3.3: the pair is one line break, so one space
-        let evs = events("<a v=\"x\r\ny\" w=\"p\rq\" u=\"m\r\n\nn\"/>").unwrap();
-        match &evs[0] {
-            Event::StartElement { attributes, .. } => {
-                assert_eq!(attributes[0].value, "x y");
-                assert_eq!(attributes[1].value, "p q");
-                assert_eq!(attributes[2].value, "m  n"); // \r\n then \n: two breaks
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let values = first_attr_values("<a v=\"x\r\ny\" w=\"p\rq\" u=\"m\r\n\nn\"/>");
+        assert_eq!(values, ["x y", "p q", "m  n"]); // \r\n then \n: two breaks
     }
 
     #[test]
     fn char_refs_to_whitespace_survive_attr_normalization() {
         // §3.3.3: references to #xD/#xA/#x9 are NOT normalized
-        let evs = events("<a v=\"x&#13;&#10;&#9;y\"/>").unwrap();
-        match &evs[0] {
-            Event::StartElement { attributes, .. } => {
-                assert_eq!(attributes[0].value, "x\r\n\ty");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            first_attr_values("<a v=\"x&#13;&#10;&#9;y\"/>"),
+            ["x\r\n\ty"]
+        );
     }
 
     #[test]
@@ -1200,14 +1212,9 @@ mod tests {
 
     #[test]
     fn eol_normalized_in_comments_and_pis() {
-        let evs = events("<a><!--l1\r\nl2\rl3--><?pi d1\r\nd2?></a>").unwrap();
-        assert!(
-            matches!(&evs[1], Event::Comment { text, .. } if text == "l1\nl2\nl3"),
-            "{evs:#?}"
-        );
-        assert!(
-            matches!(&evs[2], Event::ProcessingInstruction { data, .. } if data == "d1\nd2"),
-            "{evs:#?}"
+        assert_eq!(
+            names("<a><!--l1\r\nl2\rl3--><?pi d1\r\nd2?></a>"),
+            ["+a", "<!--l1\nl2\nl3-->", "<?pi d1\nd2?>", "-a"]
         );
     }
 
@@ -1231,11 +1238,8 @@ mod tests {
         assert!(matches!(err.kind, ParseErrorKind::MismatchedTag { .. }));
         assert_eq!(err.position.line, 3);
         // and the column restarts after the pair
-        let evs = events("<a>\r\nxy</a>").unwrap();
-        match &evs[1] {
-            Event::Text { span, .. } => assert_eq!((span.end.line, span.end.column), (2, 3)),
-            other => panic!("unexpected {other:?}"),
-        }
+        let span = texts("<a>\r\nxy</a>")[0].1;
+        assert_eq!((span.end.line, span.end.column), (2, 3));
     }
 
     #[test]
@@ -1298,22 +1302,45 @@ mod tests {
 
     #[test]
     fn borrowed_stream_matches_owned_stream() {
+        // entity-bearing events fall back to owned copies; they must
+        // resolve exactly like the borrowed ones around them
         let src = "<?xml version=\"1.0\"?><root a=\"v\">\n  <child b='1 &gt; 0'>x &amp; y</child>\n  <!-- note --><![CDATA[raw <>]]><?pi data?>\n  <empty/>\n</root>";
-        let mut owned = Vec::new();
+        assert_eq!(
+            names(src),
+            [
+                "+root",
+                "\"\n  \"",
+                "+child",
+                "\"x & y\"",
+                "-child",
+                "\"\n  \"",
+                "<!-- note -->",
+                "\"raw <>\"",
+                "<?pi data?>",
+                "\"\n  \"",
+                "+empty",
+                "-empty",
+                "\"\n\"",
+                "-root",
+            ]
+        );
         let mut r = Reader::new(src);
+        let mut owned = Vec::new();
         loop {
-            let e = r.next_event().unwrap();
-            let done = e == Event::Eof;
-            owned.push(e);
-            if done {
-                break;
+            let e = r.next_event_borrowed().unwrap();
+            match &e {
+                BorrowedEvent::Eof => break,
+                BorrowedEvent::StartElement { attributes, .. } if !e.is_fully_borrowed() => {
+                    owned.extend(attributes.iter().map(|a| a.value.to_string()));
+                }
+                BorrowedEvent::Text { text, .. } if !e.is_fully_borrowed() => {
+                    owned.push(text.to_string());
+                }
+                _ => assert!(e.is_fully_borrowed(), "{e:?}"),
             }
         }
-        let mut r = Reader::new(src);
-        for expect in &owned {
-            let got = r.next_event_borrowed().unwrap().into_owned();
-            assert_eq!(&got, expect);
-        }
+        assert_eq!(owned, ["1 > 0", "x & y"]);
+        assert_eq!(r.stats().owned_events, 2);
     }
 
     #[test]
@@ -1357,11 +1384,10 @@ mod tests {
 
     #[test]
     fn comments_and_pis() {
-        let evs = events("<?xml version=\"1.0\"?><!-- top --><a><?php echo?></a>").unwrap();
-        assert!(matches!(&evs[0], Event::Comment { text, .. } if text == " top "));
-        assert!(evs
-            .iter()
-            .any(|e| matches!(e, Event::ProcessingInstruction { target, .. } if target == "php")));
+        assert_eq!(
+            names("<?xml version=\"1.0\"?><!-- top --><a><?php echo?></a>"),
+            ["<!-- top -->", "+a", "<?php echo?>", "-a"]
+        );
     }
 
     #[test]
@@ -1407,14 +1433,9 @@ mod tests {
     fn non_ascii_text_positions_count_chars() {
         // '€' is one column but three bytes; a following error must sit
         // at the character-accurate column
-        let evs = events("<a>€€€</a>").unwrap();
-        match &evs[1] {
-            Event::Text { text, span } => {
-                assert_eq!(text, "€€€");
-                assert_eq!(span.end.column, span.start.column + 3);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let (text, span) = texts("<a>€€€</a>").swap_remove(0);
+        assert_eq!(text, "€€€");
+        assert_eq!(span.end.column, span.start.column + 3);
     }
 
     #[test]
@@ -1424,27 +1445,12 @@ mod tests {
         for pad in 0..17 {
             let text = format!("{}&amp;{}", "x".repeat(pad), "y".repeat(40));
             let src = format!("<a>{text}</a>");
-            let evs = events(&src).unwrap();
-            match &evs[1] {
-                Event::Text { text: t, .. } => {
-                    assert_eq!(*t, text.replace("&amp;", "&"), "pad {pad}");
-                }
-                other => panic!("unexpected {other:?}"),
-            }
+            assert_eq!(texts(&src)[0].0, text.replace("&amp;", "&"), "pad {pad}");
         }
     }
 
-    fn limited_events(src: &str, limits: Limits) -> Result<Vec<Event>, ParseError> {
-        let mut r = Reader::with_limits(src, limits);
-        let mut out = Vec::new();
-        loop {
-            let e = r.next_event()?;
-            let done = e == Event::Eof;
-            out.push(e);
-            if done {
-                return Ok(out);
-            }
-        }
+    fn limited_events(src: &str, limits: Limits) -> Result<Vec<String>, ParseError> {
+        pull(Reader::with_limits(src, limits), |e| Some(format!("{e:?}")))
     }
 
     #[test]
@@ -1554,12 +1560,8 @@ mod tests {
     #[test]
     fn purchase_order_smoke() {
         let src = "<purchaseOrder orderDate=\"1999-10-20\">\n  <shipTo country=\"US\">\n    <name>Alice Smith</name>\n  </shipTo>\n</purchaseOrder>";
-        let evs = events(src).unwrap();
-        assert!(matches!(
-            &evs[0],
-            Event::StartElement { name, attributes, .. }
-                if name == "purchaseOrder" && attributes[0].value == "1999-10-20"
-        ));
+        assert_eq!(names(src)[0], "+purchaseOrder");
+        assert_eq!(first_attr_values(src), ["1999-10-20"]);
     }
 
     #[test]

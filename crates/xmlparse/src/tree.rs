@@ -1,10 +1,11 @@
-//! Tree builder: turns the event stream into a [`dom::Document`].
+//! Tree builder: turns the reader's borrowed event stream into a
+//! [`dom::Document`], copying each name and value once, into the tree.
 
 use dom::{Document, NodeId};
 use limits::Limits;
 
 use crate::error::{ParseError, ParseErrorKind};
-use crate::event::Event;
+use crate::event::BorrowedEvent;
 use crate::reader::Reader;
 
 /// Parses a complete XML document into a DOM tree.
@@ -53,8 +54,8 @@ fn build(mut reader: Reader<'_>) -> Result<Document, ParseError> {
     let mut doc = Document::new();
     let mut stack: Vec<NodeId> = vec![doc.document_node()];
     loop {
-        match reader.next_event()? {
-            Event::StartElement {
+        match reader.next_event_borrowed()? {
+            BorrowedEvent::StartElement {
                 name,
                 attributes,
                 span,
@@ -65,7 +66,7 @@ fn build(mut reader: Reader<'_>) -> Result<Document, ParseError> {
                     .map_err(|_| ParseError::new(ParseErrorKind::NoRootElement, span.start))?;
                 doc.set_span(el, span).expect("fresh node");
                 for attr in attributes {
-                    doc.set_attribute(el, attr.name, attr.value)
+                    doc.set_attribute(el, attr.name, &*attr.value)
                         .expect("reader validated attribute names");
                 }
                 let parent = *stack.last().expect("document node always present");
@@ -73,10 +74,10 @@ fn build(mut reader: Reader<'_>) -> Result<Document, ParseError> {
                     .expect("reader enforces single root");
                 stack.push(el);
             }
-            Event::EndElement { .. } => {
+            BorrowedEvent::EndElement { .. } => {
                 stack.pop();
             }
-            Event::Text { text, span } => {
+            BorrowedEvent::Text { text, span } => {
                 // Only keep text inside the root element; the reader already
                 // rejects non-whitespace text outside it.
                 if stack.len() > 1 {
@@ -86,13 +87,13 @@ fn build(mut reader: Reader<'_>) -> Result<Document, ParseError> {
                     doc.append_child(parent, t).expect("text under element");
                 }
             }
-            Event::Comment { text, span } => {
+            BorrowedEvent::Comment { text, span } => {
                 let c = doc.create_comment(text);
                 doc.set_span(c, span).expect("fresh node");
                 let parent = *stack.last().unwrap();
                 doc.append_child(parent, c).expect("comment");
             }
-            Event::ProcessingInstruction { target, data, span } => {
+            BorrowedEvent::ProcessingInstruction { target, data, span } => {
                 let pi = doc
                     .create_pi(target, data)
                     .expect("reader validated PI target");
@@ -100,7 +101,7 @@ fn build(mut reader: Reader<'_>) -> Result<Document, ParseError> {
                 let parent = *stack.last().unwrap();
                 doc.append_child(parent, pi).expect("pi");
             }
-            Event::Eof => break,
+            BorrowedEvent::Eof => break,
         }
     }
     Ok(doc)

@@ -59,12 +59,7 @@ fn main() {
 
     let start = Instant::now();
     let results = registry
-        .validate_batch_streaming_parallel_with_limits(
-            "purchase-order",
-            &batch,
-            &pool,
-            &Limits::default(),
-        )
+        .validate_batch_parallel("purchase-order", &batch, &pool, &Limits::default())
         .unwrap();
     let elapsed = start.elapsed();
 
@@ -101,7 +96,7 @@ fn main() {
         .with_deadline_in(Duration::from_millis(5))
         .with_cancel_token(&token);
     let results = registry
-        .validate_batch_streaming_parallel_with_limits("purchase-order", &docs, &pool, &budget)
+        .validate_batch_parallel("purchase-order", &docs, &pool, &budget)
         .unwrap();
     let skipped = results
         .iter()

@@ -13,6 +13,7 @@
 
 use std::time::Instant;
 
+use limits::Limits;
 use pool::ThreadPool;
 use webgen::{DirectoryPageData, SchemaRegistry};
 
@@ -53,12 +54,14 @@ fn main() {
         let bytes: usize = batch.iter().map(String::len).sum();
 
         let start = Instant::now();
-        let sequential = registry.validate_batch_streaming(schema, &docs).unwrap();
+        let sequential = registry
+            .validate_batch(schema, &docs, &Limits::default())
+            .unwrap();
         let seq_time = start.elapsed();
 
         let start = Instant::now();
         let parallel = registry
-            .validate_batch_parallel(schema, &docs, &pool)
+            .validate_batch_parallel(schema, &docs, &pool, &Limits::default())
             .unwrap();
         let par_time = start.elapsed();
 

@@ -14,6 +14,7 @@
 //!
 //! With no FILE the paper's Fig. 1 purchase-order document is used.
 
+use limits::Limits;
 use pool::ThreadPool;
 use schema::corpus;
 use webgen::SchemaRegistry;
@@ -83,7 +84,7 @@ fn main() {
     }
     let pool = ThreadPool::new(8);
     let results = registry
-        .validate_batch_streaming_parallel(&schema_name, &docs, &pool)
+        .validate_batch_parallel(&schema_name, &docs, &pool, &Limits::default())
         .unwrap();
     let bad = results.iter().filter(|r| !r.is_empty()).count();
     println!(

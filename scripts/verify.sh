@@ -12,9 +12,25 @@ cargo test -q
 
 echo "==> zero-copy pipeline gates (allocation smoke + differential props)"
 # The alloc smoke asserts 0 heap allocations per event on entity-free
-# documents; the zero-copy props hold borrowed ≡ owned event streams and
+# documents; the zero-copy props hold the reader's borrowed event stream
+# equal to the tree parse_document builds (re-walked as events) and
 # streaming ≡ tree validation across the corpora.
 cargo test -q -p integration-tests --test alloc_smoke --test zero_copy_prop
+
+echo "==> one JSON codec, one event type"
+# obs::json holds the workspace's only JSON parser and string escaper
+# (a JSON escaper is recognised by its \u00XX control-character
+# format), and the reader exposes only the borrowed event stream.
+count() { grep -rhE --include='*.rs' "$1" crates | wc -l; }
+if [ "$(count 'fn parse_json\b')" -gt 1 ] || [ "$(count '\\\\u\{:04x\}')" -gt 1 ]; then
+  echo "more than one JSON parser or string escaper under crates/:" >&2
+  grep -rnE --include='*.rs' 'fn parse_json\b|\\\\u\{:04x\}' crates >&2
+  exit 1
+fi
+if grep -rnE --include='*.rs' 'pub enum Event\b|fn next_event\(' crates; then
+  echo "an owned event type or Reader::next_event is back under crates/" >&2
+  exit 1
+fi
 
 echo "==> cargo build --release -p examples --bins"
 cargo build --release -p examples --bins

@@ -43,9 +43,9 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// The two tests measure a process-global counter; hold this across each
-/// measured region so the harness's parallel test threads cannot bleed
-/// allocations into each other's window.
+/// The two tests measure a process-global counter; each holds this for
+/// its whole body, set-up included, so the harness's parallel test
+/// threads cannot bleed allocations into each other's window.
 static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// A flat, entity-free WML page with `n` options — event count scales
@@ -61,13 +61,12 @@ fn flat_page(n: usize) -> String {
 
 #[test]
 fn streaming_validation_allocates_zero_per_event() {
+    let _window = MEASURE.lock().unwrap();
     let compiled = CompiledSchema::parse(WML_XSD).unwrap();
     compiled.warm();
 
     let small = flat_page(100);
     let large = flat_page(1000);
-
-    let _window = MEASURE.lock().unwrap();
 
     // one throwaway pass over each document: settles every lazy,
     // size-independent cost (symbol table, DFA intern, plan index)
@@ -97,6 +96,7 @@ fn streaming_validation_allocates_zero_per_event() {
 fn borrowed_event_stream_allocates_zero_per_event() {
     // the parser alone, below the validator: pulling borrowed events
     // over an entity-free document costs O(depth) allocations total
+    let _window = MEASURE.lock().unwrap();
     let small = flat_page(100);
     let large = flat_page(1000);
 
@@ -114,8 +114,6 @@ fn borrowed_event_stream_allocates_zero_per_event() {
             }
         }
     };
-
-    let _window = MEASURE.lock().unwrap();
 
     drain(&small);
     drain(&large);

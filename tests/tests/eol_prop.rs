@@ -9,11 +9,12 @@
 //! `FeedReader` over any split of a document must equal the whole-input
 //! parse event-for-event, spans included.
 
+use integration_tests::{event_stream, snapshot};
 use proptest::prelude::*;
 use schema::corpus::{PURCHASE_ORDER_XML, PURCHASE_ORDER_XSD, WML_XSD};
 use schema::CompiledSchema;
 use validator::{validate_chunks_streaming, validate_str_streaming};
-use xmlparse::{Event, FeedReader, Reader};
+use xmlparse::{BorrowedEvent, FeedReader};
 
 fn po() -> CompiledSchema {
     CompiledSchema::parse(PURCHASE_ORDER_XSD).unwrap()
@@ -32,45 +33,33 @@ fn wml_page(dirs: &[String]) -> String {
     })
 }
 
-/// The full owned-event stream, or the error that ended it (stringified,
-/// position dropped — CRLF translation moves byte offsets).
-fn events(src: &str) -> Result<Vec<Event>, String> {
-    let mut reader = Reader::new(src);
-    let mut out = Vec::new();
-    loop {
-        match reader.next_event() {
-            Ok(Event::Eof) => {
-                out.push(Event::Eof);
-                return Ok(out);
-            }
-            Ok(e) => out.push(e),
-            Err(e) => return Err(format!("{}", e.kind)),
-        }
-    }
+/// The full event stream as snapshots, or the error that ended it
+/// (stringified, position dropped — CRLF translation moves byte
+/// offsets).
+fn events(src: &str) -> Result<Vec<String>, String> {
+    event_stream(src, snapshot).map_err(|e| format!("{}", e.kind))
 }
 
-/// Zeroes span byte offsets, keeping line/column: CRLF re-encoding
-/// shifts offsets (two bytes per break) but must not move the
-/// *character-accurate* positions.
-fn scrub_offsets(events: Vec<Event>) -> Vec<Event> {
-    fn scrub(span: &mut xmlchars::Span) {
-        span.start.offset = 0;
-        span.end.offset = 0;
-    }
-    events
-        .into_iter()
-        .map(|mut e| {
-            match &mut e {
-                Event::StartElement { span, .. }
-                | Event::EndElement { span, .. }
-                | Event::Text { span, .. }
-                | Event::Comment { span, .. }
-                | Event::ProcessingInstruction { span, .. } => scrub(span),
-                Event::Eof => {}
+/// [`events`] with span byte offsets zeroed, keeping line/column: CRLF
+/// re-encoding shifts offsets (two bytes per break) but must not move
+/// the *character-accurate* positions.
+fn events_without_offsets(src: &str) -> Result<Vec<String>, String> {
+    event_stream(src, |e| {
+        let mut e = e.clone();
+        match &mut e {
+            BorrowedEvent::StartElement { span, .. }
+            | BorrowedEvent::EndElement { span, .. }
+            | BorrowedEvent::Text { span, .. }
+            | BorrowedEvent::Comment { span, .. }
+            | BorrowedEvent::ProcessingInstruction { span, .. } => {
+                span.start.offset = 0;
+                span.end.offset = 0;
             }
-            e
-        })
-        .collect()
+            BorrowedEvent::Eof => {}
+        }
+        snapshot(&e)
+    })
+    .map_err(|e| format!("{}", e.kind))
 }
 
 /// Re-encodes an LF-only document with CRLF line endings.
@@ -90,13 +79,13 @@ fn to_cr(src: &str) -> String {
 /// must match *including* offsets.
 fn assert_eol_invariant(src: &str) {
     let lf = events(src);
-    let crlf = events(&to_crlf(src));
+    let crlf = events_without_offsets(&to_crlf(src));
     let cr = events(&to_cr(src));
     match (lf, crlf, cr) {
         (Ok(lf), Ok(crlf), Ok(cr)) => {
             assert_eq!(
-                scrub_offsets(lf.clone()),
-                scrub_offsets(crlf),
+                events_without_offsets(src).unwrap(),
+                crlf,
                 "CRLF re-encoding changed the event stream of:\n{src}"
             );
             assert_eq!(lf, cr, "CR re-encoding changed the event stream of:\n{src}");
@@ -136,7 +125,7 @@ fn assert_chunks_invariant(src: &str, cuts: &[usize]) {
     'feed: {
         for chunk in &chunks {
             if let Err(e) = feeder.feed(chunk, |e| {
-                fed.push(e.clone().into_owned());
+                fed.extend(snapshot(e));
                 true
             }) {
                 result = Err(format!("{}", e.kind));
@@ -144,7 +133,7 @@ fn assert_chunks_invariant(src: &str, cuts: &[usize]) {
             }
         }
         if let Err(e) = feeder.finish(|e| {
-            fed.push(e.clone().into_owned());
+            fed.extend(snapshot(e));
             true
         }) {
             result = Err(format!("{}", e.kind));

@@ -234,12 +234,7 @@ fn batch_endpoint_matches_the_parallel_library_verdicts() {
     let refs: Vec<&str> = docs.iter().map(|d| d.as_str()).collect();
     let pool = pool::ThreadPool::new(2);
     let expected_lists = registry
-        .validate_batch_streaming_parallel_with_limits(
-            "purchase-order",
-            &refs,
-            &pool,
-            &limits::Limits::default(),
-        )
+        .validate_batch_parallel("purchase-order", &refs, &pool, &limits::Limits::default())
         .unwrap();
     let expected = serve::json::batch_json("purchase-order", &expected_lists);
     let (status, got) = post(addr, "/v1/batch/purchase-order", &body);

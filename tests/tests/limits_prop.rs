@@ -181,22 +181,16 @@ proptest! {
             .collect();
         let docs: Vec<&str> = docs.iter().map(String::as_str).collect();
         let budget = Limits::default().with_max_errors(2);
-        let sequential = reg
-            .validate_batch_streaming_with_limits("wml", &docs, &budget)
-            .unwrap();
+        let sequential = reg.validate_batch("wml", &docs, &budget).unwrap();
         let pool = ThreadPool::new(threads);
         let parallel = reg
-            .validate_batch_streaming_parallel_with_limits("wml", &docs, &pool, &budget)
+            .validate_batch_parallel("wml", &docs, &pool, &budget)
             .unwrap();
         prop_assert_eq!(&sequential, &parallel);
-        let warmed = reg
-            .validate_batch_parallel_with_limits("wml", &docs, &pool, &budget)
-            .unwrap();
-        prop_assert_eq!(&sequential, &warmed);
-        // and the unbounded batch matches the ungoverned entry point
-        let pristine = reg.validate_batch_streaming("wml", &docs).unwrap();
+        // and the unbounded batch matches the default-budget one
+        let pristine = reg.validate_batch("wml", &docs, &Limits::default()).unwrap();
         let unbounded = reg
-            .validate_batch_streaming_with_limits("wml", &docs, &Limits::unbounded())
+            .validate_batch("wml", &docs, &Limits::unbounded())
             .unwrap();
         prop_assert_eq!(pristine, unbounded);
     }

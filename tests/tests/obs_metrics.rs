@@ -186,7 +186,10 @@ fn parser_counters_match_the_document() {
     // count events with an explicit reader, then diff around parse_document
     let mut reader = xmlparse::Reader::new(corpus::PURCHASE_ORDER_XML);
     let mut ground_truth_events = 0u64;
-    while !matches!(reader.next_event().unwrap(), xmlparse::Event::Eof) {
+    while !matches!(
+        reader.next_event_borrowed().unwrap(),
+        xmlparse::BorrowedEvent::Eof
+    ) {
         ground_truth_events += 1;
     }
     drop(reader);
@@ -238,7 +241,7 @@ fn parallel_batch_counters_match_single_threaded_ground_truth() {
     // Single-threaded ground truth: the sequential batch, and the exact
     // per-kind error population it implies.
     let sequential = registry
-        .validate_batch_streaming("po-parallel", &docs)
+        .validate_batch("po-parallel", &docs, &limits::Limits::default())
         .unwrap();
     let mut expected: BTreeMap<&'static str, u64> = BTreeMap::new();
     for errors in &sequential {
@@ -287,7 +290,7 @@ fn parallel_batch_counters_match_single_threaded_ground_truth() {
     // The measured run: 8 concurrent workers over the same batch.
     let pool = ThreadPool::new(8);
     let parallel = registry
-        .validate_batch_streaming_parallel("po-parallel", &docs, &pool)
+        .validate_batch_parallel("po-parallel", &docs, &pool, &limits::Limits::default())
         .unwrap();
     assert_eq!(parallel, sequential, "parallel result must be identical");
 

@@ -1,13 +1,13 @@
 //! Differential property tests for the parallel batch validator: for
 //! arbitrary batches drawn from the valid/mutated purchase-order and WML
 //! generators (the same strategies as `streaming_prop.rs`),
-//! `SchemaRegistry::validate_batch_parallel` and
-//! `validate_batch_streaming_parallel` at 1, 2, and 8 threads must
-//! return error kinds, spans, and document order **identical** to the
-//! sequential `validate_batch_streaming` path.
+//! `SchemaRegistry::validate_batch_parallel` at 1, 2, and 8 threads
+//! must return error kinds, spans, and document order **identical** to
+//! the sequential `validate_batch` path.
 
 use std::sync::OnceLock;
 
+use limits::Limits;
 use pool::ThreadPool;
 use proptest::prelude::*;
 use schema::corpus::PURCHASE_ORDER_XML;
@@ -38,20 +38,14 @@ fn assert_parallel_equals_sequential(
     docs: &[&str],
 ) -> Vec<Vec<validator::ValidationError>> {
     let reg = registry();
-    let sequential = reg.validate_batch_streaming(schema_name, docs).unwrap();
+    let budget = Limits::default();
+    let sequential = reg.validate_batch(schema_name, docs, &budget).unwrap();
     for (threads, pool) in pools() {
-        let streamed = reg
-            .validate_batch_streaming_parallel(schema_name, docs, pool)
+        let parallel = reg
+            .validate_batch_parallel(schema_name, docs, pool, &budget)
             .unwrap();
         assert_eq!(
-            streamed, sequential,
-            "validate_batch_streaming_parallel diverged at {threads} threads"
-        );
-        let warmed = reg
-            .validate_batch_parallel(schema_name, docs, pool)
-            .unwrap();
-        assert_eq!(
-            warmed, sequential,
+            parallel, sequential,
             "validate_batch_parallel diverged at {threads} threads"
         );
     }

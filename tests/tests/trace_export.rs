@@ -25,7 +25,7 @@ fn traced_batch(threads: usize, docs: usize) -> (String, obs::trace::ChromeStats
 
     obs::trace::start(1 << 16);
     let results = registry
-        .validate_batch_streaming_parallel(SCHEMA, &documents, &pool)
+        .validate_batch_parallel(SCHEMA, &documents, &pool, &limits::Limits::default())
         .unwrap();
     obs::trace::stop();
     assert_eq!(results.len(), docs);

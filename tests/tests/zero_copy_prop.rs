@@ -1,21 +1,27 @@
-//! Differential property tests for the zero-copy pipeline: the borrowed
-//! event stream must be *identical* (names, attributes, text, spans) to
-//! the owned stream on any input, and streaming validation over borrowed
+//! Differential property tests for the zero-copy pipeline: the tree
+//! `parse_document` builds, walked back out as events, must be
+//! *identical* (names, attributes, text, spans) to the reader's borrowed
+//! event stream on any input, and streaming validation over borrowed
 //! events — sequential or fanned out over a thread pool — must produce
 //! the same error lists as the tree validator.
 //!
 //! These properties are what let the reader and validator take the
 //! allocation-free fast path without a correctness tax: if a byte-sweep
-//! scan loop or a symbol-table lookup ever diverged from the slow string
-//! path, one of these tests would present the offending document.
+//! scan loop, a copy-on-write fallback or the tree builder's one copy
+//! ever diverged from what the reader saw, one of these tests would
+//! present the offending document.
 
+use dom::{Document, NodeId, NodeKind};
+use integration_tests::event_stream;
+use limits::Limits;
 use pool::ThreadPool;
 use proptest::prelude::*;
 use schema::corpus::{PURCHASE_ORDER_XML, PURCHASE_ORDER_XSD, WML_XSD};
 use schema::CompiledSchema;
 use validator::{validate_document, validate_str_streaming, ValidationError};
 use webgen::SchemaRegistry;
-use xmlparse::{Event, Reader};
+use xmlchars::Span;
+use xmlparse::BorrowedEvent;
 
 fn po() -> CompiledSchema {
     CompiledSchema::parse(PURCHASE_ORDER_XSD).unwrap()
@@ -25,50 +31,91 @@ fn wml() -> CompiledSchema {
     CompiledSchema::parse(WML_XSD).unwrap()
 }
 
-/// Pulls the full owned-event stream (or the error that ended it).
-fn owned_stream(src: &str) -> Result<Vec<Event>, String> {
-    let mut reader = Reader::new(src);
-    let mut events = Vec::new();
-    loop {
-        match reader.next_event() {
-            Ok(Event::Eof) => {
-                events.push(Event::Eof);
-                return Ok(events);
-            }
-            Ok(e) => events.push(e),
-            Err(e) => return Err(e.to_string()),
-        }
-    }
+/// The tokens both sides render: what a tree keeps of each event. End
+/// tags carry no span and self-closing is not recorded (the tree has
+/// neither), and text outside the root element is dropped.
+fn start_token(name: &str, attributes: &[(&str, &str)], span: Span) -> String {
+    format!("+{name} {attributes:?} @{span:?}")
 }
 
-/// Pulls the borrowed-event stream, converting each event to owned for
-/// comparison, and asserting the borrow classification is sound: every
-/// event over an entity-free document must be fully borrowed.
-fn borrowed_stream(src: &str) -> Result<Vec<Event>, String> {
+fn text_token(prefix: &str, text: &str, span: Span) -> String {
+    format!("{prefix}{text:?} @{span:?}")
+}
+
+/// The reader's borrowed stream as tokens (or the error that ended it),
+/// asserting the borrow classification is sound on the way: every event
+/// over an entity-free document must be fully borrowed.
+fn reader_stream(src: &str) -> Result<Vec<String>, String> {
     let entity_free = !src.contains('&');
-    let mut reader = Reader::new(src);
-    let mut events = Vec::new();
-    loop {
-        match reader.next_event_borrowed() {
-            Ok(e) => {
-                if entity_free && !matches!(e, xmlparse::BorrowedEvent::Eof) {
-                    // attribute normalization (tab/newline) is the one
-                    // non-entity owner; only assert when values are clean
-                    let clean_values =
-                        !src.contains('\t') && !src.contains('\n') && !src.contains('\r');
-                    if clean_values {
-                        assert!(e.is_fully_borrowed(), "owned copy without entities: {e:?}");
-                    }
-                }
-                let done = matches!(e, xmlparse::BorrowedEvent::Eof);
-                events.push(e.into_owned());
-                if done {
-                    return Ok(events);
-                }
+    // attribute normalization (tab/newline) is the one non-entity owner;
+    // only assert when values are clean
+    let clean_values = !src.contains('\t') && !src.contains('\n') && !src.contains('\r');
+    let mut depth = 0usize;
+    event_stream(src, |e| {
+        if entity_free && clean_values {
+            assert!(e.is_fully_borrowed(), "owned copy without entities: {e:?}");
+        }
+        match e {
+            BorrowedEvent::StartElement {
+                name,
+                attributes,
+                span,
+                ..
+            } => {
+                depth += 1;
+                let attributes: Vec<(&str, &str)> =
+                    attributes.iter().map(|a| (a.name, &*a.value)).collect();
+                Some(start_token(name, &attributes, *span))
             }
-            Err(e) => return Err(e.to_string()),
+            BorrowedEvent::EndElement { name, .. } => {
+                depth -= 1;
+                Some(format!("-{name}"))
+            }
+            BorrowedEvent::Text { text, span } => (depth > 0).then(|| text_token("", text, *span)),
+            BorrowedEvent::Comment { text, span } => Some(text_token("!", text, *span)),
+            BorrowedEvent::ProcessingInstruction { target, data, span } => {
+                Some(text_token(&format!("?{target} "), data, *span))
+            }
+            BorrowedEvent::Eof => None,
+        }
+    })
+    .map_err(|e| e.to_string())
+}
+
+/// The tree `parse_document` builds, re-walked in document order as
+/// tokens (or the parse error).
+fn tree_stream(src: &str) -> Result<Vec<String>, String> {
+    let doc = xmlparse::parse_document(src).map_err(|e| e.to_string())?;
+    let mut out = Vec::new();
+    // (node, closing) work stack; children pushed in reverse
+    let mut stack: Vec<(NodeId, bool)> = Vec::new();
+    let push_children = |stack: &mut Vec<(NodeId, bool)>, doc: &Document, node| {
+        let children = doc.child_vec(node).unwrap();
+        stack.extend(children.into_iter().rev().map(|c| (c, false)));
+    };
+    push_children(&mut stack, &doc, doc.document_node());
+    while let Some((node, closing)) = stack.pop() {
+        let span = doc.span(node).unwrap();
+        match doc.kind(node).unwrap() {
+            NodeKind::Element { name, .. } if closing => out.push(format!("-{name}")),
+            NodeKind::Element { name, attributes } => {
+                let attributes: Vec<(&str, &str)> = attributes
+                    .iter()
+                    .map(|a| (a.name.as_str(), a.value.as_str()))
+                    .collect();
+                out.push(start_token(name, &attributes, span));
+                stack.push((node, true));
+                push_children(&mut stack, &doc, node);
+            }
+            NodeKind::Text(text) => out.push(text_token("", text, span)),
+            NodeKind::Comment(text) => out.push(text_token("!", text, span)),
+            NodeKind::ProcessingInstruction { target, data } => {
+                out.push(text_token(&format!("?{target} "), data, span))
+            }
+            NodeKind::Document => unreachable!("the document node is never a child"),
         }
     }
+    Ok(out)
 }
 
 /// Streaming and tree validation must agree on well-formed input; returns
@@ -118,15 +165,15 @@ fn mixed_batch(seeds: &[u64]) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Borrowed events ≡ owned events on generated (valid) orders.
+    /// Borrowed events ≡ the owned tree on generated (valid) orders.
     #[test]
     fn borrowed_stream_matches_owned_on_orders(seed in 0u64..500, items in 0usize..15) {
         let order = webgen::generate_order(seed, items);
         let xml = webgen::render_order_string(&order);
-        prop_assert_eq!(owned_stream(&xml), borrowed_stream(&xml));
+        prop_assert_eq!(tree_stream(&xml), reader_stream(&xml));
     }
 
-    /// Borrowed events ≡ owned events on mutated paper documents.
+    /// Borrowed events ≡ the owned tree on mutated paper documents.
     #[test]
     fn borrowed_stream_matches_owned_on_mutations(
         picks in prop::collection::vec(0usize..10, 1..3),
@@ -136,12 +183,12 @@ proptest! {
             let (from, to) = PO_MUTATIONS[pick];
             src = src.replace(from, to);
         }
-        prop_assert_eq!(owned_stream(&src), borrowed_stream(&src));
+        prop_assert_eq!(tree_stream(&src), reader_stream(&src));
     }
 
-    /// Borrowed events ≡ owned events on rendered WML pages over
+    /// Borrowed events ≡ the owned tree on rendered WML pages over
     /// markup-hostile directory names (entity escapes force the owned
-    /// fallback — both streams must resolve them identically).
+    /// fallback — the tree must keep exactly what the reader resolved).
     #[test]
     fn borrowed_stream_matches_owned_on_wml(
         dirs in prop::collection::vec("[a-zA-Z0-9 <>&\"']{1,12}", 0..6),
@@ -152,15 +199,15 @@ proptest! {
             parent_dir: "/media".into(),
         };
         let page = webgen::render_string(&data);
-        prop_assert_eq!(owned_stream(&page), borrowed_stream(&page));
+        prop_assert_eq!(tree_stream(&page), reader_stream(&page));
     }
 
-    /// Borrowed events ≡ owned events on arbitrary inputs, including
+    /// Borrowed events ≡ the owned tree on arbitrary inputs, including
     /// non-ASCII, controls, and malformed markup — same events *and* the
     /// same error at the same point.
     #[test]
     fn borrowed_stream_matches_owned_on_arbitrary(input in ".{0,64}") {
-        prop_assert_eq!(owned_stream(&input), borrowed_stream(&input));
+        prop_assert_eq!(tree_stream(&input), reader_stream(&input));
     }
 
     /// Streaming over borrowed events ≡ tree validation, on valid and
@@ -215,7 +262,7 @@ proptest! {
         for threads in [1, 8] {
             let pool = ThreadPool::new(threads);
             let got = reg
-                .validate_batch_parallel("purchase-order", &docs, &pool)
+                .validate_batch_parallel("purchase-order", &docs, &pool, &Limits::default())
                 .unwrap();
             prop_assert_eq!(&got, &expected, "thread count {}", threads);
         }
@@ -227,8 +274,8 @@ proptest! {
 #[test]
 fn paper_document_identical_on_both_paths() {
     assert_eq!(
-        owned_stream(PURCHASE_ORDER_XML),
-        borrowed_stream(PURCHASE_ORDER_XML)
+        tree_stream(PURCHASE_ORDER_XML),
+        reader_stream(PURCHASE_ORDER_XML)
     );
     assert!(agree(&po(), PURCHASE_ORDER_XML).is_empty());
 }
