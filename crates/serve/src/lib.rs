@@ -36,6 +36,17 @@
 //! for the input-size budget, `422` for depth/attribute/expansion/
 //! deadline trips.
 //!
+//! # Responses
+//!
+//! Handlers do not write to the socket: each returns a `Reply` (status,
+//! content type, body, and whether the connection must close), error
+//! branches included, and `handle_connection` writes it. That one writer
+//! also decides the `Connection` header, so it says `close` exactly when
+//! the server closes after the response: the reply asks for it, the
+//! request did not ask for keep-alive, or a drain has begun. The only
+//! other response is the over-cap `503`, written on the acceptor before
+//! a request exists.
+//!
 //! # Drain
 //!
 //! [`Server::shutdown`] flips the drain flag: the acceptor stops
@@ -305,16 +316,24 @@ fn dispatch(stream: TcpStream, shared: &Arc<Shared>, pool: &ThreadPool) {
         return;
     }
     shared.active.fetch_add(1, Ordering::AcqRel);
-    let shared = shared.clone();
-    pool.execute(move || {
-        handle_connection(&shared, stream);
-        shared.active.fetch_sub(1, Ordering::AcqRel);
-    });
+    let slot = ActiveSlot(shared.clone());
+    pool.execute(move || handle_connection(&slot.0, stream));
+}
+
+/// One of the `active` connection slots. Dropping it frees the slot, so
+/// a connection whose handler panics still gives its slot back.
+struct ActiveSlot(Arc<Shared>);
+
+impl Drop for ActiveSlot {
+    fn drop(&mut self) {
+        self.0.active.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 /// Over the connection cap: answer `503` inline on the acceptor (the
 /// response is a few bytes; the write timeout bounds a stuck peer) and
-/// close.
+/// close. The only response not written by [`handle_connection`]: no
+/// request exists yet.
 fn refuse_connection(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_write_timeout(Some(shared.cfg.write_deadline));
     let body = json::error_json("connection limit reached");
@@ -329,12 +348,54 @@ fn refuse_connection(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Everything the metrics and the request's wide event need to know
-/// about how one exchange went.
-pub(crate) struct ReqOutcome {
+/// One response, as a value. Handlers return it; [`handle_connection`]
+/// writes it.
+pub(crate) struct Reply {
     pub(crate) status: u16,
+    pub(crate) content_type: &'static str,
+    pub(crate) body: String,
     /// The connection cannot be reused (unread body, protocol damage).
     pub(crate) close: bool,
+}
+
+impl Reply {
+    pub(crate) fn new(status: u16, content_type: &'static str, body: String) -> Reply {
+        Reply {
+            status,
+            content_type,
+            body,
+            close: false,
+        }
+    }
+
+    pub(crate) fn json(status: u16, body: String) -> Reply {
+        Reply::new(status, "application/json", body)
+    }
+
+    /// A bare `{"error": …}` reply.
+    pub(crate) fn error(status: u16, message: &str) -> Reply {
+        Reply::json(status, json::error_json(message))
+    }
+
+    /// The same reply, closing the connection after it.
+    pub(crate) fn closing(self) -> Reply {
+        Reply {
+            close: true,
+            ..self
+        }
+    }
+}
+
+/// The 404 for a schema name nothing is registered under.
+pub(crate) fn unknown_schema(name: &str) -> Reply {
+    Reply::error(404, &format!("no schema registered under {name:?}"))
+}
+
+/// Everything the metrics and the request's wide event need to know
+/// about how one exchange went. Handlers fill all but `status`, which
+/// [`handle_connection`] takes from the reply.
+pub(crate) struct ReqOutcome {
+    pub(crate) status: u16,
     /// Payload bytes consumed from the request body.
     pub(crate) bytes_in: u64,
     pub(crate) error_count: u64,
@@ -344,10 +405,9 @@ pub(crate) struct ReqOutcome {
 }
 
 impl ReqOutcome {
-    pub(crate) fn plain(status: u16, close: bool) -> ReqOutcome {
+    fn new() -> ReqOutcome {
         ReqOutcome {
-            status,
-            close,
+            status: 0,
             bytes_in: 0,
             error_count: 0,
             limit_trips: 0,
@@ -357,6 +417,11 @@ impl ReqOutcome {
     }
 }
 
+/// Serves one connection's requests in order. The only place a request's
+/// response is written: the `Connection` header announces `close`
+/// exactly when the socket closes after the response — the reply asks
+/// for it, the request did not ask for keep-alive, or a drain has begun.
+/// A failed write closes too.
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let mut conn = Conn::new(stream, shared.cfg.write_deadline);
     loop {
@@ -366,44 +431,35 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         }
         let started = Instant::now();
         let deadline = started + shared.cfg.request_deadline;
-        let req = match http::parse_request(&mut conn, deadline) {
-            Ok(req) => req,
-            Err(e) => {
-                let status = match e {
-                    HttpError::Malformed(msg) => {
-                        let body = json::error_json(msg);
-                        let _ = http::write_response(
-                            conn.writer(),
-                            400,
-                            "application/json",
-                            body.as_bytes(),
-                            false,
-                        );
-                        400
-                    }
-                    HttpError::Timeout => {
-                        let body = json::error_json("request timed out");
-                        let _ = http::write_response(
-                            conn.writer(),
-                            408,
-                            "application/json",
-                            body.as_bytes(),
-                            false,
-                        );
-                        408
-                    }
-                    // peer gone; nothing to answer, nothing to record
-                    HttpError::Closed | HttpError::Io(_) => return,
-                };
-                record_request(status, started, None, &ReqOutcome::plain(status, true));
-                return;
-            }
+        let mut outcome = ReqOutcome::new();
+        let parsed = http::parse_request(&mut conn, deadline);
+        let span = match parsed {
+            Ok(_) => obs::span!("http.request"),
+            Err(_) => obs::SpanGuard::noop(),
         };
-        let span = obs::span!("http.request");
-        let outcome = route(shared, &mut conn, &req, deadline);
+        let reply = match &parsed {
+            Ok(req) => route(shared, &mut conn, req, deadline, &mut outcome),
+            Err(HttpError::Malformed(msg)) => Reply::error(400, msg).closing(),
+            Err(HttpError::Timeout) => Reply::error(408, "request timed out").closing(),
+            // peer gone; nothing to answer, nothing to record
+            Err(HttpError::Closed | HttpError::Io(_)) => return,
+        };
+        let req = parsed.ok();
+        let close = reply.close
+            || !req.as_ref().is_some_and(Request::keep_alive)
+            || shared.draining.load(Ordering::Acquire);
+        let written = http::write_response(
+            conn.writer(),
+            reply.status,
+            reply.content_type,
+            reply.body.as_bytes(),
+            !close,
+        )
+        .is_ok();
         span.finish();
-        record_request(outcome.status, started, Some(&req), &outcome);
-        if outcome.close || !req.keep_alive() || shared.draining.load(Ordering::Acquire) {
+        outcome.status = reply.status;
+        record_request(started, req.as_ref(), &outcome);
+        if close || !written {
             return;
         }
     }
@@ -412,8 +468,9 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
 /// Counts the request in `http_requests_total{code}` /
 /// `http_request_seconds` and offers the flight recorder one wide event
 /// carrying the request attributes.
-fn record_request(status: u16, started: Instant, req: Option<&Request>, outcome: &ReqOutcome) {
+fn record_request(started: Instant, req: Option<&Request>, outcome: &ReqOutcome) {
     let elapsed = started.elapsed();
+    let status = outcome.status;
     if obs::enabled() {
         let code = status.to_string();
         let metrics = obs::metrics();
@@ -468,74 +525,71 @@ fn record_request(status: u16, started: Instant, req: Option<&Request>, outcome:
     }
 }
 
-/// Writes the response for a fully-handled request and reports whether
-/// the connection must close.
-pub(crate) fn respond(
+fn route(
+    shared: &Arc<Shared>,
     conn: &mut Conn,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    close: bool,
-) -> bool {
-    http::write_response(conn.writer(), status, content_type, body.as_bytes(), !close).is_err()
-        || close
-}
-
-fn route(shared: &Arc<Shared>, conn: &mut Conn, req: &Request, deadline: Instant) -> ReqOutcome {
+    req: &Request,
+    deadline: Instant,
+    outcome: &mut ReqOutcome,
+) -> Reply {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (req.method.as_str(), segments.as_slice()) {
+    let answer = match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => {
-            let draining = shared.draining.load(Ordering::Acquire);
-            let (status, body) = if draining {
+            let (status, body) = if shared.draining.load(Ordering::Acquire) {
                 (503, "draining\n")
             } else {
                 (200, "ok\n")
             };
-            let close = respond(conn, status, "text/plain; charset=utf-8", body, false);
-            ReqOutcome::plain(status, close)
+            Ok(Reply::new(status, "text/plain; charset=utf-8", body.into()))
         }
         ("GET", ["metrics"]) => {
             let body = obs::metrics().render_prometheus();
-            let close = respond(conn, 200, "text/plain; version=0.0.4", &body, false);
-            ReqOutcome::plain(200, close)
+            Ok(Reply::new(200, "text/plain; version=0.0.4", body))
         }
         ("POST", ["v1", "validate", schema]) => {
-            handle_validate(shared, conn, req, deadline, schema)
+            handle_validate(shared, conn, req, deadline, schema, outcome)
         }
-        ("POST", ["v1", "batch", schema]) => handle_batch(shared, conn, req, deadline, schema),
-        ("PUT", ["v1", "schemas", name]) => handle_put_schema(shared, conn, req, deadline, name),
+        ("POST", ["v1", "batch", schema]) => {
+            handle_batch(shared, conn, req, deadline, schema, outcome)
+        }
+        ("PUT", ["v1", "schemas", name]) => {
+            handle_put_schema(shared, conn, req, deadline, name, outcome)
+        }
+        // a page error counts as one error in the request's outcome
         ("GET", ["v1", "page", "orders", seed, count]) => {
-            handle_order_page(shared, conn, req, deadline, seed, count)
+            handle_order_page(shared, req, deadline, seed, count, outcome)
+                .inspect_err(|_| outcome.error_count += 1)
         }
         ("GET", ["v1", "page", "directory", seed, breadth, depth]) => {
-            handle_directory_page(shared, conn, req, deadline, seed, breadth, depth)
+            handle_directory_page(shared, req, deadline, seed, breadth, depth, outcome)
+                .inspect_err(|_| outcome.error_count += 1)
         }
         ("POST", ["v1", "session", schema]) => {
-            session::handle_session_create(shared, conn, req, deadline, schema)
+            session::handle_session_create(shared, conn, req, deadline, schema, outcome)
         }
         ("POST", ["v1", "session", id, "patch"]) => {
-            session::handle_session_patch(shared, conn, req, deadline, id)
+            session::handle_session_patch(shared, conn, req, deadline, id, outcome)
         }
-        ("GET", ["v1", "session", id]) => session::handle_session_get(shared, conn, req, id),
-        ("DELETE", ["v1", "session", id]) => session::handle_session_delete(shared, conn, req, id),
+        ("GET", ["v1", "session", id]) => session::handle_session_get(shared, id),
+        ("DELETE", ["v1", "session", id]) => session::handle_session_delete(shared, id),
         (_, ["healthz" | "metrics"])
         | (_, ["v1", "validate" | "batch" | "schemas", _])
         | (_, ["v1", "session", _])
         | (_, ["v1", "session", _, "patch"])
         | (_, ["v1", "page", "orders", _, _])
         | (_, ["v1", "page", "directory", _, _, _]) => {
-            // known route, wrong verb; an unread body forces a close
-            let close = !matches!(http::framing(req), Ok(Framing::None));
-            let body = json::error_json("method not allowed");
-            let close = respond(conn, 405, "application/json", &body, close);
-            ReqOutcome::plain(405, close)
+            Err(unrouted(req, 405, "method not allowed"))
         }
-        _ => {
-            let close = !matches!(http::framing(req), Ok(Framing::None));
-            let body = json::error_json("no such endpoint");
-            let close = respond(conn, 404, "application/json", &body, close);
-            ReqOutcome::plain(404, close)
-        }
+        _ => Err(unrouted(req, 404, "no such endpoint")),
+    };
+    answer.unwrap_or_else(|reply| reply)
+}
+
+/// The 405/404 answer; an unread body forces a close.
+fn unrouted(req: &Request, status: u16, message: &str) -> Reply {
+    Reply {
+        close: !matches!(http::framing(req), Ok(Framing::None)),
+        ..Reply::error(status, message)
     }
 }
 
@@ -568,47 +622,81 @@ pub(crate) fn tally(outcome: &mut ReqOutcome, errors: &[ValidationError]) {
         .any(|e| matches!(e.kind, ValidationErrorKind::NotWellFormed(_)));
 }
 
+/// The body framing of a request that must carry a `what` body: `411`
+/// without one, `400` (and close) when the framing headers are bad.
+fn body_framing(req: &Request, what: &str) -> Result<Framing, Reply> {
+    match http::framing(req) {
+        Ok(Framing::None) => Err(Reply::error(411, &format!("a {what} body is required"))),
+        Ok(framing) => Ok(framing),
+        Err(_) => Err(Reply::error(400, "bad body framing").closing()),
+    }
+}
+
+/// The reply for a body read that failed mid-way; the connection closes.
+fn body_io_error(e: &std::io::Error) -> Reply {
+    let (status, msg) = match e.kind() {
+        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => {
+            (408, "request timed out reading the body")
+        }
+        std::io::ErrorKind::InvalidData => (400, "bad chunked body framing"),
+        std::io::ErrorKind::UnexpectedEof => (400, "body ended prematurely"),
+        _ => (500, "i/o failure reading the body"),
+    };
+    Reply::error(status, msg).closing()
+}
+
+/// Reads a whole small `what` body of at most `cap` bytes: `411`, bad
+/// framing, a declared length over `cap` (refused before any byte is
+/// read) and a body that reads past `cap` are answered here, as are
+/// body I/O errors. `bytes_in` receives the payload bytes consumed.
+pub(crate) fn read_small_body(
+    conn: &mut Conn,
+    req: &Request,
+    deadline: Instant,
+    cap: usize,
+    what: &str,
+    bytes_in: &mut u64,
+) -> Result<Vec<u8>, Reply> {
+    let framing = body_framing(req, what)?;
+    let too_large = || Reply::error(413, &format!("{what} body too large")).closing();
+    if matches!(framing, Framing::Length(n) if n > cap as u64) {
+        return Err(too_large());
+    }
+    let mut body = Body::new(conn, framing, deadline);
+    let mut out = Vec::new();
+    let mut buf = [0u8; 8 << 10];
+    let read = loop {
+        match std::io::Read::read(&mut body, &mut buf) {
+            Ok(0) => break Ok(out),
+            Ok(n) if out.len() + n > cap => break Err(too_large()),
+            Ok(n) => out.extend_from_slice(&buf[..n]),
+            Err(e) => break Err(body_io_error(&e)),
+        }
+    };
+    *bytes_in = body.consumed();
+    read
+}
+
+/// A small body as text; `400` when it is not UTF-8.
+pub(crate) fn utf8_body(raw: Vec<u8>, what: &str) -> Result<String, Reply> {
+    String::from_utf8(raw).map_err(|_| Reply::error(400, &format!("{what} body is not UTF-8")))
+}
+
 fn handle_validate(
     shared: &Arc<Shared>,
     conn: &mut Conn,
     req: &Request,
     deadline: Instant,
     schema: &str,
-) -> ReqOutcome {
+    outcome: &mut ReqOutcome,
+) -> Result<Reply, Reply> {
     let (tenant, limits) = request_limits(shared, req, deadline);
-    let mut outcome = ReqOutcome {
-        tenant,
-        ..ReqOutcome::plain(200, false)
-    };
-    let framing = match http::framing(req) {
-        Ok(f) => f,
-        Err(_) => {
-            outcome.status = 400;
-            outcome.close = respond(
-                conn,
-                400,
-                "application/json",
-                &json::error_json("bad body framing"),
-                true,
-            );
-            return outcome;
-        }
-    };
-    match framing {
-        Framing::None => {
-            outcome.status = 411;
-            outcome.close = respond(
-                conn,
-                411,
-                "application/json",
-                &json::error_json("a document body is required"),
-                false,
-            );
-            outcome
-        }
-        // the admission check the ISSUE calls out: an oversized declared
-        // length is refused before a single body byte is read
-        Framing::Length(n) if n > limits.max_input_bytes as u64 => {
+    outcome.tenant = tenant;
+    let framing = body_framing(req, "document")?;
+    // admission: an oversized declared length is refused before a single
+    // body byte is read
+    if let Framing::Length(n) = framing {
+        if n > limits.max_input_bytes as u64 {
             let kind = ResourceErrorKind::InputTooLarge {
                 limit: limits.max_input_bytes,
                 actual: n.min(usize::MAX as u64) as usize,
@@ -619,114 +707,35 @@ fn handle_validate(
                 kind: ValidationErrorKind::Resource(kind),
                 span: None,
             }];
-            tally(&mut outcome, &errors);
-            outcome.status = 413;
-            outcome.close = respond(
-                conn,
-                413,
-                "application/json",
-                &json::verdict_json(schema, &errors),
-                true,
-            );
-            outcome
-        }
-        _ => {
-            let mut body = Body::new(conn, framing, deadline);
-            let result = shared
-                .registry
-                .validate_streaming_reader_with_limits(schema, &mut body, &limits);
-            match result {
-                None => {
-                    outcome.bytes_in = body.consumed();
-                    let reusable = body.drain(BODY_DRAIN_CAP);
-                    outcome.status = 404;
-                    outcome.close = respond(
-                        conn,
-                        404,
-                        "application/json",
-                        &json::error_json(&format!("no schema registered under {schema:?}")),
-                        !reusable,
-                    );
-                    outcome
-                }
-                Some(Err(e)) => {
-                    outcome.bytes_in = body.consumed();
-                    let (status, msg) = match e.kind() {
-                        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => {
-                            (408, "request timed out reading the body")
-                        }
-                        std::io::ErrorKind::InvalidData => (400, "bad chunked body framing"),
-                        std::io::ErrorKind::UnexpectedEof => (400, "body ended prematurely"),
-                        _ => (500, "i/o failure reading the body"),
-                    };
-                    outcome.status = status;
-                    outcome.close = respond(
-                        conn,
-                        status,
-                        "application/json",
-                        &json::error_json(msg),
-                        true,
-                    );
-                    outcome
-                }
-                Some(Ok(errors)) => {
-                    outcome.bytes_in = body.consumed();
-                    // a tripped validator stops reading mid-body; the
-                    // remainder must be consumed (or the socket closed)
-                    let reusable = body.finished() || body.drain(BODY_DRAIN_CAP);
-                    tally(&mut outcome, &errors);
-                    outcome.status = json::status_for(&errors);
-                    outcome.close = respond(
-                        conn,
-                        outcome.status,
-                        "application/json",
-                        &json::verdict_json(schema, &errors),
-                        !reusable,
-                    );
-                    outcome
-                }
-            }
+            tally(outcome, &errors);
+            return Err(Reply::json(413, json::verdict_json(schema, &errors)).closing());
         }
     }
-}
-
-/// Reads a whole (small) body, refusing past `cap` bytes. `Ok(None)`
-/// means the cap tripped.
-pub(crate) fn read_capped(body: &mut Body<'_>, cap: usize) -> std::io::Result<Option<Vec<u8>>> {
-    let mut out = Vec::new();
-    let mut buf = [0u8; 8 << 10];
-    loop {
-        let n = match std::io::Read::read(body, &mut buf) {
-            Ok(0) => return Ok(Some(out)),
-            Ok(n) => n,
-            Err(e) => return Err(e),
-        };
-        if out.len() + n > cap {
-            return Ok(None);
+    let mut body = Body::new(conn, framing, deadline);
+    let result = shared
+        .registry
+        .validate_streaming_reader_with_limits(schema, &mut body, &limits);
+    outcome.bytes_in = body.consumed();
+    let errors = match result {
+        None => {
+            let reusable = body.drain(BODY_DRAIN_CAP);
+            return Err(Reply {
+                close: !reusable,
+                ..unknown_schema(schema)
+            });
         }
-        out.extend_from_slice(&buf[..n]);
-    }
-}
-
-/// Maps a body-read failure to its response, shared by the endpoints
-/// that must buffer their (framed or small) bodies.
-pub(crate) fn body_error_response(conn: &mut Conn, outcome: &mut ReqOutcome, e: std::io::Error) {
-    let (status, msg) = match e.kind() {
-        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => {
-            (408, "request timed out reading the body")
-        }
-        std::io::ErrorKind::InvalidData => (400, "bad chunked body framing"),
-        std::io::ErrorKind::UnexpectedEof => (400, "body ended prematurely"),
-        _ => (500, "i/o failure reading the body"),
+        Some(Err(e)) => return Err(body_io_error(&e)),
+        Some(Ok(errors)) => errors,
     };
-    outcome.status = status;
-    outcome.close = respond(
-        conn,
-        status,
-        "application/json",
-        &json::error_json(msg),
-        true,
-    );
+    // a tripped validator stops reading mid-body; the remainder must be
+    // consumed (or the socket closed)
+    let reusable = body.finished() || body.drain(BODY_DRAIN_CAP);
+    tally(outcome, &errors);
+    let verdict = json::verdict_json(schema, &errors);
+    Ok(Reply {
+        close: !reusable,
+        ..Reply::json(json::status_for(&errors), verdict)
+    })
 }
 
 fn handle_batch(
@@ -735,182 +744,58 @@ fn handle_batch(
     req: &Request,
     deadline: Instant,
     schema: &str,
-) -> ReqOutcome {
+    outcome: &mut ReqOutcome,
+) -> Result<Reply, Reply> {
     let (tenant, limits) = request_limits(shared, req, deadline);
-    let mut outcome = ReqOutcome {
-        tenant,
-        ..ReqOutcome::plain(200, false)
-    };
-    let framing = match http::framing(req) {
-        Ok(Framing::None) => {
-            outcome.status = 411;
-            outcome.close = respond(
-                conn,
-                411,
-                "application/json",
-                &json::error_json("a batch body is required"),
-                false,
-            );
-            return outcome;
-        }
-        Ok(f) => f,
-        Err(_) => {
-            outcome.status = 400;
-            outcome.close = respond(
-                conn,
-                400,
-                "application/json",
-                &json::error_json("bad body framing"),
-                true,
-            );
-            return outcome;
-        }
-    };
-    if let Framing::Length(n) = framing {
-        if n > limits.max_input_bytes as u64 {
-            outcome.status = 413;
-            outcome.close = respond(
-                conn,
-                413,
-                "application/json",
-                &json::error_json("batch body exceeds the tenant input budget"),
-                true,
-            );
-            return outcome;
-        }
+    outcome.tenant = tenant;
+    let cap = limits.max_input_bytes;
+    let raw = read_small_body(conn, req, deadline, cap, "batch", &mut outcome.bytes_in).map_err(
+        |reply| match reply.status {
+            413 => Reply::error(413, "batch body exceeds the tenant input budget").closing(),
+            _ => reply,
+        },
+    )?;
+    let docs = split_frames(&raw, shared.cfg.max_batch_docs)?;
+    let lists = shared
+        .registry
+        .validate_batch_parallel(schema, &docs, &shared.batch_pool, &limits)
+        .ok_or_else(|| unknown_schema(schema))?;
+    for errors in &lists {
+        tally(outcome, errors);
     }
-    let mut body = Body::new(conn, framing, deadline);
-    let raw = match read_capped(&mut body, limits.max_input_bytes) {
-        Ok(Some(raw)) => raw,
-        Ok(None) => {
-            outcome.bytes_in = body.consumed();
-            outcome.status = 413;
-            outcome.close = respond(
-                conn,
-                413,
-                "application/json",
-                &json::error_json("batch body exceeds the tenant input budget"),
-                true,
-            );
-            return outcome;
-        }
-        Err(e) => {
-            outcome.bytes_in = body.consumed();
-            body_error_response(conn, &mut outcome, e);
-            return outcome;
-        }
-    };
-    outcome.bytes_in = body.consumed();
-    // frame format: ASCII decimal payload length, '\n', payload — repeated
-    let mut docs: Vec<&str> = Vec::new();
+    Ok(Reply::json(200, json::batch_json(schema, &lists)))
+}
+
+/// Splits a batch body into its documents. Frame format: ASCII decimal
+/// payload length, `'\n'`, payload — repeated.
+fn split_frames(raw: &[u8], max_docs: usize) -> Result<Vec<&str>, Reply> {
+    let bad = |why: &str| Reply::error(400, &format!("bad batch framing: {why}"));
+    let mut docs = Vec::new();
     let mut at = 0usize;
     while at < raw.len() {
-        let line_end = match raw[at..].iter().take(20).position(|&b| b == b'\n') {
-            Some(i) => at + i,
-            None => {
-                outcome.status = 400;
-                outcome.close = respond(
-                    conn,
-                    400,
-                    "application/json",
-                    &json::error_json("bad batch framing: missing length prefix"),
-                    false,
-                );
-                return outcome;
-            }
-        };
-        let len: usize = match std::str::from_utf8(&raw[at..line_end])
+        let line_end = raw[at..]
+            .iter()
+            .take(20)
+            .position(|&b| b == b'\n')
+            .map(|i| at + i)
+            .ok_or_else(|| bad("missing length prefix"))?;
+        let len: usize = std::str::from_utf8(&raw[at..line_end])
             .ok()
             .filter(|s| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()))
             .and_then(|s| s.parse().ok())
-        {
-            Some(n) => n,
-            None => {
-                outcome.status = 400;
-                outcome.close = respond(
-                    conn,
-                    400,
-                    "application/json",
-                    &json::error_json("bad batch framing: bad length prefix"),
-                    false,
-                );
-                return outcome;
-            }
-        };
+            .ok_or_else(|| bad("bad length prefix"))?;
         let start = line_end + 1;
-        let end = match start.checked_add(len).filter(|&e| e <= raw.len()) {
-            Some(e) => e,
-            None => {
-                outcome.status = 400;
-                outcome.close = respond(
-                    conn,
-                    400,
-                    "application/json",
-                    &json::error_json("bad batch framing: truncated frame"),
-                    false,
-                );
-                return outcome;
-            }
-        };
-        let doc = match std::str::from_utf8(&raw[start..end]) {
-            Ok(d) => d,
-            Err(_) => {
-                outcome.status = 400;
-                outcome.close = respond(
-                    conn,
-                    400,
-                    "application/json",
-                    &json::error_json("bad batch framing: frame is not UTF-8"),
-                    false,
-                );
-                return outcome;
-            }
-        };
-        docs.push(doc);
-        if docs.len() > shared.cfg.max_batch_docs {
-            outcome.status = 413;
-            outcome.close = respond(
-                conn,
-                413,
-                "application/json",
-                &json::error_json("too many documents in one batch"),
-                false,
-            );
-            return outcome;
+        let end = start
+            .checked_add(len)
+            .filter(|&e| e <= raw.len())
+            .ok_or_else(|| bad("truncated frame"))?;
+        docs.push(std::str::from_utf8(&raw[start..end]).map_err(|_| bad("frame is not UTF-8"))?);
+        if docs.len() > max_docs {
+            return Err(Reply::error(413, "too many documents in one batch"));
         }
         at = end;
     }
-    let results =
-        shared
-            .registry
-            .validate_batch_parallel(schema, &docs, &shared.batch_pool, &limits);
-    match results {
-        None => {
-            outcome.status = 404;
-            outcome.close = respond(
-                conn,
-                404,
-                "application/json",
-                &json::error_json(&format!("no schema registered under {schema:?}")),
-                false,
-            );
-            outcome
-        }
-        Some(lists) => {
-            for errors in &lists {
-                tally(&mut outcome, errors);
-            }
-            outcome.status = 200;
-            outcome.close = respond(
-                conn,
-                200,
-                "application/json",
-                &json::batch_json(schema, &lists),
-                false,
-            );
-            outcome
-        }
-    }
+    Ok(docs)
 }
 
 /// Counts one rendered page in the per-page counters.
@@ -934,109 +819,62 @@ fn page_metrics(page: &str, bytes: usize) {
     }
 }
 
-/// The lazily-built compiled order plans; `Err` is `(status, message)`.
-fn order_templates(shared: &Shared) -> Result<Arc<OrderTemplates>, (u16, String)> {
-    if let Some(t) = shared.order_templates.read().expect("lock").as_ref() {
-        return Ok(t.clone());
+/// A compiled page plan from `slot`, built by `build` on first use and
+/// kept until its schema is hot-swapped. `build` returns `None` when
+/// `schema` is not registered, and the template errors when the
+/// registered schema rejects the `what` templates.
+fn cached_plan<T, E>(
+    slot: &RwLock<Option<Arc<T>>>,
+    schema: &str,
+    what: &str,
+    build: impl FnOnce() -> Option<Result<T, Vec<E>>>,
+) -> Result<Arc<T>, Reply> {
+    if let Some(plan) = slot.read().expect("lock").as_ref() {
+        return Ok(plan.clone());
     }
-    let compiled = shared.registry.get("purchase-order").ok_or_else(|| {
-        (
-            404,
-            "no schema registered under \"purchase-order\"".to_string(),
-        )
-    })?;
-    let templates = OrderTemplates::new(&compiled).map_err(|errors| {
-        (
-            500,
-            format!(
-                "order templates rejected by the registered schema ({} error(s))",
-                errors.len()
-            ),
-        )
-    })?;
-    let templates = Arc::new(templates);
-    *shared.order_templates.write().expect("lock") = Some(templates.clone());
-    Ok(templates)
+    let plan = build()
+        .ok_or_else(|| unknown_schema(schema))?
+        .map_err(|errors| {
+            let n = errors.len();
+            let message =
+                format!("{what} templates rejected by the registered schema ({n} error(s))");
+            Reply::error(500, &message)
+        })?;
+    let plan = Arc::new(plan);
+    *slot.write().expect("lock") = Some(plan.clone());
+    Ok(plan)
 }
 
-/// The lazily-built compiled WML directory page.
-fn directory_page(shared: &Shared) -> Result<Arc<CompiledDirectoryPage>, (u16, String)> {
-    if let Some(p) = shared.directory_page.read().expect("lock").as_ref() {
-        return Ok(p.clone());
-    }
-    let compiled = shared
-        .registry
-        .get("wml")
-        .ok_or_else(|| (404, "no schema registered under \"wml\"".to_string()))?;
-    let page = CompiledDirectoryPage::new(&compiled).map_err(|errors| {
-        (
-            500,
-            format!(
-                "directory templates rejected by the registered schema ({} error(s))",
-                errors.len()
-            ),
-        )
-    })?;
-    let page = Arc::new(page);
-    *shared.directory_page.write().expect("lock") = Some(page.clone());
-    Ok(page)
-}
-
-fn page_error(conn: &mut Conn, outcome: &mut ReqOutcome, status: u16, message: &str) {
-    outcome.status = status;
-    outcome.error_count += 1;
-    outcome.close = respond(
-        conn,
-        status,
-        "application/json",
-        &json::error_json(message),
-        false,
-    );
+fn render_failed(e: impl std::fmt::Display) -> Reply {
+    Reply::error(500, &format!("render failed: {e}"))
 }
 
 /// `GET /v1/page/orders/{seed}/{count}` — renders one synthetic
 /// purchase order through the compiled template path.
 fn handle_order_page(
     shared: &Arc<Shared>,
-    conn: &mut Conn,
     req: &Request,
     deadline: Instant,
     seed: &str,
     count: &str,
-) -> ReqOutcome {
-    let (tenant, _) = request_limits(shared, req, deadline);
-    let mut outcome = ReqOutcome {
-        tenant,
-        ..ReqOutcome::plain(200, false)
-    };
+    outcome: &mut ReqOutcome,
+) -> Result<Reply, Reply> {
+    outcome.tenant = request_limits(shared, req, deadline).0;
     let _span = obs::span!("http.page", page = "orders");
     let (Ok(seed), Ok(count)) = (seed.parse::<u64>(), count.parse::<usize>()) else {
-        page_error(conn, &mut outcome, 400, "seed and count must be integers");
-        return outcome;
+        return Err(Reply::error(400, "seed and count must be integers"));
     };
     if count > shared.cfg.max_batch_docs {
-        page_error(conn, &mut outcome, 400, "item count exceeds the limit");
-        return outcome;
+        return Err(Reply::error(400, "item count exceeds the limit"));
     }
-    let templates = match order_templates(shared) {
-        Ok(t) => t,
-        Err((status, message)) => {
-            page_error(conn, &mut outcome, status, &message);
-            return outcome;
-        }
-    };
+    let templates = cached_plan(&shared.order_templates, "purchase-order", "order", || {
+        let compiled = shared.registry.get("purchase-order")?;
+        Some(OrderTemplates::new(&compiled))
+    })?;
     let order = webgen::generate_order(seed, count);
-    match templates.render_compiled(&order) {
-        Ok(page) => {
-            page_metrics("orders", page.len());
-            outcome.close = respond(conn, 200, "application/xml", &page, false);
-            outcome
-        }
-        Err(e) => {
-            page_error(conn, &mut outcome, 500, &format!("render failed: {e}"));
-            outcome
-        }
-    }
+    let page = templates.render_compiled(&order).map_err(render_failed)?;
+    page_metrics("orders", page.len());
+    Ok(Reply::new(200, "application/xml", page))
 }
 
 /// `GET /v1/page/directory/{seed}/{breadth}/{depth}` — renders the
@@ -1044,56 +882,37 @@ fn handle_order_page(
 /// compiled template path.
 fn handle_directory_page(
     shared: &Arc<Shared>,
-    conn: &mut Conn,
     req: &Request,
     deadline: Instant,
     seed: &str,
     breadth: &str,
     depth: &str,
-) -> ReqOutcome {
-    let (tenant, _) = request_limits(shared, req, deadline);
-    let mut outcome = ReqOutcome {
-        tenant,
-        ..ReqOutcome::plain(200, false)
-    };
+    outcome: &mut ReqOutcome,
+) -> Result<Reply, Reply> {
+    outcome.tenant = request_limits(shared, req, deadline).0;
     let _span = obs::span!("http.page", page = "directory");
     let (Ok(seed), Ok(breadth), Ok(depth)) = (
         seed.parse::<u64>(),
         breadth.parse::<usize>(),
         depth.parse::<usize>(),
     ) else {
-        page_error(
-            conn,
-            &mut outcome,
+        return Err(Reply::error(
             400,
             "seed, breadth, and depth must be integers",
-        );
-        return outcome;
+        ));
     };
     if breadth > 64 || depth > 6 {
-        page_error(conn, &mut outcome, 400, "archive size exceeds the limit");
-        return outcome;
+        return Err(Reply::error(400, "archive size exceeds the limit"));
     }
-    let page = match directory_page(shared) {
-        Ok(p) => p,
-        Err((status, message)) => {
-            page_error(conn, &mut outcome, status, &message);
-            return outcome;
-        }
-    };
+    let page = cached_plan(&shared.directory_page, "wml", "directory", || {
+        let compiled = shared.registry.get("wml")?;
+        Some(CompiledDirectoryPage::new(&compiled))
+    })?;
     let archive = webgen::MediaArchive::generate(seed, breadth, depth);
     let data = webgen::DirectoryPageData::from_media(&archive.root());
-    match page.render(&data) {
-        Ok(body) => {
-            page_metrics("directory", body.len());
-            outcome.close = respond(conn, 200, "text/vnd.wap.wml", &body, false);
-            outcome
-        }
-        Err(e) => {
-            page_error(conn, &mut outcome, 500, &format!("render failed: {e}"));
-            outcome
-        }
-    }
+    let body = page.render(&data).map_err(render_failed)?;
+    page_metrics("directory", body.len());
+    Ok(Reply::new(200, "text/vnd.wap.wml", body))
 }
 
 fn handle_put_schema(
@@ -1102,118 +921,33 @@ fn handle_put_schema(
     req: &Request,
     deadline: Instant,
     name: &str,
-) -> ReqOutcome {
-    let (tenant, _) = request_limits(shared, req, deadline);
-    let mut outcome = ReqOutcome {
-        tenant,
-        ..ReqOutcome::plain(200, false)
-    };
-    let framing = match http::framing(req) {
-        Ok(Framing::None) => {
-            outcome.status = 411;
-            outcome.close = respond(
-                conn,
-                411,
-                "application/json",
-                &json::error_json("a schema body is required"),
-                false,
-            );
-            return outcome;
-        }
-        Ok(f) => f,
-        Err(_) => {
-            outcome.status = 400;
-            outcome.close = respond(
-                conn,
-                400,
-                "application/json",
-                &json::error_json("bad body framing"),
-                true,
-            );
-            return outcome;
-        }
-    };
-    if let Framing::Length(n) = framing {
-        if n > shared.cfg.max_schema_bytes as u64 {
-            outcome.status = 413;
-            outcome.close = respond(
-                conn,
-                413,
-                "application/json",
-                &json::error_json("schema body too large"),
-                true,
-            );
-            return outcome;
-        }
+    outcome: &mut ReqOutcome,
+) -> Result<Reply, Reply> {
+    outcome.tenant = request_limits(shared, req, deadline).0;
+    let cap = shared.cfg.max_schema_bytes;
+    let raw = read_small_body(conn, req, deadline, cap, "schema", &mut outcome.bytes_in)?;
+    let xsd = utf8_body(raw, "schema")?;
+    let previous = shared
+        .registry
+        .register(name, &xsd)
+        .map_err(|e| Reply::error(400, &format!("schema failed to compile: {e}")))?;
+    // compiled page plans were lowered against the replaced schema —
+    // drop them so the next page request recompiles
+    if name == "purchase-order" {
+        *shared.order_templates.write().expect("lock") = None;
     }
-    let mut body = Body::new(conn, framing, deadline);
-    let raw = match read_capped(&mut body, shared.cfg.max_schema_bytes) {
-        Ok(Some(raw)) => raw,
-        Ok(None) => {
-            outcome.bytes_in = body.consumed();
-            outcome.status = 413;
-            outcome.close = respond(
-                conn,
-                413,
-                "application/json",
-                &json::error_json("schema body too large"),
-                true,
-            );
-            return outcome;
-        }
-        Err(e) => {
-            outcome.bytes_in = body.consumed();
-            body_error_response(conn, &mut outcome, e);
-            return outcome;
-        }
-    };
-    outcome.bytes_in = body.consumed();
-    let xsd = match String::from_utf8(raw) {
-        Ok(s) => s,
-        Err(_) => {
-            outcome.status = 400;
-            outcome.close = respond(
-                conn,
-                400,
-                "application/json",
-                &json::error_json("schema body is not UTF-8"),
-                false,
-            );
-            return outcome;
-        }
-    };
-    match shared.registry.register(name, &xsd) {
-        Ok(previous) => {
-            // compiled page plans were lowered against the replaced
-            // schema — drop them so the next page request recompiles
-            if name == "purchase-order" {
-                *shared.order_templates.write().expect("lock") = None;
-            }
-            if name == "wml" {
-                *shared.directory_page.write().expect("lock") = None;
-            }
-            let status = if previous.is_some() { 200 } else { 201 };
-            let mut body = String::from("{\"schema\":");
-            json::escape_into(&mut body, name);
-            body.push_str(",\"replaced\":");
-            body.push_str(if previous.is_some() { "true" } else { "false" });
-            body.push('}');
-            outcome.status = status;
-            outcome.close = respond(conn, status, "application/json", &body, false);
-            outcome
-        }
-        Err(e) => {
-            outcome.status = 400;
-            outcome.close = respond(
-                conn,
-                400,
-                "application/json",
-                &json::error_json(&format!("schema failed to compile: {e}")),
-                false,
-            );
-            outcome
-        }
+    if name == "wml" {
+        *shared.directory_page.write().expect("lock") = None;
     }
+    let mut body = String::from("{\"schema\":");
+    json::escape_into(&mut body, name);
+    body.push_str(",\"replaced\":");
+    body.push_str(if previous.is_some() { "true" } else { "false" });
+    body.push('}');
+    Ok(Reply::json(
+        if previous.is_some() { 200 } else { 201 },
+        body,
+    ))
 }
 
 #[cfg(test)]

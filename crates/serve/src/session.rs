@@ -44,9 +44,11 @@ use limits::Limits;
 use validator::{DomPatch, NewNode, PatchError, ValidationError, ValidationErrorKind};
 use webgen::{DocSession, SessionError};
 
-use crate::http::{self, Body, Conn, Framing, Request};
+use crate::http::{Conn, Request};
 use crate::json::{self, JsonValue};
-use crate::{body_error_response, read_capped, respond, tally, ReqOutcome, Shared, TENANT_HEADER};
+use crate::{
+    read_small_body, tally, unknown_schema, utf8_body, Reply, ReqOutcome, Shared, TENANT_HEADER,
+};
 
 /// One parked session plus its idle clock.
 struct Entry {
@@ -244,92 +246,6 @@ pub(crate) fn decode_patch(v: &JsonValue) -> Result<DomPatch, String> {
     }
 }
 
-/// Buffers a (small) request body, answering the framing/i-o failure
-/// modes in place. `None` means the response is already written.
-fn buffer_body(
-    conn: &mut Conn,
-    req: &Request,
-    deadline: Instant,
-    cap: usize,
-    outcome: &mut ReqOutcome,
-    what: &str,
-) -> Option<String> {
-    let framing = match http::framing(req) {
-        Ok(Framing::None) => {
-            outcome.status = 411;
-            outcome.close = respond(
-                conn,
-                411,
-                "application/json",
-                &json::error_json(&format!("a {what} body is required")),
-                false,
-            );
-            return None;
-        }
-        Ok(f) => f,
-        Err(_) => {
-            outcome.status = 400;
-            outcome.close = respond(
-                conn,
-                400,
-                "application/json",
-                &json::error_json("bad body framing"),
-                true,
-            );
-            return None;
-        }
-    };
-    if let Framing::Length(n) = framing {
-        if n > cap as u64 {
-            outcome.status = 413;
-            outcome.close = respond(
-                conn,
-                413,
-                "application/json",
-                &json::error_json(&format!("{what} body too large")),
-                true,
-            );
-            return None;
-        }
-    }
-    let mut body = Body::new(conn, framing, deadline);
-    let raw = match read_capped(&mut body, cap) {
-        Ok(Some(raw)) => raw,
-        Ok(None) => {
-            outcome.bytes_in = body.consumed();
-            outcome.status = 413;
-            outcome.close = respond(
-                conn,
-                413,
-                "application/json",
-                &json::error_json(&format!("{what} body too large")),
-                true,
-            );
-            return None;
-        }
-        Err(e) => {
-            outcome.bytes_in = body.consumed();
-            body_error_response(conn, outcome, e);
-            return None;
-        }
-    };
-    outcome.bytes_in = body.consumed();
-    match String::from_utf8(raw) {
-        Ok(s) => Some(s),
-        Err(_) => {
-            outcome.status = 400;
-            outcome.close = respond(
-                conn,
-                400,
-                "application/json",
-                &json::error_json(&format!("{what} body is not UTF-8")),
-                false,
-            );
-            None
-        }
-    }
-}
-
 /// The session's standing budget: the tenant row plus the server kill
 /// switch, but **not** the open request's wire deadline — the session
 /// outlives the request that created it.
@@ -348,101 +264,59 @@ pub(crate) fn handle_session_create(
     req: &Request,
     deadline: Instant,
     schema: &str,
-) -> ReqOutcome {
+    outcome: &mut ReqOutcome,
+) -> Result<Reply, Reply> {
     let (tenant, limits) = session_limits(shared, req);
-    let mut outcome = ReqOutcome {
-        tenant,
-        ..ReqOutcome::plain(200, false)
-    };
-    let Some(document) = buffer_body(
-        conn,
-        req,
-        deadline,
-        limits.max_input_bytes,
-        &mut outcome,
-        "document",
-    ) else {
-        return outcome;
-    };
+    outcome.tenant = tenant;
+    let cap = limits.max_input_bytes;
+    let raw = read_small_body(conn, req, deadline, cap, "document", &mut outcome.bytes_in)?;
+    let document = utf8_body(raw, "document")?;
     let _span = obs::span!("http.session.create", schema = schema);
-    match shared.registry.open_session(schema, &document, limits) {
-        Ok(session) => match shared.sessions.insert(session) {
-            Some(id) => {
-                if obs::enabled() {
-                    obs::metrics()
-                        .counter("http_sessions_opened_total", "Patch sessions opened.")
-                        .inc();
-                }
-                let entry = shared.sessions.get(id).expect("just inserted");
-                let nodes = entry
-                    .lock()
-                    .expect("session")
-                    .session
-                    .validator()
-                    .node_count();
-                let mut body = String::from("{\"session\":");
-                json::escape_into(&mut body, &id.to_string());
-                body.push_str(",\"schema\":");
-                json::escape_into(&mut body, schema);
-                body.push_str(&format!(",\"nodes\":{nodes}}}"));
-                outcome.status = 201;
-                outcome.close = respond(conn, 201, "application/json", &body, false);
-                outcome
-            }
-            None => {
-                outcome.status = 503;
-                outcome.close = respond(
-                    conn,
-                    503,
-                    "application/json",
-                    &json::error_json("session limit reached"),
-                    false,
-                );
-                outcome
-            }
-        },
-        Err(SessionError::UnknownSchema(_)) => {
-            outcome.status = 404;
-            outcome.close = respond(
-                conn,
-                404,
-                "application/json",
-                &json::error_json(&format!("no schema registered under {schema:?}")),
-                false,
-            );
-            outcome
-        }
+    let session = match shared.registry.open_session(schema, &document, limits) {
+        Ok(session) => session,
+        Err(SessionError::UnknownSchema(_)) => return Err(unknown_schema(schema)),
         Err(SessionError::Invalid(errors)) => {
-            tally(&mut outcome, &errors);
+            tally(outcome, &errors);
             // a session requires a valid document, so plain invalidity is
             // a client error here — unlike /v1/validate, where "invalid"
             // is a successful answer
-            outcome.status = match json::status_for(&errors) {
+            let status = match json::status_for(&errors) {
                 200 => 422,
                 s => s,
             };
-            outcome.close = respond(
-                conn,
-                outcome.status,
-                "application/json",
-                &json::verdict_json(schema, &errors),
-                false,
-            );
-            outcome
+            return Err(Reply::json(status, json::verdict_json(schema, &errors)));
         }
+    };
+    // read before parking: once parked, a sweep may evict the session
+    let nodes = session.validator().node_count();
+    let id = shared
+        .sessions
+        .insert(session)
+        .ok_or_else(|| Reply::error(503, "session limit reached"))?;
+    if obs::enabled() {
+        obs::metrics()
+            .counter("http_sessions_opened_total", "Patch sessions opened.")
+            .inc();
     }
+    let mut body = String::from("{\"session\":");
+    json::escape_into(&mut body, &id.to_string());
+    body.push_str(",\"schema\":");
+    json::escape_into(&mut body, schema);
+    body.push_str(&format!(",\"nodes\":{nodes}}}"));
+    Ok(Reply::json(201, body))
 }
 
-/// Answers 404 for an id that does not parse or is not parked.
-fn session_not_found(conn: &mut Conn, outcome: &mut ReqOutcome, id: &str) {
-    outcome.status = 404;
-    outcome.close = respond(
-        conn,
-        404,
-        "application/json",
-        &json::error_json(&format!("no session {id:?} (expired or never opened)")),
-        false,
-    );
+/// The 404 for a session id that does not parse or is not parked.
+fn no_session(id: &str) -> Reply {
+    Reply::error(404, &format!("no session {id:?} (expired or never opened)"))
+}
+
+/// The parked session `id`.
+fn find_session(shared: &Shared, id: &str) -> Result<Arc<Mutex<Entry>>, Reply> {
+    id.parse::<u64>()
+        .ok()
+        .and_then(|n| shared.sessions.get(n))
+        .ok_or_else(|| no_session(id))
 }
 
 /// `POST /v1/session/{id}/patch` — one patch, one verdict.
@@ -452,48 +326,23 @@ pub(crate) fn handle_session_patch(
     req: &Request,
     deadline: Instant,
     id: &str,
-) -> ReqOutcome {
+    outcome: &mut ReqOutcome,
+) -> Result<Reply, Reply> {
     let (tenant, limits) = session_limits(shared, req);
-    let mut outcome = ReqOutcome {
-        tenant,
-        ..ReqOutcome::plain(200, false)
-    };
+    outcome.tenant = tenant;
     // the patch JSON wrapper is bounded by the patch-payload budget plus
     // generous framing slack — a hostile megabyte of path indexes is
     // refused before parsing
     let cap = limits.max_patch_bytes.saturating_add(16 << 10);
-    let Some(body) = buffer_body(conn, req, deadline, cap, &mut outcome, "patch") else {
-        return outcome;
-    };
-    let entry = match id
-        .parse::<u64>()
-        .ok()
-        .and_then(|id| shared.sessions.get(id))
-    {
-        Some(entry) => entry,
-        None => {
-            session_not_found(conn, &mut outcome, id);
-            return outcome;
-        }
-    };
-    let patch = match json::parse_json(&body).and_then(|v| decode_patch(&v)) {
-        Ok(patch) => patch,
-        Err(msg) => {
-            outcome.status = 400;
-            outcome.close = respond(
-                conn,
-                400,
-                "application/json",
-                &json::error_json(&format!("bad patch: {msg}")),
-                false,
-            );
-            return outcome;
-        }
-    };
+    let raw = read_small_body(conn, req, deadline, cap, "patch", &mut outcome.bytes_in)?;
+    let body = utf8_body(raw, "patch")?;
+    let entry = find_session(shared, id)?;
+    let patch = json::parse_json(&body)
+        .and_then(|v| decode_patch(&v))
+        .map_err(|msg| Reply::error(400, &format!("bad patch: {msg}")))?;
     let mut entry = entry.lock().expect("session");
     entry.last_used = Instant::now();
-    let result = entry.session.apply(&patch);
-    match result {
+    let (status, errors) = match entry.session.apply(&patch) {
         Ok(()) => {
             let v = entry.session.validator();
             let body = format!(
@@ -502,89 +351,41 @@ pub(crate) fn handle_session_patch(
                 v.nodes_rechecked(),
                 v.node_count()
             );
-            outcome.status = 200;
-            outcome.close = respond(conn, 200, "application/json", &body, false);
-            outcome
+            return Ok(Reply::json(200, body));
         }
-        Err(PatchError::Invalid(errors)) => {
-            tally(&mut outcome, &errors);
-            // the patch was *processed* successfully; the answer is
-            // "rejected" — 200, like an invalid /v1/validate verdict
-            let mut body = String::from("{\"applied\":false,");
-            body.push_str(&json::verdict_json(entry.session.schema_name(), &errors)[1..]);
-            outcome.status = 200;
-            outcome.close = respond(conn, 200, "application/json", &body, false);
-            outcome
-        }
+        // the patch was *processed* successfully; the answer is
+        // "rejected" — 200, like an invalid /v1/validate verdict
+        Err(PatchError::Invalid(errors)) => (200, errors),
         Err(PatchError::Resource(kind)) => {
             let errors = vec![ValidationError {
                 kind: ValidationErrorKind::Resource(kind),
                 span: None,
             }];
-            tally(&mut outcome, &errors);
-            outcome.status = json::status_for(&errors);
-            let mut body = String::from("{\"applied\":false,");
-            body.push_str(&json::verdict_json(entry.session.schema_name(), &errors)[1..]);
-            outcome.close = respond(conn, outcome.status, "application/json", &body, false);
-            outcome
+            (json::status_for(&errors), errors)
         }
         Err(e @ (PatchError::Structure(_) | PatchError::Fragment(_))) => {
-            outcome.status = 400;
-            outcome.close = respond(
-                conn,
-                400,
-                "application/json",
-                &json::error_json(&e.to_string()),
-                false,
-            );
-            outcome
+            return Err(Reply::error(400, &e.to_string()));
         }
-    }
+    };
+    tally(outcome, &errors);
+    let mut body = String::from("{\"applied\":false,");
+    body.push_str(&json::verdict_json(entry.session.schema_name(), &errors)[1..]);
+    Ok(Reply::json(status, body))
 }
 
 /// `GET /v1/session/{id}` — the current document.
-pub(crate) fn handle_session_get(
-    shared: &Arc<Shared>,
-    conn: &mut Conn,
-    _req: &Request,
-    id: &str,
-) -> ReqOutcome {
-    let mut outcome = ReqOutcome::plain(200, false);
-    let entry = match id
-        .parse::<u64>()
-        .ok()
-        .and_then(|id| shared.sessions.get(id))
-    {
-        Some(entry) => entry,
-        None => {
-            session_not_found(conn, &mut outcome, id);
-            return outcome;
-        }
-    };
+pub(crate) fn handle_session_get(shared: &Shared, id: &str) -> Result<Reply, Reply> {
+    let entry = find_session(shared, id)?;
     let mut entry = entry.lock().expect("session");
     entry.last_used = Instant::now();
-    let xml = entry.session.to_xml();
-    outcome.close = respond(conn, 200, "application/xml", &xml, false);
-    outcome
+    Ok(Reply::new(200, "application/xml", entry.session.to_xml()))
 }
 
 /// `DELETE /v1/session/{id}` — close a session.
-pub(crate) fn handle_session_delete(
-    shared: &Arc<Shared>,
-    conn: &mut Conn,
-    _req: &Request,
-    id: &str,
-) -> ReqOutcome {
-    let mut outcome = ReqOutcome::plain(200, false);
-    match id.parse::<u64>().ok().map(|id| shared.sessions.remove(id)) {
-        Some(true) => {
-            outcome.close = respond(conn, 200, "application/json", "{\"closed\":true}", false);
-            outcome
-        }
-        _ => {
-            session_not_found(conn, &mut outcome, id);
-            outcome
-        }
+pub(crate) fn handle_session_delete(shared: &Shared, id: &str) -> Result<Reply, Reply> {
+    match id.parse::<u64>().map(|n| shared.sessions.remove(n)) {
+        Ok(true) => Ok(Reply::json(200, "{\"closed\":true}".into())),
+        _ => Err(no_session(id)),
     }
 }
 

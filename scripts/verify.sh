@@ -32,6 +32,17 @@ if grep -rnE --include='*.rs' 'pub enum Event\b|fn next_event\(' crates; then
   exit 1
 fi
 
+echo "==> one response writer in serve"
+# serve's handlers return a Reply and handle_connection writes it; the
+# only other write_response call is refuse_connection's over-cap 503,
+# which runs on the acceptor before a request exists.
+writes="$(grep -rhE 'write_response\(' crates/serve/src | grep -vc 'fn write_response(' || true)"
+if grep -rnE 'fn respond\b' crates/serve/src || [ "$writes" -gt 2 ]; then
+  echo "serve writes responses outside handle_connection ($writes write_response calls):" >&2
+  grep -rnE 'write_response\(' crates/serve/src >&2
+  exit 1
+fi
+
 echo "==> cargo build --release -p examples --bins"
 cargo build --release -p examples --bins
 
@@ -133,12 +144,13 @@ echo "==> HTTP serving gate (socket-level conformance + torture + drain)"
 # The conformance battery holds HTTP verdicts byte-equivalent to the
 # library's streaming validator across the corpus; the torture battery
 # throws malformed requests, slowloris drips, chunk-boundary splits and
-# oversized lengths at the wire layer; the drain tests complete in-flight
-# work at 2 and 8 workers; the metrics binary reconciles exported
-# counters against the exact traffic sent.
+# oversized lengths at the wire layer; the error battery pins status,
+# content type, body and Connection header of every error branch; the
+# drain tests complete in-flight work at 2 and 8 workers; the metrics
+# binary reconciles exported counters against the exact traffic sent.
 timeout 120 cargo test -q -p serve
 timeout 300 cargo test -q -p integration-tests \
-  --test http_e2e --test http_torture --test http_drain --test http_metrics
+  --test http_e2e --test http_torture --test http_errors --test http_drain --test http_metrics
 
 echo "==> xmlserved smoke run (boot on an ephemeral port + scripted sweep)"
 # Boots the service end-to-end as a process and drives the request sweep

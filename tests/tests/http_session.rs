@@ -310,3 +310,32 @@ fn drain_completes_in_flight_patch_requests() {
     assert_eq!(status, 200, "in-flight patch dropped during drain: {resp}");
     assert!(resp.contains("\"applied\":true"), "{resp}");
 }
+
+#[test]
+fn zero_idle_sessions_open_and_never_leak_a_connection_slot() {
+    // with a zero idle TTL every table access sweeps the session that was
+    // just parked; opening must still answer 201, and the connection slot
+    // must come back even when a handler fails
+    let cfg = ServerConfig {
+        session_idle: Duration::ZERO,
+        max_connections: 2,
+        ..ServerConfig::default()
+    };
+    let (_registry, server) = corpus_server(cfg);
+    let addr = server.addr();
+
+    let mut last = String::new();
+    for _ in 0..4 {
+        last = open_wire_session(addr, "purchase-order", PO_DOC);
+    }
+    thread::sleep(Duration::from_millis(5));
+    assert_eq!(get(addr, &format!("/v1/session/{last}")).0, 404);
+    assert_eq!(get(addr, "/healthz"), (200, "ok\n".to_string()));
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while server.active_connections() > 0 && std::time::Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(server.active_connections(), 0, "a connection slot leaked");
+    server.drain();
+}

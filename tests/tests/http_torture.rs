@@ -407,3 +407,55 @@ fn empty_and_zero_length_bodies_are_handled() {
     assert_eq!(status, 405);
     server.drain();
 }
+
+#[test]
+fn connection_header_announces_the_close_the_server_performs() {
+    let server = server_with(ServerConfig::default());
+    let addr = server.addr();
+    let doc = webgen::render_order_string(&webgen::generate_order(2, 2));
+    let requests = [
+        "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n".to_string(),
+        format!(
+            "POST /v1/validate/purchase-order HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{doc}",
+            doc.len()
+        ),
+        "GET /healthz HTTP/1.0\r\n\r\n".to_string(),
+    ];
+    for raw in &requests {
+        let mut stream = connect(addr);
+        stream.write_all(raw.as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut status_line = String::new();
+        reader.read_line(&mut status_line).unwrap();
+        assert!(status_line.starts_with("HTTP/1.1 200 "), "{status_line}");
+        let mut connection = None;
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let line = line.trim_end();
+            if line.is_empty() {
+                break;
+            }
+            if let Some(v) = line.to_ascii_lowercase().strip_prefix("connection:") {
+                connection = Some(v.trim().to_string());
+            }
+        }
+        assert_eq!(connection.as_deref(), Some("close"), "request {raw:?}");
+        // and the server does close: the body is all that is left
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).unwrap();
+        assert!(!rest.is_empty(), "request {raw:?}");
+    }
+    // a keep-alive request is still announced and kept as keep-alive
+    let mut stream = connect(addr);
+    stream
+        .write_all(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut head = String::new();
+    while !head.ends_with("\r\n\r\n") {
+        reader.read_line(&mut head).unwrap();
+    }
+    assert!(head.contains("Connection: keep-alive\r\n"), "{head}");
+    server.drain();
+}
