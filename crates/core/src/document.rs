@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 use automata::{DfaMatcher, Matcher};
 use dom::{Document, NodeId};
-use schema::{CompiledSchema, ContentModel, ElementDecl, TypeDef, TypeRef};
+use schema::{check_value, CompiledSchema, ContentModel, ElementDecl, TypeDef, TypeRef};
 
 use crate::error::VdomError;
 
@@ -324,14 +324,13 @@ impl TypedDocument {
                 attribute: name.to_string(),
             }
         })?;
-        self.compiled
-            .schema()
-            .validate_simple_value(&decl.type_ref, &value)
-            .map_err(|error| VdomError::Simple {
+        check_value(&self.compiled.simple_plan(&decl.type_ref), &value).map_err(|error| {
+            VdomError::Simple {
                 element: element_name.clone(),
                 attribute: Some(name.to_string()),
                 error,
-            })?;
+            }
+        })?;
         if let Some(fixed) = &decl.fixed {
             if &value != fixed {
                 return Err(VdomError::FixedMismatch {
@@ -374,14 +373,13 @@ impl TypedDocument {
                 .doc
                 .text_content(element.node)
                 .map_err(|e| VdomError::Dom(e.to_string()))?;
-            self.compiled
-                .schema()
-                .validate_simple_value(&simple, &text)
-                .map_err(|error| VdomError::Simple {
+            check_value(&self.compiled.simple_plan(&simple), &text).map_err(|error| {
+                VdomError::Simple {
                     element: element_name.clone(),
                     attribute: None,
                     error,
-                })?;
+                }
+            })?;
         }
         // required attributes
         if let TypeRef::Named(n) | TypeRef::Anonymous(n) = &state.type_ref {

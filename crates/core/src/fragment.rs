@@ -7,6 +7,7 @@
 
 use dom::{Document, NodeId, NodeKind};
 use schema::CompiledSchema;
+use xmlchars::is_xml_whitespace;
 
 use crate::document::{TypedDocument, TypedElement};
 use crate::error::VdomError;
@@ -73,7 +74,7 @@ impl TypedDocument {
                     // whitespace-only text between elements of element-only
                     // content is formatting, not data; where text is
                     // allowed it is significant and must be kept
-                    if t.trim().is_empty() && !self.allows_text(dst)? {
+                    if t.chars().all(is_xml_whitespace) && !self.allows_text(dst)? {
                         continue;
                     }
                     self.append_text(dst, t.clone())?;

@@ -13,7 +13,7 @@
 use automata::Matcher;
 use dom::NodeKind;
 use schema::{CompiledSchema, ContentModel, TypeDef, TypeRef};
-use xmlchars::Position;
+use xmlchars::{is_xml_whitespace, Position};
 
 use crate::error::{PxmlError, PxmlErrorKind};
 use crate::holes::{split_holes, Part};
@@ -297,7 +297,7 @@ impl<'a> Checker<'a> {
                     for part in parts {
                         match part {
                             Part::Text(text) => {
-                                if !mixed && !text.trim().is_empty() {
+                                if !mixed && !text.chars().all(is_xml_whitespace) {
                                     errors.push(PxmlError::at(
                                         PxmlErrorKind::TextNotAllowed {
                                             element: element.to_string(),

@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use automata::{ContentDfa, DfaMatcher, Matcher};
 use dom::{Document, NodeId, NodeKind};
-use schema::{CompiledSchema, ContentModel, TypeDef, TypeRef};
+use schema::{check_value, CompiledSchema, ContentModel, SimpleCheck, TypeDef, TypeRef};
 use symbols::Sym;
 use vdom::VdomError;
 use xmlchars::{escape_attribute, escape_text};
@@ -71,7 +71,8 @@ enum Op {
         element: String,
         attribute: String,
         parts: Vec<TextPart>,
-        type_ref: TypeRef,
+        /// The attribute's simple type, resolved when the plan was built.
+        check: SimpleCheck,
         fixed: Option<String>,
     },
     /// Start content matching at the hole region's precomputed entry
@@ -97,7 +98,8 @@ enum Op {
     SimpleBody {
         element: String,
         parts: Vec<TextPart>,
-        simple: Option<TypeRef>,
+        /// The content's simple type, resolved when the plan was built.
+        simple: Option<SimpleCheck>,
     },
     /// Pop the innermost matcher and require an accepting state.
     CloseContent { element: String },
@@ -287,7 +289,7 @@ impl Lowerer<'_> {
                     element: tag.to_string(),
                     attribute: attr.name.clone(),
                     parts,
-                    type_ref: decl.type_ref.clone(),
+                    check: self.compiled.simple_plan(&decl.type_ref),
                     fixed: decl.fixed.clone(),
                 });
             } else {
@@ -315,7 +317,7 @@ impl Lowerer<'_> {
                         element: tag.to_string(),
                         attribute: attr.name.clone(),
                         parts: vec![TextPart::Lit(value)],
-                        type_ref: decl.type_ref.clone(),
+                        check: self.compiled.simple_plan(&decl.type_ref),
                         fixed: decl.fixed.clone(),
                     });
                 }
@@ -514,7 +516,7 @@ impl Lowerer<'_> {
                 self.ops.push(Op::SimpleBody {
                     element: tag.to_string(),
                     parts,
-                    simple: simple.cloned(),
+                    simple: simple.map(|s| self.compiled.simple_plan(s)),
                 });
                 self.emit(b"</");
                 self.emit(tag.as_bytes());
@@ -530,7 +532,7 @@ impl Lowerer<'_> {
         let body = Op::SimpleBody {
             element: tag.to_string(),
             parts,
-            simple: simple.cloned(),
+            simple: simple.map(|s| self.compiled.simple_plan(s)),
         };
         if static_node {
             self.emit(b">");
@@ -638,7 +640,7 @@ impl CompiledTemplate {
                     element,
                     attribute,
                     parts,
-                    type_ref,
+                    check,
                     fixed,
                 } => {
                     // single-part values (the common case) borrow the
@@ -673,14 +675,11 @@ impl CompiledTemplate {
                             Cow::Owned(raw)
                         }
                     };
-                    self.compiled
-                        .schema()
-                        .validate_simple_value(type_ref, &raw)
-                        .map_err(|error| VdomError::Simple {
-                            element: element.clone(),
-                            attribute: Some(attribute.clone()),
-                            error,
-                        })?;
+                    check_value(check, &raw).map_err(|error| VdomError::Simple {
+                        element: element.clone(),
+                        attribute: Some(attribute.clone()),
+                        error,
+                    })?;
                     if let Some(fixed) = fixed {
                         if raw.as_ref() != fixed {
                             return Err(VdomError::FixedMismatch {
@@ -809,15 +808,12 @@ impl CompiledTemplate {
                             Cow::Owned(raw)
                         }
                     };
-                    if let Some(simple) = simple {
-                        self.compiled
-                            .schema()
-                            .validate_simple_value(simple, &raw)
-                            .map_err(|error| VdomError::Simple {
-                                element: element.clone(),
-                                attribute: None,
-                                error,
-                            })?;
+                    if let Some(check) = simple {
+                        check_value(check, &raw).map_err(|error| VdomError::Simple {
+                            element: element.clone(),
+                            attribute: None,
+                            error,
+                        })?;
                     }
                     // empty text makes no node in the typed layer, so it
                     // must not force a full close tag here either

@@ -298,7 +298,7 @@ impl BuiltinType {
 
     /// Parses the value for ordered comparison; `None` when unordered or
     /// the lexical value is invalid.
-    pub fn ordered_value(self, value: &str) -> Option<OrderedValue> {
+    pub fn ordered_value(self, value: &str) -> Option<OrderedValue<'_>> {
         use BuiltinType::*;
         if self.derives_from(Decimal) {
             return crate::value::Decimal::parse(value)
@@ -317,9 +317,10 @@ impl BuiltinType {
 
 /// A parsed value usable in range-facet comparisons.
 #[derive(Debug, Clone, PartialEq, PartialOrd)]
-pub enum OrderedValue {
-    /// Exact decimal (decimal + integer family).
-    Decimal(Decimal),
+pub enum OrderedValue<'a> {
+    /// Exact decimal (decimal + integer family), borrowing the lexical
+    /// value's digits.
+    Decimal(Decimal<'a>),
     /// IEEE double (float/double).
     Double(f64),
     /// Calendar date.

@@ -23,7 +23,7 @@ use automata::{ContentDfa, ContentExpr};
 
 use crate::components::{AttributeUse, ContentModel, Schema, TypeDef, TypeRef};
 use crate::error::SchemaError;
-use crate::resolve::SimpleTypeError;
+use crate::resolve::{SimpleCheck, SimpleTypeError};
 use crate::symtab::SymIndex;
 
 /// Cache of `type name → (child name → child element type)`, `None` when
@@ -230,6 +230,16 @@ impl CompiledSchema {
     /// string-keyed caches.
     pub fn sym_index(&self) -> &SymIndex {
         self.sym_index.get_or_init(|| SymIndex::build(self))
+    }
+
+    /// The resolved check for a simple type: the index's shared plan for
+    /// any type an element or attribute of this schema uses, resolved
+    /// afresh for any other.
+    pub fn simple_plan(&self, type_ref: &TypeRef) -> SimpleCheck {
+        match self.sym_index().simple(type_ref) {
+            Some(check) => check.clone(),
+            None => self.schema.simple_plan(type_ref).map(Arc::new),
+        }
     }
 
     /// Precompiles every complex type's content DFA, effective attribute

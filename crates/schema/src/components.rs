@@ -12,7 +12,7 @@ use crate::facets::Facet;
 
 /// A reference to a type: either a built-in simple type or a named type
 /// declared in the schema.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TypeRef {
     /// A built-in (`xsd:string`, `xsd:decimal`, …).
     Builtin(BuiltinType),

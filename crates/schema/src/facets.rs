@@ -2,12 +2,14 @@
 //! §4.3), and the checking machinery applied after whitespace
 //! normalization.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 use xmlchars::WhiteSpaceMode;
 use xsdregex::{Dfa, Regex};
 
-use crate::builtin::{BuiltinType, OrderedValue};
+use crate::builtin::BuiltinType;
 
 /// One constraining facet.
 #[derive(Debug, Clone)]
@@ -39,11 +41,11 @@ pub enum Facet {
 }
 
 /// A pattern facet holding both the source regex and a DFA for fast
-/// repeated matching.
+/// repeated matching. Shared: clones (one per simple-type plan that
+/// inherits the facet) point at the same compiled automaton.
 #[derive(Debug, Clone)]
 pub struct CompiledPattern {
-    regex: Regex,
-    dfa: Dfa,
+    compiled: Arc<(Regex, Dfa)>,
 }
 
 impl CompiledPattern {
@@ -51,17 +53,19 @@ impl CompiledPattern {
     pub fn new(pattern: &str) -> Result<Self, xsdregex::ParsePatternError> {
         let regex = Regex::parse(pattern)?;
         let dfa = regex.dfa();
-        Ok(CompiledPattern { regex, dfa })
+        Ok(CompiledPattern {
+            compiled: Arc::new((regex, dfa)),
+        })
     }
 
     /// The original pattern.
     pub fn pattern(&self) -> &str {
-        self.regex.pattern()
+        self.compiled.0.pattern()
     }
 
     /// Anchored match.
     pub fn is_match(&self, value: &str) -> bool {
-        self.dfa.is_match(value)
+        self.compiled.1.is_match(value)
     }
 }
 
@@ -137,16 +141,16 @@ impl Facet {
                 .ok_or_else(|| fail(allowed.join(" | "))),
             Facet::WhiteSpace(_) => Ok(()), // handled during normalization
             Facet::MaxInclusive(bound) => {
-                check_range(value, bound, base, |v, b| v <= b).map_err(|()| fail(bound.clone()))
+                check_range(value, bound, base, Ordering::is_le).map_err(|()| fail(bound.clone()))
             }
             Facet::MaxExclusive(bound) => {
-                check_range(value, bound, base, |v, b| v < b).map_err(|()| fail(bound.clone()))
+                check_range(value, bound, base, Ordering::is_lt).map_err(|()| fail(bound.clone()))
             }
             Facet::MinInclusive(bound) => {
-                check_range(value, bound, base, |v, b| v >= b).map_err(|()| fail(bound.clone()))
+                check_range(value, bound, base, Ordering::is_ge).map_err(|()| fail(bound.clone()))
             }
             Facet::MinExclusive(bound) => {
-                check_range(value, bound, base, |v, b| v > b).map_err(|()| fail(bound.clone()))
+                check_range(value, bound, base, Ordering::is_gt).map_err(|()| fail(bound.clone()))
             }
             Facet::TotalDigits(n) => {
                 let d = crate::value::Decimal::parse(value).map_err(|_| fail(n.to_string()))?;
@@ -164,18 +168,19 @@ impl Facet {
     }
 }
 
+/// Compares `value` with `bound` in `base`'s value space; both parse as
+/// borrowed views, so a range check allocates nothing.
 fn check_range(
     value: &str,
     bound: &str,
     base: BuiltinType,
-    cmp: impl Fn(&OrderedValue, &OrderedValue) -> bool,
+    accept: impl Fn(Ordering) -> bool,
 ) -> Result<(), ()> {
     let v = base.ordered_value(value).ok_or(())?;
     let b = base.ordered_value(bound).ok_or(())?;
-    if cmp(&v, &b) {
-        Ok(())
-    } else {
-        Err(())
+    match v.partial_cmp(&b) {
+        Some(ord) if accept(ord) => Ok(()),
+        _ => Err(()),
     }
 }
 

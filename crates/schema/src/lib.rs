@@ -61,5 +61,5 @@ pub use components::{
 pub use error::{SchemaError, SchemaErrorKind};
 pub use facets::{CompiledPattern, Facet, FacetViolation};
 pub use reader::{parse_schema, read_schema, XSD_NAMESPACE};
-pub use resolve::{SimpleTypeError, SimpleView};
-pub use symtab::{ContentPlan, ElemPlan, RootPlan, SymIndex};
+pub use resolve::{check_value, SimpleCheck, SimplePlan, SimpleTypeError};
+pub use symtab::{AttrPlan, ContentPlan, ElemPlan, RootPlan, SymIndex};

@@ -2,8 +2,12 @@
 //! content automata and effective attribute/simple-type views that the
 //! validator, V-DOM and codegen all consume.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
+
+use xmlchars::WhiteSpaceMode;
 
 use automata::{ContentExpr, Glushkov};
 
@@ -53,14 +57,71 @@ impl fmt::Display for SimpleTypeError {
 
 impl std::error::Error for SimpleTypeError {}
 
-/// The flattened simple-type view: the built-in at the bottom of the
-/// restriction chain plus every facet layer, most derived first.
+/// A simple type resolved once: the built-in at the bottom of its
+/// restriction chain, the effective whitespace mode, and every facet of
+/// the chain flattened most-derived first. Checking a value against it
+/// looks nothing up by name, so the validator holds one per declared
+/// attribute and simple-content element (see
+/// [`SymIndex`](crate::SymIndex)) and compiled templates one per hole.
 #[derive(Debug, Clone)]
-pub struct SimpleView<'a> {
-    /// The built-in primitive-ish base (bottom of the chain).
-    pub builtin: BuiltinType,
-    /// Facet layers, most-derived type first.
-    pub facet_layers: Vec<&'a [Facet]>,
+pub struct SimplePlan {
+    builtin: BuiltinType,
+    whitespace: WhiteSpaceMode,
+    facets: Box<[Facet]>,
+}
+
+impl SimplePlan {
+    /// Checks a raw lexical value: whitespace normalization, the
+    /// built-in's lexical check, then every facet from most derived to
+    /// base. On success (the hot path for valid documents) nothing is
+    /// allocated: normalization borrows whenever the value is already
+    /// normal, and the checks read it in place.
+    pub fn check(&self, raw: &str) -> Result<(), SimpleTypeError> {
+        self.normalized(raw).map(|_| ())
+    }
+
+    /// [`check`](Self::check), returning the normalized value.
+    pub fn validate(&self, raw: &str) -> Result<String, SimpleTypeError> {
+        self.normalized(raw).map(Cow::into_owned)
+    }
+
+    fn normalized<'v>(&self, raw: &'v str) -> Result<Cow<'v, str>, SimpleTypeError> {
+        let value = self.whitespace.apply(raw);
+        self.builtin
+            .validate(&value)
+            .map_err(|expected| SimpleTypeError::Lexical {
+                builtin: self.builtin,
+                expected,
+                value: value.clone().into_owned(),
+            })?;
+        // One registry lookup per value (not per facet) when observability
+        // is on; a single atomic load when it is off.
+        let facet_counter = obs::enabled().then(|| {
+            obs::metrics().counter(
+                "schema_facet_checks_total",
+                "Constraining-facet checks evaluated on simple values.",
+            )
+        });
+        for facet in self.facets.iter() {
+            if let Some(counter) = &facet_counter {
+                counter.inc();
+            }
+            facet
+                .check(&value, self.builtin)
+                .map_err(SimpleTypeError::Facet)?;
+        }
+        Ok(value)
+    }
+}
+
+/// A resolved simple type, or the error every value checked against it
+/// reports (a dangling or non-simple type reference).
+pub type SimpleCheck = Result<Arc<SimplePlan>, SimpleTypeError>;
+
+/// Checks a raw value against a [`SimpleCheck`]: the plan's verdict, or
+/// the resolution error when the type did not resolve.
+pub fn check_value(check: &SimpleCheck, raw: &str) -> Result<(), SimpleTypeError> {
+    check.as_ref().map_err(Clone::clone)?.check(raw)
 }
 
 fn simple_to_schema(e: SimpleTypeError) -> SchemaError {
@@ -88,9 +149,8 @@ impl Schema {
         for def in self.types.values() {
             match def {
                 TypeDef::Simple(s) => {
-                    self.simple_view(&s.base).map_err(|e| {
-                        SchemaError::nowhere(SchemaErrorKind::BadDerivation(e.to_string()))
-                    })?;
+                    self.simple_chain(&s.base, |_| {})
+                        .map_err(simple_to_schema)?;
                 }
                 TypeDef::Complex(c) => {
                     self.check_complex(c)?;
@@ -385,32 +445,22 @@ impl Schema {
 
     // ---- simple types ------------------------------------------------------
 
-    /// Flattens a simple-type reference into its built-in base and facet
-    /// layers.
-    pub fn simple_view<'s>(&'s self, r: &TypeRef) -> Result<SimpleView<'s>, SimpleTypeError> {
-        let mut facet_layers: Vec<&'s [Facet]> = Vec::new();
-        // Walk the chain by reference: every hop lands on a `TypeRef`
-        // owned by `self.types`, so nothing is cloned along the way.
+    /// Walks a simple-type reference down its restriction chain, handing
+    /// each facet layer (most derived first) to `layer`, and returns the
+    /// built-in at the bottom.
+    fn simple_chain<'s>(
+        &'s self,
+        r: &TypeRef,
+        mut layer: impl FnMut(&'s [Facet]),
+    ) -> Result<BuiltinType, SimpleTypeError> {
+        // every hop lands on a `TypeRef` owned by `self.types`
         let mut current: &TypeRef = r;
-        let mut hops = 0;
-        loop {
-            hops += 1;
-            if hops > 64 {
-                return Err(SimpleTypeError::Unresolved(format!(
-                    "restriction chain too deep or cyclic at {}",
-                    current.name()
-                )));
-            }
+        for _ in 0..64 {
             match current {
-                TypeRef::Builtin(b) => {
-                    return Ok(SimpleView {
-                        builtin: *b,
-                        facet_layers,
-                    })
-                }
+                TypeRef::Builtin(b) => return Ok(*b),
                 TypeRef::Named(n) | TypeRef::Anonymous(n) => match self.types.get(n) {
                     Some(TypeDef::Simple(s)) => {
-                        facet_layers.push(&s.facets);
+                        layer(&s.facets);
                         current = &s.base;
                     }
                     Some(TypeDef::Complex(c)) => {
@@ -426,73 +476,108 @@ impl Schema {
                 },
             }
         }
+        Err(SimpleTypeError::Unresolved(format!(
+            "restriction chain too deep or cyclic at {}",
+            current.name()
+        )))
     }
 
-    /// Validates a raw lexical value against a simple type: whitespace
-    /// normalization, built-in lexical check, then every facet layer from
-    /// most derived to base. Returns the normalized value.
-    pub fn validate_simple_value(&self, r: &TypeRef, raw: &str) -> Result<String, SimpleTypeError> {
-        self.check_simple_value_inner(r, raw)
-            .map(std::borrow::Cow::into_owned)
-    }
-
-    /// Like [`validate_simple_value`](Self::validate_simple_value), but
-    /// discards the normalized value — on success (the hot path for valid
-    /// documents) nothing is allocated: normalization borrows whenever
-    /// the value is already normal, and the checks read it in place.
-    pub fn check_simple_value(&self, r: &TypeRef, raw: &str) -> Result<(), SimpleTypeError> {
-        self.check_simple_value_inner(r, raw).map(|_| ())
-    }
-
-    fn check_simple_value_inner<'v>(
-        &self,
-        r: &TypeRef,
-        raw: &'v str,
-    ) -> Result<std::borrow::Cow<'v, str>, SimpleTypeError> {
-        let view = self.simple_view(r)?;
+    /// Resolves a simple-type reference into its [`SimplePlan`]. Compiled
+    /// schemas keep one per type their elements and attributes use
+    /// ([`CompiledSchema::simple_plan`](crate::CompiledSchema::simple_plan)).
+    pub fn simple_plan(&self, r: &TypeRef) -> Result<SimplePlan, SimpleTypeError> {
+        let mut facets = Vec::new();
+        let builtin = self.simple_chain(r, |layer| facets.extend_from_slice(layer))?;
         // effective whitespace: the most derived explicit facet, else the
         // built-in's own mode
-        let mode = view
-            .facet_layers
+        let whitespace = facets
             .iter()
-            .flat_map(|layer| layer.iter())
             .find_map(|f| match f {
                 Facet::WhiteSpace(m) => Some(*m),
                 _ => None,
             })
-            .unwrap_or_else(|| view.builtin.whitespace());
-        let value = mode.apply(raw);
-        view.builtin
-            .validate(&value)
-            .map_err(|expected| SimpleTypeError::Lexical {
-                builtin: view.builtin,
-                expected,
-                value: value.clone().into_owned(),
-            })?;
-        // One registry lookup per value (not per facet) when observability
-        // is on; a single atomic load when it is off.
-        let facet_counter = obs::enabled().then(|| {
-            obs::metrics().counter(
-                "schema_facet_checks_total",
-                "Constraining-facet checks evaluated on simple values.",
-            )
-        });
-        for layer in &view.facet_layers {
-            for facet in layer.iter() {
-                if let Some(counter) = &facet_counter {
-                    counter.inc();
-                }
-                facet
-                    .check(&value, view.builtin)
-                    .map_err(SimpleTypeError::Facet)?;
-            }
-        }
-        Ok(value)
+            .unwrap_or_else(|| builtin.whitespace());
+        Ok(SimplePlan {
+            builtin,
+            whitespace,
+            facets: facets.into(),
+        })
+    }
+
+    /// Validates a raw lexical value against a simple type (see
+    /// [`SimplePlan::check`]). Returns the normalized value.
+    pub fn validate_simple_value(&self, r: &TypeRef, raw: &str) -> Result<String, SimpleTypeError> {
+        self.simple_plan(r)?.validate(raw)
+    }
+
+    /// Like [`validate_simple_value`](Self::validate_simple_value), but
+    /// discards the normalized value.
+    pub fn check_simple_value(&self, r: &TypeRef, raw: &str) -> Result<(), SimpleTypeError> {
+        self.simple_plan(r)?.check(raw)
     }
 
     /// Whether `r` names a simple type (built-in, named simple, or a
     /// complex type with simple content).
     pub fn is_simple(&self, r: &TypeRef) -> bool {
-        self.simple_view(r).is_ok()
+        self.simple_chain(r, |_| {}).is_ok()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reader::parse_schema;
+
+    const LAYERED_XSD: &str = r#"<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+      <xsd:simpleType name="Code">
+        <xsd:restriction base="xsd:string">
+          <xsd:pattern value="[A-Z]+"/>
+        </xsd:restriction>
+      </xsd:simpleType>
+      <xsd:simpleType name="ShortCode">
+        <xsd:restriction base="Code">
+          <xsd:maxLength value="3"/>
+          <xsd:whiteSpace value="collapse"/>
+        </xsd:restriction>
+      </xsd:simpleType>
+      <xsd:simpleType name="Loop">
+        <xsd:restriction base="Loop"/>
+      </xsd:simpleType>
+    </xsd:schema>"#;
+
+    fn named(name: &str) -> TypeRef {
+        TypeRef::Named(name.to_string())
+    }
+
+    #[test]
+    fn plan_flattens_the_chain_most_derived_first() {
+        let schema = parse_schema(LAYERED_XSD).unwrap();
+        let plan = schema.simple_plan(&named("ShortCode")).unwrap();
+        // the derived whiteSpace facet overrides xsd:string's preserve
+        assert_eq!(plan.validate(" AB\n").unwrap(), "AB");
+        // both facets fail; the derived type's maxLength reports first
+        let err = plan.check(" abcd ").unwrap_err().to_string();
+        assert_eq!(err, r#"value "abcd" violates facet maxLength(3)"#);
+        let err = plan.check("ab").unwrap_err().to_string();
+        assert_eq!(err, r#"value "ab" violates facet pattern([A-Z]+)"#);
+        // the base alone keeps xsd:string's whitespace
+        let base = schema.simple_plan(&named("Code")).unwrap();
+        assert!(base.check(" AB").is_err());
+    }
+
+    #[test]
+    fn wrappers_report_resolution_errors() {
+        let schema = parse_schema(LAYERED_XSD).unwrap();
+        let err = schema.check_simple_value(&named("Nope"), "x").unwrap_err();
+        assert_eq!(err.to_string(), r#"unresolved type "Nope""#);
+        let err = schema
+            .validate_simple_value(&named("Loop"), "x")
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            r#"unresolved type "restriction chain too deep or cyclic at Loop""#
+        );
+        assert!(!schema.is_simple(&named("Loop")));
+        assert!(schema.is_simple(&named("ShortCode")));
     }
 }

@@ -1,24 +1,30 @@
-//! Symbol-keyed validation plans: everything the streaming validator
-//! needs at an element-open, precomputed and keyed by interned [`Sym`]s.
+//! Symbol-keyed validation plans: everything the validator needs at an
+//! element open, precomputed once per schema and keyed by interned
+//! [`Sym`]s.
 //!
 //! The paper compiles content models ahead of time (Sect. 6); this module
-//! extends the idea to the *dispatch* around them. For every element a
-//! schema can ever admit — root declarations and every `(complex type,
-//! child name)` pair — [`SymIndex`] holds an [`ElemPlan`]: the effective
-//! attribute table, the abstract-type verdict, and the content regime
-//! (simple type to check at close, compiled DFA to step, or a
-//! precomputed error). At validation time the hot path is two integer
-//! hash lookups per element; no strings are compared, hashed, or
-//! allocated.
+//! extends the idea to the *dispatch* around them and to simple types.
+//! For every element a schema can ever admit — root declarations and
+//! every `(complex type, child name)` pair — [`SymIndex`] holds an
+//! [`ElemPlan`]: the effective attributes, each with its resolved
+//! [`SimplePlan`], the abstract-type verdict, and the content regime
+//! (a simple-type plan to check at close, a compiled DFA to step, or a
+//! precomputed error). A frozen per-schema name table maps every element
+//! name the schema declares to its symbol.
 //!
-//! The plans deliberately reproduce the *exact* decision tree of the
-//! string-path validator (`validator::stream`), including its quirks:
-//! an element whose type is unknown gets `UnknownType` and **no**
-//! attribute checks, while a broken content model reports *after* the
-//! attribute checks. The differential proptests in
-//! `tests/tests/zero_copy_prop.rs` hold the two paths byte-identical.
+//! At validation time an element costs one hash of its name in that
+//! table and one integer-keyed lookup of its plan; no lock is taken, no
+//! simple type is resolved by name, and nothing is allocated. The global
+//! symbol table is written while the index is built and read again only
+//! to spell a name into an error message.
+//!
+//! The plans keep the validator's decision order, quirks included: an
+//! element whose type is unknown gets `UnknownType` and **no** attribute
+//! checks, while a broken content model reports *after* the attribute
+//! checks.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use automata::ContentDfa;
@@ -26,13 +32,14 @@ use symbols::Sym;
 
 use crate::compiled::CompiledSchema;
 use crate::components::{AttributeUse, ContentModel, TypeDef, TypeRef};
+use crate::resolve::SimpleCheck;
 
 /// How an element's content is validated, decided once at build time.
 #[derive(Debug, Clone)]
 pub enum ContentPlan {
     /// Text-only content: buffer character data, check it against this
     /// simple type at the close tag.
-    Simple(TypeRef),
+    Simple(SimpleCheck),
     /// Element (or mixed) content: child names step the compiled DFA.
     Complex {
         /// The complex type's interned name — the key for child lookups
@@ -45,8 +52,7 @@ pub enum ContentPlan {
     },
     /// The content model failed to compile (occurrence bounds beyond the
     /// expansion limit). Reported as a `SimpleType` error with this
-    /// message — after attribute checks, exactly like the string path —
-    /// and the subtree is skipped.
+    /// message, after the attribute checks, and the subtree is skipped.
     Broken(String),
     /// The declared type does not resolve. Reported as `UnknownType`
     /// with this name; no attribute checks run, and the subtree is
@@ -54,14 +60,21 @@ pub enum ContentPlan {
     Unknown(String),
 }
 
-/// The precomputed element-open plan: everything `open_typed` used to
-/// derive from a `TypeRef` per element, derived once.
+/// One declared attribute and the check its values go through.
+#[derive(Debug, Clone)]
+pub struct AttrPlan {
+    /// The effective attribute use.
+    pub decl: AttributeUse,
+    /// Its resolved simple type.
+    pub check: SimpleCheck,
+}
+
+/// The precomputed element-open plan.
 #[derive(Debug, Clone)]
 pub struct ElemPlan {
-    /// Effective attribute uses (empty for simple-typed elements —
-    /// matching the string path, which checks attributes against an
-    /// empty declared list there).
-    pub attrs: Arc<[AttributeUse]>,
+    /// Effective attributes with their value checks (empty for
+    /// simple-typed elements, which declare none).
+    pub attrs: Box<[AttrPlan]>,
     /// `Some(type name)` when the complex type is abstract: report
     /// `AbstractType` before the attribute checks.
     pub abstract_type: Option<String>,
@@ -79,17 +92,68 @@ pub enum RootPlan {
     Elem(Arc<ElemPlan>),
 }
 
+/// A multiplicative hasher for the index's frozen tables. The tables are
+/// built from schema names only and never grow afterwards, so document
+/// input can probe them but cannot crowd them; a schema's author could
+/// pick colliding names, but that slows only lookups against that schema,
+/// in proportion to its size. SipHash's flooding resistance would buy
+/// nothing here and costs a hash per element on the hot path.
+#[derive(Default, Clone, Copy)]
+struct MulHasher(u64);
+
+impl MulHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for MulHasher {
+    /// Names hash eight bytes per multiply.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let mut tail = [0u8; 8];
+        let rest = chunks.remainder();
+        tail[..rest.len()].copy_from_slice(rest);
+        self.add(u64::from_le_bytes(tail) ^ ((rest.len() as u64) << 56));
+    }
+
+    /// `Sym` keys hash as one word each.
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    /// The product's high bits are its best mixed; the table indexes by
+    /// the low ones, so rotate the high bits down.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type FrozenMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
+
 /// The symbol-keyed dispatch tables for one compiled schema.
 #[derive(Debug)]
 pub struct SymIndex {
-    roots: HashMap<Sym, RootPlan>,
-    children: HashMap<(Sym, Sym), Arc<ElemPlan>>,
+    /// Every element name the schema declares or mentions in a content
+    /// model, to its global symbol.
+    names: FrozenMap<Box<str>, Sym>,
+    roots: FrozenMap<Sym, RootPlan>,
+    children: FrozenMap<(Sym, Sym), Arc<ElemPlan>>,
+    /// One plan per simple type an element or attribute uses.
+    simple: HashMap<TypeRef, SimpleCheck>,
 }
 
 impl SymIndex {
     /// Builds the index: interns every declared name and precomputes a
     /// plan for every root and every `(complex type, child)` pair the
-    /// schema can admit.
+    /// schema can admit, resolving each distinct type once.
     ///
     /// Child candidates are the union of the content expression's
     /// symbols and *all* top-level element names — the latter because
@@ -99,33 +163,32 @@ impl SymIndex {
     /// against the head's type, and the plans must agree with that).
     pub fn build(compiled: &CompiledSchema) -> SymIndex {
         let schema = compiled.schema();
-        // one plan per distinct type, shared by every element of that type
-        let mut plans: HashMap<String, Arc<ElemPlan>> = HashMap::new();
-        let mut plan_for = |type_ref: &TypeRef| -> Arc<ElemPlan> {
-            // variant-tagged key: a schema may declare a type named like
-            // a built-in, and the two must not share a plan
-            let key = match type_ref {
-                TypeRef::Builtin(b) => format!("builtin:{}", b.name()),
-                TypeRef::Named(n) | TypeRef::Anonymous(n) => format!("named:{n}"),
-            };
-            plans
-                .entry(key)
-                .or_insert_with(|| Arc::new(build_plan(compiled, type_ref)))
-                .clone()
+        let mut builder = Builder {
+            compiled,
+            elem_plans: HashMap::new(),
+            simple: HashMap::new(),
+        };
+        let mut names: FrozenMap<Box<str>, Sym> = FrozenMap::default();
+        let mut name_sym = |name: &str| -> Sym {
+            if let Some(&sym) = names.get(name) {
+                return sym;
+            }
+            let sym = symbols::intern(name);
+            names.insert(Box::from(name), sym);
+            sym
         };
 
-        let mut roots = HashMap::new();
+        let mut roots = FrozenMap::default();
         for (name, decl) in &schema.elements {
-            let sym = symbols::intern(name);
             let plan = if decl.is_abstract {
                 RootPlan::Abstract
             } else {
-                RootPlan::Elem(plan_for(&decl.type_ref))
+                RootPlan::Elem(builder.elem_plan(&decl.type_ref))
             };
-            roots.insert(sym, plan);
+            roots.insert(name_sym(name), plan);
         }
 
-        let mut children = HashMap::new();
+        let mut children = FrozenMap::default();
         for (type_name, def) in &schema.types {
             if !matches!(def, TypeDef::Complex(_)) {
                 continue;
@@ -139,13 +202,26 @@ impl SymIndex {
             candidates.sort_unstable();
             candidates.dedup();
             for child in candidates {
+                let child_sym = name_sym(child);
                 if let Some(child_type) = compiled.child_element_type(type_name, child) {
-                    children.insert((type_sym, symbols::intern(child)), plan_for(&child_type));
+                    children.insert((type_sym, child_sym), builder.elem_plan(&child_type));
                 }
             }
         }
 
-        SymIndex { roots, children }
+        SymIndex {
+            names,
+            roots,
+            children,
+            simple: builder.simple,
+        }
+    }
+
+    /// The symbol of an element name this schema knows, `None` for any
+    /// other name (which cannot be valid anywhere in its documents).
+    #[inline]
+    pub fn sym(&self, name: &str) -> Option<Sym> {
+        self.names.get(name).copied()
     }
 
     /// The plan for a root element, `None` when undeclared.
@@ -161,6 +237,12 @@ impl SymIndex {
         self.children.get(&(parent_type, child))
     }
 
+    /// The plan of a simple type some element or attribute of the schema
+    /// uses, `None` for any other type reference.
+    pub(crate) fn simple(&self, type_ref: &TypeRef) -> Option<&SimpleCheck> {
+        self.simple.get(type_ref)
+    }
+
     /// Number of root plans (bench/obs metric).
     pub fn root_count(&self) -> usize {
         self.roots.len()
@@ -172,27 +254,64 @@ impl SymIndex {
     }
 }
 
-/// Derives the open plan for one type reference — the build-time twin of
-/// the string path's `open_typed` dispatch.
-fn build_plan(compiled: &CompiledSchema, type_ref: &TypeRef) -> ElemPlan {
-    let no_attrs: Arc<[AttributeUse]> = Arc::from(Vec::new());
-    match type_ref {
-        TypeRef::Builtin(_) => ElemPlan {
-            attrs: no_attrs,
+/// Memo tables for one index build: each distinct type gets one element
+/// plan and each distinct simple type one [`SimplePlan`], shared by every
+/// element and attribute that uses it.
+struct Builder<'c> {
+    compiled: &'c CompiledSchema,
+    elem_plans: HashMap<TypeRef, Arc<ElemPlan>>,
+    simple: HashMap<TypeRef, SimpleCheck>,
+}
+
+impl Builder<'_> {
+    fn simple_check(&mut self, type_ref: &TypeRef) -> SimpleCheck {
+        if let Some(check) = self.simple.get(type_ref) {
+            return check.clone();
+        }
+        let check = self.compiled.schema().simple_plan(type_ref).map(Arc::new);
+        self.simple.insert(type_ref.clone(), check.clone());
+        check
+    }
+
+    fn elem_plan(&mut self, type_ref: &TypeRef) -> Arc<ElemPlan> {
+        if let Some(plan) = self.elem_plans.get(type_ref) {
+            return plan.clone();
+        }
+        let plan = Arc::new(self.build_plan(type_ref));
+        self.elem_plans.insert(type_ref.clone(), plan.clone());
+        plan
+    }
+
+    /// Derives the open plan for one type reference.
+    fn build_plan(&mut self, type_ref: &TypeRef) -> ElemPlan {
+        let compiled = self.compiled;
+        let simple = |this: &mut Self, content: &TypeRef| ElemPlan {
+            attrs: Box::default(),
             abstract_type: None,
-            content: ContentPlan::Simple(type_ref.clone()),
-        },
-        TypeRef::Named(name) | TypeRef::Anonymous(name) => match compiled.schema().type_def(name) {
-            Some(TypeDef::Simple(_)) => ElemPlan {
-                attrs: no_attrs,
-                abstract_type: None,
-                content: ContentPlan::Simple(type_ref.clone()),
-            },
+            content: ContentPlan::Simple(this.simple_check(content)),
+        };
+        let name = match type_ref {
+            TypeRef::Builtin(_) => return simple(self, type_ref),
+            TypeRef::Named(name) | TypeRef::Anonymous(name) => name,
+        };
+        match compiled.schema().type_def(name) {
+            Some(TypeDef::Simple(_)) => simple(self, type_ref),
             Some(TypeDef::Complex(ct)) => {
-                let attrs = compiled.effective_attributes(name).unwrap_or(no_attrs);
-                let abstract_type = ct.is_abstract.then(|| name.clone());
+                let attrs = compiled
+                    .effective_attributes(name)
+                    .map(|uses| {
+                        uses.iter()
+                            .map(|decl| AttrPlan {
+                                decl: decl.clone(),
+                                check: self.simple_check(&decl.type_ref),
+                            })
+                            .collect()
+                    })
+                    .unwrap_or_default();
                 let content = match &ct.content {
-                    ContentModel::Simple(simple_ref) => ContentPlan::Simple(simple_ref.clone()),
+                    ContentModel::Simple(simple_ref) => {
+                        ContentPlan::Simple(self.simple_check(simple_ref))
+                    }
                     ContentModel::Empty | ContentModel::ElementOnly(_) => {
                         complex_content(compiled, name, false)
                     }
@@ -200,16 +319,16 @@ fn build_plan(compiled: &CompiledSchema, type_ref: &TypeRef) -> ElemPlan {
                 };
                 ElemPlan {
                     attrs,
-                    abstract_type,
+                    abstract_type: ct.is_abstract.then(|| name.clone()),
                     content,
                 }
             }
             None => ElemPlan {
-                attrs: no_attrs,
+                attrs: Box::default(),
                 abstract_type: None,
                 content: ContentPlan::Unknown(name.clone()),
             },
-        },
+        }
     }
 }
 
@@ -249,6 +368,47 @@ mod tests {
     }
 
     #[test]
+    fn names_resolve_per_schema() {
+        let compiled = CompiledSchema::parse(PURCHASE_ORDER_XSD).unwrap();
+        let index = compiled.sym_index();
+        for name in ["purchaseOrder", "comment", "shipTo", "item", "shipDate"] {
+            assert_eq!(index.sym(name), symbols::lookup(name), "{name}");
+            assert!(index.sym(name).is_some(), "{name}");
+        }
+        // interned globally by another schema, unknown to this one
+        symbols::intern("symtest-other-schema-element");
+        assert_eq!(index.sym("symtest-other-schema-element"), None);
+        assert_eq!(index.sym("PurchaseOrderType"), None);
+    }
+
+    #[test]
+    fn simple_plans_are_shared_per_type() {
+        let compiled = CompiledSchema::parse(PURCHASE_ORDER_XSD).unwrap();
+        let index = compiled.sym_index();
+        let decimal = TypeRef::Builtin(crate::BuiltinType::Decimal);
+        let zip = compiled.simple_plan(&decimal).unwrap();
+        let again = compiled.simple_plan(&decimal).unwrap();
+        assert!(Arc::ptr_eq(&zip, &again));
+        assert!(index.simple(&TypeRef::Named("SKU".into())).is_some());
+        // a type no element or attribute uses still resolves, unshared
+        let unused = TypeRef::Builtin(crate::BuiltinType::Boolean);
+        assert!(index.simple(&unused).is_none());
+        assert!(compiled.simple_plan(&unused).unwrap().check("true").is_ok());
+    }
+
+    #[test]
+    fn name_hashes_spread_over_low_bits() {
+        use std::hash::BuildHasher;
+        // names differing only in their eighth byte differ only in the
+        // product's high bits until finish rotates them down
+        let build = BuildHasherDefault::<MulHasher>::default();
+        let buckets: std::collections::HashSet<u64> = (b'A'..=b'z')
+            .map(|c| build.hash_one(format!("element{}", c as char)) & 63)
+            .collect();
+        assert!(buckets.len() > 32, "{} of 64 buckets", buckets.len());
+    }
+
+    #[test]
     fn wml_index_builds_and_counts() {
         let compiled = CompiledSchema::parse(WML_XSD).unwrap();
         let index = compiled.sym_index();
@@ -269,12 +429,8 @@ mod tests {
             },
             _ => unreachable!(),
         };
-        let ship = index
-            .child(po_type, symbols::lookup("shipTo").unwrap())
-            .unwrap();
-        let bill = index
-            .child(po_type, symbols::lookup("billTo").unwrap())
-            .unwrap();
+        let ship = index.child(po_type, index.sym("shipTo").unwrap()).unwrap();
+        let bill = index.child(po_type, index.sym("billTo").unwrap()).unwrap();
         assert!(Arc::ptr_eq(ship, bill));
     }
 }

@@ -4,19 +4,21 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::str::FromStr;
 
 /// An exact decimal: sign, integer digits and fraction digits, normalized
 /// (no leading zeros in the integer part, no trailing zeros in the
 /// fraction). Covers `xsd:decimal` and the whole integer family with
 /// unbounded precision, as the spec requires.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Decimal {
+///
+/// A borrowed view: the digit runs are slices of the lexical value, so
+/// parsing and comparing never allocate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Decimal<'a> {
     negative: bool,
     /// Integer digits, most significant first; empty means 0.
-    int_digits: Vec<u8>,
+    int_digits: &'a str,
     /// Fraction digits, most significant first; no trailing zeros.
-    frac_digits: Vec<u8>,
+    frac_digits: &'a str,
 }
 
 /// Error parsing a lexical decimal/integer/date.
@@ -36,10 +38,10 @@ impl fmt::Display for LexicalError {
 
 impl std::error::Error for LexicalError {}
 
-impl Decimal {
+impl<'a> Decimal<'a> {
     /// Parses an `xsd:decimal` lexical value: optional sign, digits,
     /// optional fraction. At least one digit must be present.
-    pub fn parse(lexical: &str) -> Result<Decimal, LexicalError> {
+    pub fn parse(lexical: &'a str) -> Result<Decimal<'a>, LexicalError> {
         let err = || LexicalError {
             lexical: lexical.to_string(),
             expected: "decimal",
@@ -54,10 +56,7 @@ impl Decimal {
         } else {
             false
         };
-        let (int_part, frac_part) = match s.split_once('.') {
-            Some((i, f)) => (i, f),
-            None => (s, ""),
-        };
+        let (int_part, frac_part) = s.split_once('.').unwrap_or((s, ""));
         if int_part.is_empty() && frac_part.is_empty() {
             return Err(err());
         }
@@ -66,15 +65,8 @@ impl Decimal {
         {
             return Err(err());
         }
-        let int_digits: Vec<u8> = int_part
-            .bytes()
-            .map(|b| b - b'0')
-            .skip_while(|&d| d == 0)
-            .collect();
-        let mut frac_digits: Vec<u8> = frac_part.bytes().map(|b| b - b'0').collect();
-        while frac_digits.last() == Some(&0) {
-            frac_digits.pop();
-        }
+        let int_digits = int_part.trim_start_matches('0');
+        let frac_digits = frac_part.trim_end_matches('0');
         let is_zero = int_digits.is_empty() && frac_digits.is_empty();
         Ok(Decimal {
             negative: negative && !is_zero,
@@ -119,15 +111,7 @@ impl Decimal {
     }
 }
 
-impl FromStr for Decimal {
-    type Err = LexicalError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Decimal::parse(s)
-    }
-}
-
-impl fmt::Display for Decimal {
+impl fmt::Display for Decimal<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.negative {
             write!(f, "-")?;
@@ -135,27 +119,22 @@ impl fmt::Display for Decimal {
         if self.int_digits.is_empty() {
             write!(f, "0")?;
         } else {
-            for d in &self.int_digits {
-                write!(f, "{d}")?;
-            }
+            write!(f, "{}", self.int_digits)?;
         }
         if !self.frac_digits.is_empty() {
-            write!(f, ".")?;
-            for d in &self.frac_digits {
-                write!(f, "{d}")?;
-            }
+            write!(f, ".{}", self.frac_digits)?;
         }
         Ok(())
     }
 }
 
-impl PartialOrd for Decimal {
+impl PartialOrd for Decimal<'_> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Decimal {
+impl Ord for Decimal<'_> {
     fn cmp(&self, other: &Self) -> Ordering {
         match (self.negative, other.negative) {
             (false, true) => return Ordering::Greater,
@@ -171,18 +150,15 @@ impl Ord for Decimal {
     }
 }
 
-impl Decimal {
+impl Decimal<'_> {
     fn cmp_magnitude(&self, other: &Self) -> Ordering {
-        match self.int_digits.len().cmp(&other.int_digits.len()) {
-            Ordering::Equal => {}
-            ord => return ord,
-        }
-        match self.int_digits.cmp(&other.int_digits) {
-            Ordering::Equal => {}
-            ord => return ord,
-        }
-        // lexicographic on fraction digits is numeric given no trailing zeros
-        self.frac_digits.cmp(&other.frac_digits)
+        // equal-length digit runs compare lexicographically exactly as
+        // their values do; so do fraction runs without trailing zeros
+        self.int_digits
+            .len()
+            .cmp(&other.int_digits.len())
+            .then_with(|| self.int_digits.cmp(other.int_digits))
+            .then_with(|| self.frac_digits.cmp(other.frac_digits))
     }
 }
 
@@ -223,11 +199,12 @@ impl Date {
         }
         let negative_year = s.starts_with('-');
         let body = if negative_year { &s[1..] } else { s };
-        let parts: Vec<&str> = body.split('-').collect();
-        if parts.len() != 3 {
+        let mut parts = body.split('-');
+        let (Some(y), Some(m), Some(d), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
             return Err(err());
-        }
-        let (y, m, d) = (parts[0], parts[1], parts[2]);
+        };
         if y.len() < 4 || m.len() != 2 || d.len() != 2 {
             return Err(err());
         }
@@ -302,7 +279,7 @@ fn days_in_month(year: i32, month: u8) -> u8 {
 mod tests {
     use super::*;
 
-    fn dec(s: &str) -> Decimal {
+    fn dec(s: &str) -> Decimal<'_> {
         Decimal::parse(s).unwrap()
     }
 

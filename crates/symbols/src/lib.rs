@@ -13,10 +13,12 @@
 //!   construction, `CompiledSchema::warm`) calls this: the set of
 //!   declared names is bounded by schema size, so the table cannot grow
 //!   without bound.
-//! * [`lookup`] never adds. The **document-side** hot path uses this —
-//!   an element name a schema never declared resolves to `None`, and a
-//!   hostile document cannot bloat the table no matter how many distinct
-//!   names it invents.
+//! * [`lookup`] never adds: a name no schema declared resolves to
+//!   `None`, and a hostile document cannot bloat the table no matter how
+//!   many distinct names it invents. Validation does not call it per
+//!   element: each schema's `SymIndex` freezes its own `name → Sym` map
+//!   when it is built, so the document-side hot path takes no lock, and
+//!   [`name`] is read only to spell a symbol into an error message.
 //!
 //! The table is global (consistent with the process-global DFA intern
 //! table in `schema::compiled`), so `Sym`s are stable across schemas:

@@ -33,7 +33,7 @@ pub mod stream;
 
 use dom::{Document, NodeId};
 use limits::{Limits, ResourceErrorKind};
-use schema::{AttributeUse, CompiledSchema, TypeRef};
+use schema::{check_value, AttrPlan, CompiledSchema, SimpleCheck};
 use xmlchars::Span;
 
 pub use error::{ValidationError, ValidationErrorKind};
@@ -184,36 +184,36 @@ impl AttrView for dom::Attribute {
 }
 
 /// The attribute rules, checked when an element opens against its plan's
-/// resolved declared list: declared values validate against their simple
-/// types, `fixed` values must match, required attributes must be
-/// present, undeclared attributes are rejected.
+/// declared attributes: declared values validate against their resolved
+/// simple types, `fixed` values must match, required attributes must be
+/// present, undeclared attributes are rejected. `element` spells the
+/// element's name, and runs only when an error is reported.
 ///
 /// Namespace declarations (`xmlns`, `xmlns:*`) are never schema-validated.
 /// `xml:*` attributes (`xml:lang`, `xml:space`, …) are validated when the
 /// type declares them and exempt only when it does not.
 pub(crate) fn check_attributes_declared<A: AttrView>(
-    compiled: &CompiledSchema,
-    element: &str,
+    element: impl Fn() -> String,
     present: &[A],
-    declared: &[AttributeUse],
+    declared: &[AttrPlan],
     span: Option<Span>,
     errors: &mut Vec<ValidationError>,
 ) {
     for attr in present {
         let (name, value) = (attr.attr_name(), attr.attr_value());
-        let decl = declared.iter().find(|d| d.name == name);
+        let plan = declared.iter().find(|a| a.decl.name == name);
         if name == "xmlns"
             || name.starts_with("xmlns:")
-            || (name.starts_with("xml:") && decl.is_none())
+            || (name.starts_with("xml:") && plan.is_none())
         {
             continue;
         }
-        match decl {
-            Some(decl) => {
-                if let Err(e) = compiled.schema().check_simple_value(&decl.type_ref, value) {
+        match plan {
+            Some(AttrPlan { decl, check }) => {
+                if let Err(e) = check_value(check, value) {
                     errors.push(ValidationError::at_opt(
                         ValidationErrorKind::AttributeValue {
-                            element: element.to_string(),
+                            element: element(),
                             attribute: name.to_string(),
                             message: e.to_string(),
                         },
@@ -224,7 +224,7 @@ pub(crate) fn check_attributes_declared<A: AttrView>(
                     if value != fixed {
                         errors.push(ValidationError::at_opt(
                             ValidationErrorKind::FixedAttribute {
-                                element: element.to_string(),
+                                element: element(),
                                 attribute: name.to_string(),
                                 fixed: fixed.clone(),
                                 actual: value.to_string(),
@@ -236,18 +236,18 @@ pub(crate) fn check_attributes_declared<A: AttrView>(
             }
             None => errors.push(ValidationError::at_opt(
                 ValidationErrorKind::UndeclaredAttribute {
-                    element: element.to_string(),
+                    element: element(),
                     attribute: name.to_string(),
                 },
                 span,
             )),
         }
     }
-    for decl in declared {
+    for AttrPlan { decl, .. } in declared {
         if decl.required && !present.iter().any(|a| a.attr_name() == decl.name) {
             errors.push(ValidationError::at_opt(
                 ValidationErrorKind::MissingAttribute {
-                    element: element.to_string(),
+                    element: element(),
                     attribute: decl.name.clone(),
                 },
                 span,
@@ -258,19 +258,18 @@ pub(crate) fn check_attributes_declared<A: AttrView>(
 
 /// The simple-content rule, checked when an element closes: the text
 /// collected under a simple-typed element must validate against its type
-/// (whitespace → built-in → facets).
+/// (whitespace → built-in → facets). `element` runs only on an error.
 pub(crate) fn check_simple_text(
-    compiled: &CompiledSchema,
-    element: &str,
-    type_ref: &TypeRef,
+    element: impl Fn() -> String,
+    check: &SimpleCheck,
     text: &str,
     span: Option<Span>,
     errors: &mut Vec<ValidationError>,
 ) {
-    if let Err(e) = compiled.schema().check_simple_value(type_ref, text) {
+    if let Err(e) = check_value(check, text) {
         errors.push(ValidationError::at_opt(
             ValidationErrorKind::SimpleType {
-                element: element.to_string(),
+                element: element(),
                 message: e.to_string(),
             },
             span,

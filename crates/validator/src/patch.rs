@@ -41,6 +41,7 @@ use dom::{Document, NodeId, NodeKind};
 use limits::{Limits, ResourceErrorKind};
 use schema::{CompiledSchema, ContentPlan, ElemPlan, RootPlan};
 use symbols::Sym;
+use xmlchars::is_xml_whitespace;
 
 use crate::error::{ValidationError, ValidationErrorKind};
 use crate::stream::check_subtree;
@@ -610,7 +611,8 @@ impl IncrementalValidator {
                 .doc
                 .tag_name(n)
                 .map_err(|_| structure("path traverses a non-element node"))?;
-            let sym = symbols::lookup(tag)
+            let sym = index
+                .sym(tag)
                 .ok_or_else(|| structure(format!("element `{tag}` is not schema-tracked")))?;
             plan = Some(match plan {
                 None => match index.root(sym) {
@@ -669,7 +671,13 @@ impl IncrementalValidator {
     /// child list. Entry `i` is the state before slot `i`; the last
     /// entry is the final (always accepting) state.
     fn ensure_states(&mut self, parent: NodeId, dfa: &ContentDfa) {
-        let IncrementalValidator { states, doc, .. } = self;
+        let IncrementalValidator {
+            states,
+            doc,
+            compiled,
+            ..
+        } = self;
+        let index = compiled.sym_index();
         states.entry(parent).or_insert_with(|| {
             let children = doc.child_vec(parent).unwrap_or_default();
             let mut v = Vec::with_capacity(children.len() + 1);
@@ -678,8 +686,8 @@ impl IncrementalValidator {
             for child in children {
                 if let Ok(NodeKind::Element { name, .. }) = doc.kind(child) {
                     // the held document is valid: every step succeeds,
-                    // by symbol unless the name was never interned
-                    if !symbols::lookup(name).is_some_and(|s| m.try_step_sym(s)) {
+                    // by symbol unless the schema does not know the name
+                    if !index.sym(name).is_some_and(|s| m.try_step_sym(s)) {
                         let _ = m.step(name);
                     }
                 }
@@ -725,11 +733,10 @@ impl IncrementalValidator {
         let mut errors = Vec::new();
         match ctx {
             ParentCtx::Simple(plan) => {
-                if let ContentPlan::Simple(type_ref) = &plan.content {
+                if let ContentPlan::Simple(check) = &plan.content {
                     check_simple_text(
-                        &self.compiled,
-                        self.doc.tag_name(parent).unwrap_or_default(),
-                        type_ref,
+                        || self.doc.tag_name(parent).unwrap_or_default().to_string(),
+                        check,
                         &self.doc.text_content(parent).unwrap_or_default(),
                         node_span(&self.doc, parent),
                         &mut errors,
@@ -737,7 +744,7 @@ impl IncrementalValidator {
                 }
             }
             ParentCtx::Complex { mixed: false, .. } => {
-                if !text.trim().is_empty() {
+                if !text.chars().all(is_xml_whitespace) {
                     errors.push(ValidationError::at_opt(
                         ValidationErrorKind::TextNotAllowed {
                             element: self.doc.tag_name(parent).unwrap_or_default().to_string(),
@@ -804,8 +811,7 @@ impl IncrementalValidator {
         }
         let mut errors = Vec::new();
         check_attributes_declared(
-            &self.compiled,
-            self.doc.tag_name(node).unwrap_or_default(),
+            || self.doc.tag_name(node).unwrap_or_default().to_string(),
             self.doc.attributes(node).unwrap_or(&[]),
             &plan.attrs,
             node_span(&self.doc, node),
@@ -905,7 +911,7 @@ impl IncrementalValidator {
             ParentCtx::Document => (self.recheck_document_level(new), Vec::new()),
             ParentCtx::Simple(plan) => {
                 // re-walk the parent: its children and text, checked at close
-                let errors = check_subtree(&self.compiled, &self.doc, parent, Some(plan.clone()));
+                let errors = check_subtree(&self.compiled, &self.doc, parent, Some(plan));
                 self.last_nodes_rechecked = self.doc.child_count(parent).unwrap_or(0).max(1);
                 (errors, Vec::new())
             }
@@ -1061,7 +1067,7 @@ impl IncrementalValidator {
             trial.push(matcher.state());
             match self.doc.kind(child) {
                 Ok(NodeKind::Element { name, .. }) => {
-                    let sym = symbols::lookup(name);
+                    let sym = plans.sym(name);
                     // step by symbol; re-step by string only on a miss, for
                     // the rich error
                     if content_ok && !sym.is_some_and(|s| matcher.try_step_sym(s)) {
@@ -1085,13 +1091,13 @@ impl IncrementalValidator {
                                 &self.compiled,
                                 &self.doc,
                                 child,
-                                Some(plan.clone()),
+                                Some(plan),
                             ));
                             rechecked += subtree_size(&self.doc, child).saturating_sub(1);
                         }
                     }
                 }
-                Ok(NodeKind::Text(t)) if !ctx.mixed && !t.trim().is_empty() => {
+                Ok(NodeKind::Text(t)) if !ctx.mixed && !t.chars().all(is_xml_whitespace) => {
                     errors.push(ValidationError::at_opt(
                         ValidationErrorKind::TextNotAllowed {
                             element: parent_name.clone(),

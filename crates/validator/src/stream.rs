@@ -22,28 +22,30 @@
 //!
 //! The validator keeps only a stack of open-element frames: element
 //! name, start span, and either a content-model DFA matcher (complex
-//! content) or a text buffer plus simple-type reference (simple
-//! content). Memory is O(depth + deepest buffered leaf text), so
-//! arbitrarily long documents validate in constant space.
+//! content) or a text buffer plus the simple-type plan it is checked
+//! against (simple content). Memory is O(depth + deepest buffered leaf
+//! text), so arbitrarily long documents validate in constant space.
 //!
-//! The parser path is **allocation-free**: the schema's precomputed
-//! [`SymIndex`] dispatches each element with two integer hash lookups
-//! (root or `(type, child)` → [`ElemPlan`]), the content DFA steps by
-//! interned symbol, and leaf text buffers as a borrowed slice of the
-//! source. For a valid, entity-free document, no string is hashed,
-//! compared, copied, or allocated between the start tag and the error
-//! check — `tests/tests/alloc_smoke.rs` holds this at exactly zero
-//! allocations per event.
+//! The parser path is **allocation-free and lock-free**: the schema's
+//! precomputed [`SymIndex`] resolves each element name to its symbol with
+//! one hash in a frozen per-schema table, then dispatches with one
+//! integer-keyed lookup (root or `(type, child)` → [`ElemPlan`]); the
+//! content DFA steps by symbol, attribute values and leaf text are
+//! checked against simple-type plans resolved when the index was built,
+//! and leaf text buffers as a borrowed slice of the source. The global
+//! symbol table is read only to spell a name into an error. For a valid,
+//! entity-free document nothing is copied or allocated between the start
+//! tag and the error check — `tests/tests/alloc_smoke.rs` holds this at
+//! exactly zero allocations per event, typed values included.
 
 use std::borrow::Cow;
-use std::sync::Arc;
 
 use automata::{DfaMatcher, Matcher};
 use dom::{Document, NodeId, NodeKind};
 use limits::Limits;
-use schema::{CompiledSchema, ContentPlan, ElemPlan, RootPlan, SymIndex};
+use schema::{CompiledSchema, ContentPlan, ElemPlan, RootPlan, SimpleCheck, SymIndex};
 use symbols::Sym;
-use xmlchars::Span;
+use xmlchars::{is_xml_whitespace, Span};
 use xmlparse::{BorrowedEvent, FeedReader, ParseError, ParseErrorKind, Reader};
 
 use crate::error::{ValidationError, ValidationErrorKind};
@@ -112,7 +114,7 @@ impl TextRun<'_, '_> {
 /// checked element is, by construction, declared somewhere in the schema
 /// and therefore interned at index build time); skipped subtrees carry
 /// nothing at all. Spans are `None` for programmatic nodes.
-enum Frame<'src> {
+enum Frame<'a, 'src> {
     /// Complex element-only or mixed content: child names step a DFA.
     Complex {
         name: Sym,
@@ -130,9 +132,9 @@ enum Frame<'src> {
     /// validates (whitespace → built-in → facets) in one shot.
     Simple {
         name: Sym,
-        /// The open plan; its [`ContentPlan::Simple`] holds the type to
-        /// check at close.
-        plan: Arc<ElemPlan>,
+        /// The simple type to check the text against at close, borrowed
+        /// from the schema's plan.
+        check: &'a SimpleCheck,
         text: TextBuf<'src>,
         span: Option<Span>,
     },
@@ -153,10 +155,9 @@ enum Frame<'src> {
 /// `'src` is the source buffer the events borrow; buffered leaf text
 /// keeps borrowing it.
 pub struct StreamingValidator<'a, 'src> {
-    compiled: &'a CompiledSchema,
     /// The schema's precomputed symbol-keyed dispatch plans.
     index: &'a SymIndex,
-    stack: Vec<Frame<'src>>,
+    stack: Vec<Frame<'a, 'src>>,
     errors: Vec<ValidationError>,
     saw_root: bool,
     /// Deepest element nesting seen (observability; histogram-recorded
@@ -194,7 +195,6 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
         limits: Limits,
     ) -> StreamingValidator<'a, 'src> {
         StreamingValidator {
-            compiled,
             index: compiled.sym_index(),
             stack: Vec::new(),
             errors: Vec::new(),
@@ -415,11 +415,11 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
     }
 
     fn on_start<A: AttrView>(&mut self, name: &str, attributes: &[A], span: Option<Span>) {
-        // documents name only what a schema declared (plus hostile noise);
-        // a name the schema never interned cannot be valid anywhere, and
-        // lookup never grows the table, so attacker input stays O(1)
-        let sym = symbols::lookup(name);
+        // documents name only what the schema declares (plus hostile
+        // noise); a name outside the index cannot be valid anywhere, and
+        // the frozen table never grows, so attacker input stays O(1)
         let index = self.index;
+        let sym = index.sym(name);
         let frame = if let Some(parent) = self.stack.last_mut() {
             match parent {
                 Frame::Complex {
@@ -448,7 +448,7 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                     // enter declared children regardless, so nested errors
                     // surface too; undeclared ones were just reported
                     match sym.and_then(|s| index.child(*type_sym, s).map(|p| (s, p))) {
-                        Some((s, plan)) => self.open(s, plan.clone(), attributes, span),
+                        Some((s, plan)) => self.open(s, plan, attributes, span),
                         None => Frame::Skip,
                     }
                 }
@@ -477,7 +477,7 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                     ));
                     Frame::Skip
                 }
-                Some((s, RootPlan::Elem(plan))) => self.open(s, plan.clone(), attributes, span),
+                Some((s, RootPlan::Elem(plan))) => self.open(s, plan, attributes, span),
                 None => {
                     self.errors.push(ValidationError::at_opt(
                         ValidationErrorKind::UndeclaredRoot(name.to_string()),
@@ -496,10 +496,10 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
     fn open<A: AttrView>(
         &mut self,
         name: Sym,
-        plan: Arc<ElemPlan>,
+        plan: &'a ElemPlan,
         attributes: &[A],
         span: Option<Span>,
-    ) -> Frame<'src> {
+    ) -> Frame<'a, 'src> {
         // an unresolvable type reports only itself: no attribute checks
         if let ContentPlan::Unknown(type_name) = &plan.content {
             self.errors.push(ValidationError::at_opt(
@@ -515,17 +515,16 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
             ));
         }
         check_attributes_declared(
-            self.compiled,
-            symbols::name(name),
+            || symbols::name(name).to_string(),
             attributes,
             &plan.attrs,
             span,
             &mut self.errors,
         );
         match &plan.content {
-            ContentPlan::Simple(_) => Frame::Simple {
+            ContentPlan::Simple(check) => Frame::Simple {
                 name,
-                plan: plan.clone(),
+                check,
                 text: TextBuf::Empty,
                 span,
             },
@@ -570,7 +569,7 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                 Frame::Skip => continue,
                 Frame::Simple { text: buffer, .. } => buffer.push(text),
                 Frame::Complex { name, mixed, .. } => {
-                    if i == top && !*mixed && !text.as_str().trim().is_empty() {
+                    if i == top && !*mixed && !text.as_str().chars().all(is_xml_whitespace) {
                         let element = symbols::name(*name).to_string();
                         self.errors.push(ValidationError::at_opt(
                             ValidationErrorKind::TextNotAllowed { element },
@@ -592,18 +591,13 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
         match frame {
             Frame::Simple {
                 name,
-                plan,
+                check,
                 text,
                 span,
             } => {
-                let type_ref = match &plan.content {
-                    ContentPlan::Simple(t) => t,
-                    _ => unreachable!("Simple frames hold Simple plans"),
-                };
                 check_simple_text(
-                    self.compiled,
-                    symbols::name(name),
-                    type_ref,
+                    || symbols::name(name).to_string(),
+                    check,
                     text.as_str(),
                     span,
                     &mut self.errors,
@@ -656,7 +650,7 @@ pub(crate) fn check_subtree(
     compiled: &CompiledSchema,
     doc: &Document,
     node: NodeId,
-    plan: Option<Arc<ElemPlan>>,
+    plan: Option<&ElemPlan>,
 ) -> Vec<ValidationError> {
     let mut v = StreamingValidator::with_limits(compiled, Limits::unbounded());
     let Some(plan) = plan else {
@@ -664,7 +658,10 @@ pub(crate) fn check_subtree(
         return v.errors;
     };
     if let Ok(NodeKind::Element { name, attributes }) = doc.kind(node) {
-        let sym = symbols::lookup(name).expect("an element with a plan has an interned name");
+        let sym = v
+            .index
+            .sym(name)
+            .expect("an element with a plan has an indexed name");
         let frame = v.open(sym, plan, attributes, node_span(doc, node));
         v.stack.push(frame);
         v.walk(doc, doc.child_slice(node).unwrap_or_default());

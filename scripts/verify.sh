@@ -12,10 +12,25 @@ cargo test -q
 
 echo "==> zero-copy pipeline gates (allocation smoke + differential props)"
 # The alloc smoke asserts 0 heap allocations per event on entity-free
-# documents; the zero-copy props hold the reader's borrowed event stream
-# equal to the tree parse_document builds (re-walked as events) and
-# streaming ≡ tree validation across the corpora.
-cargo test -q -p integration-tests --test alloc_smoke --test zero_copy_prop
+# documents, typed purchase-order values included; the zero-copy props
+# hold the reader's borrowed event stream equal to the tree
+# parse_document builds (re-walked as events) and streaming ≡ tree
+# validation across the corpora; simple_values pins every simple-value
+# error's text across streaming, tree and patch validation.
+cargo test -q -p integration-tests --test alloc_smoke --test zero_copy_prop \
+  --test simple_values --test xml_whitespace
+
+echo "==> simple types compiled once, no global symbol lookups in the validator"
+# The validator resolves element names through the schema's frozen
+# SymIndex and checks values against the SimplePlans built with it: the
+# global symbol table's lookup and the by-name simple-value wrappers stay
+# out of crates/validator/src, and the per-value restriction-chain walk
+# (simple_view) stays gone from crates/schema/src.
+if grep -rnE 'symbols::lookup\(|check_simple_value\(|validate_simple_value\(' crates/validator/src \
+    || grep -rnE 'fn simple_view\b' crates/schema/src; then
+  echo "the validator resolves names or simple types per value again (see above)" >&2
+  exit 1
+fi
 
 echo "==> one JSON codec, one event type"
 # obs::json holds the workspace's only JSON parser and string escaper

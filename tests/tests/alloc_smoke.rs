@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use schema::corpus::WML_XSD;
+use schema::corpus::{PURCHASE_ORDER_XSD, WML_XSD};
 use schema::CompiledSchema;
 use validator::validate_str_streaming;
 
@@ -43,7 +43,7 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// The two tests measure a process-global counter; each holds this for
+/// The tests measure a process-global counter; each holds this for
 /// its whole body, set-up included, so the harness's parallel test
 /// threads cannot bleed allocations into each other's window.
 static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -89,6 +89,61 @@ fn streaming_validation_allocates_zero_per_event() {
         cost_large, cost_small,
         "per-event allocations detected: {cost_small} allocs for 100 \
          options vs {cost_large} for 1000"
+    );
+}
+
+/// A valid purchase order with `n` items, each carrying every typed
+/// value an item can: the `SKU` pattern on `partNum`, the restricted
+/// `positiveInteger` quantity, a decimal price and a date.
+fn purchase_order(n: usize) -> String {
+    let mut po = String::from(
+        "<purchaseOrder orderDate=\"1999-10-20\"><shipTo country=\"US\"><name>A</name>\
+         <street>S</street><city>C</city><state>CA</state><zip>90952</zip></shipTo>\
+         <billTo country=\"US\"><name>B</name><street>S</street><city>C</city>\
+         <state>PA</state><zip>95819</zip></billTo><items>",
+    );
+    for i in 0..n {
+        po.push_str(&format!(
+            "<item partNum=\"{:03}-AA\"><productName>P{i}</productName>\
+             <quantity>{}</quantity><USPrice>{}.95</USPrice>\
+             <shipDate>1999-05-{:02}</shipDate></item>",
+            i % 1000,
+            1 + i % 99,
+            10 + i,
+            1 + i % 28
+        ));
+    }
+    po.push_str("</items></purchaseOrder>");
+    po
+}
+
+#[test]
+fn typed_values_allocate_zero_per_item() {
+    let _window = MEASURE.lock().unwrap();
+    let compiled = CompiledSchema::parse(PURCHASE_ORDER_XSD).unwrap();
+    compiled.warm();
+
+    let small = purchase_order(100);
+    let large = purchase_order(1000);
+    assert!(validate_str_streaming(&compiled, &small).is_empty());
+    assert!(validate_str_streaming(&compiled, &large).is_empty());
+
+    let before_small = allocations();
+    let errors = validate_str_streaming(&compiled, &small);
+    let cost_small = allocations() - before_small;
+    assert!(errors.is_empty(), "{errors:#?}");
+
+    let before_large = allocations();
+    let errors = validate_str_streaming(&compiled, &large);
+    let cost_large = allocations() - before_large;
+    assert!(errors.is_empty(), "{errors:#?}");
+
+    // 900 more items, each with a pattern, an integer with a range
+    // facet, a decimal and a date: equality means none of them allocates
+    assert_eq!(
+        cost_large, cost_small,
+        "per-item allocations detected: {cost_small} allocs for 100 \
+         items vs {cost_large} for 1000"
     );
 }
 

@@ -161,6 +161,20 @@ proptest! {
 const SHIP_TO: &str = "<shipTo country=\"US\">$n$<street>s</street>\
      <city>c</city><state>st</state><zip>1</zip></shipTo>";
 
+/// A template text run made only of Unicode spaces that are not XML
+/// whitespace, in mixed content: the plan drops it as formatting exactly
+/// like the interpreter does.
+#[test]
+fn unicode_space_runs_in_mixed_content_agree() {
+    let c = wml();
+    let env = TypeEnv::new().text("a").text("b");
+    let bindings = Bindings::new().text("a", "x").text("b", "y");
+    for space in ["\u{A0}", "\u{3000}", " \u{A0}\n"] {
+        let source = format!("<p>$a${space}$b$</p>");
+        assert_differential(&c, &source, &env, &bindings);
+    }
+}
+
 #[test]
 fn fragment_splices_agree_with_the_interpreter() {
     let c = po();
