@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 use dom::{Document, NodeId, NodeKind};
 use schema::{CompiledSchema, TypeRef};
 use vdom::{TypedDocument, TypedElement, VdomError};
+use xmlchars::is_xml_whitespace;
 
 use crate::holes::{split_holes_ref, PartRef};
 use crate::template::{resolve_element_type, Template};
@@ -344,7 +345,7 @@ fn fill(
                 for part in parts {
                     match part {
                         PartRef::Text(text) => {
-                            if text.trim().is_empty() {
+                            if text.chars().all(is_xml_whitespace) {
                                 continue; // template formatting whitespace
                             }
                             td.append_text(dst, text.into_owned())?;

@@ -42,7 +42,7 @@ use dom::{Document, NodeId, NodeKind};
 use schema::{check_value, CompiledSchema, ContentModel, SimpleCheck, TypeDef, TypeRef};
 use symbols::Sym;
 use vdom::VdomError;
-use xmlchars::{escape_attribute, escape_text};
+use xmlchars::{escape_attribute, escape_text, is_xml_whitespace};
 
 use crate::check::{check_template, check_template_as};
 use crate::error::PxmlError;
@@ -327,8 +327,9 @@ impl Lowerer<'_> {
     }
 
     /// Splits the content of `node` into plan items, dropping template
-    /// formatting whitespace, comments and PIs exactly like the
-    /// interpreter does.
+    /// formatting (runs of XML whitespace only; a Unicode space such as
+    /// U+00A0 is text), comments and PIs exactly like the interpreter
+    /// does.
     fn content_items(&self, node: NodeId) -> Vec<Item> {
         let doc = &self.template.doc;
         let mut items = Vec::new();
@@ -342,7 +343,7 @@ impl Lowerer<'_> {
                     for part in parts {
                         match part {
                             PartRef::Text(text) => {
-                                if !text.trim().is_empty() {
+                                if !text.chars().all(is_xml_whitespace) {
                                     items.push(Item::Lit(text.into_owned()));
                                 }
                             }

@@ -337,7 +337,14 @@ impl Drop for ActiveSlot {
 fn refuse_connection(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_write_timeout(Some(shared.cfg.write_deadline));
     let body = json::error_json("connection limit reached");
-    let _ = http::write_response(&mut stream, 503, "application/json", body.as_bytes(), false);
+    let _ = http::write_response(
+        &mut stream,
+        &mut Vec::new(),
+        503,
+        "application/json",
+        body.as_bytes(),
+        false,
+    );
     if obs::enabled() {
         obs::metrics()
             .counter(
@@ -448,8 +455,10 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         let close = reply.close
             || !req.as_ref().is_some_and(Request::keep_alive)
             || shared.draining.load(Ordering::Acquire);
+        let (stream, out) = conn.writer();
         let written = http::write_response(
-            conn.writer(),
+            stream,
+            out,
             reply.status,
             reply.content_type,
             reply.body.as_bytes(),

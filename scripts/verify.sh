@@ -58,6 +58,20 @@ if grep -rnE 'fn respond\b' crates/serve/src || [ "$writes" -gt 2 ]; then
   exit 1
 fi
 
+echo "==> one write per response, one read-timeout site in serve's wire layer"
+# http.rs encodes a response's head and body into one buffer and sends it
+# with a single write, and sets the socket read timeout only in Conn::arm,
+# which skips the syscall while the armed slice still fits the deadline.
+wire="$(sed '/^#\[cfg(test)\]/,$d' crates/serve/src/http.rs)"
+for call in 'write_all(' 'set_read_timeout('; do
+  n="$(grep -cF "$call" <<<"$wire" || true)"
+  if [ "$n" -gt 1 ]; then
+    echo "crates/serve/src/http.rs has $n $call call sites outside its tests:" >&2
+    grep -nF "$call" crates/serve/src/http.rs >&2
+    exit 1
+  fi
+done
+
 echo "==> cargo build --release -p examples --bins"
 cargo build --release -p examples --bins
 

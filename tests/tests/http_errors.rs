@@ -126,6 +126,14 @@ fn bad_chunk(method: &str, path: &str) -> Vec<u8> {
     .into_bytes()
 }
 
+/// A request with one raw `header` line of the caller's choosing,
+/// followed by `body` as is.
+fn with_header(method: &str, path: &str, header: &str, body: &[u8]) -> Vec<u8> {
+    let mut raw = format!("{method} {path} HTTP/1.1\r\nHost: t\r\n{header}\r\n\r\n").into_bytes();
+    raw.extend_from_slice(body);
+    raw
+}
+
 struct Case {
     name: &'static str,
     request: Vec<u8>,
@@ -168,6 +176,16 @@ fn cases() -> Vec<Case> {
             true),
         case("validate bad chunk", bad_chunk("POST", VALIDATE), 400,
             r#"{"error":"bad chunked body framing"}"#, true),
+        // optional whitespace around a header value is SP and HTAB only
+        // (RFC 9110 §5.6.3): other Unicode spaces stay part of the value
+        case("validate content-length + VT", with_header("POST", VALIDATE, "Content-Length: 4\u{b}", b"<a/>"),
+            400, r#"{"error":"bad body framing"}"#, true),
+        case("validate NBSP + content-length", with_header("POST", VALIDATE, "Content-Length:\u{a0}4", b"<a/>"),
+            400, r#"{"error":"bad body framing"}"#, true),
+        case("validate chunked + FF", with_header("POST", VALIDATE, "Transfer-Encoding: chunked\u{c}",
+            b"4\r\n<a/>\r\n0\r\n\r\n"), 400, r#"{"error":"bad body framing"}"#, true),
+        case("validate chunk size + VT", with_header("POST", VALIDATE, "Transfer-Encoding: chunked",
+            b"4\x0b\r\n<a/>\r\n0\r\n\r\n"), 400, r#"{"error":"bad chunked body framing"}"#, true),
         case("validate unknown schema", sized("POST", "/v1/validate/nope", b"<a/>"), 404,
             r#"{"error":"no schema registered under \"nope\""}"#, false),
         // /v1/batch

@@ -233,6 +233,74 @@ fn slow_body_drip_trips_the_deadline_with_408() {
     server.drain();
 }
 
+const HEALTHZ: &[u8] = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+
+/// Sends `n` back-to-back keep-alive requests on `reader`'s socket and
+/// checks each answer, so the connection is in its steady state.
+fn warm_up(reader: &mut BufReader<TcpStream>, n: usize) {
+    for i in 0..n {
+        reader.get_mut().write_all(HEALTHZ).unwrap();
+        let (status, body) = try_read_response(reader).unwrap_or_else(|| panic!("request {i}"));
+        assert_eq!((status, body.as_str()), (200, "ok\n"), "request {i}");
+    }
+}
+
+#[test]
+fn drip_after_fast_keep_alive_traffic_still_trips_the_deadline() {
+    let request_deadline = Duration::from_millis(400);
+    let server = server_with(ServerConfig {
+        request_deadline,
+        ..ServerConfig::default()
+    });
+    let mut reader = BufReader::new(connect(server.addr()));
+    warm_up(&mut reader, 50);
+    // the same connection now drips a head one byte per 40ms: complete
+    // only after 1.4s, so the 400ms deadline must cut it off first
+    let mut dripper = reader.get_ref().try_clone().unwrap();
+    let started = Instant::now();
+    let drip = thread::spawn(move || {
+        for &b in HEALTHZ {
+            if dripper.write_all(&[b]).is_err() {
+                return; // the server gave up and closed
+            }
+            thread::sleep(Duration::from_millis(40));
+        }
+    });
+    let answer = try_read_response(&mut reader);
+    let elapsed = started.elapsed();
+    drip.join().unwrap();
+    let (status, body) = answer.expect("no answer to the dripped request");
+    assert_eq!(status, 408, "{body}");
+    assert!(
+        elapsed >= request_deadline && elapsed < request_deadline + Duration::from_secs(1),
+        "408 after {elapsed:?}, deadline {request_deadline:?}"
+    );
+    server.drain();
+}
+
+#[test]
+fn a_head_dripped_slower_than_the_idle_slice_within_the_deadline_is_served() {
+    let server = server_with(ServerConfig {
+        request_deadline: Duration::from_secs(2),
+        ..ServerConfig::default()
+    });
+    let mut reader = BufReader::new(connect(server.addr()));
+    warm_up(&mut reader, 1);
+    // seven pieces 150ms apart: each gap outlasts the server's 100ms idle
+    // read slice, and the head is complete after about 1s of the 2s
+    for (i, piece) in HEALTHZ.chunks(HEALTHZ.len().div_ceil(7)).enumerate() {
+        if i > 0 {
+            thread::sleep(Duration::from_millis(150));
+        }
+        reader.get_mut().write_all(piece).unwrap();
+    }
+    let (status, body) = try_read_response(&mut reader).expect("no answer to the dripped head");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    // and the connection stays usable
+    warm_up(&mut reader, 1);
+    server.drain();
+}
+
 #[test]
 fn pipelined_requests_on_one_connection_all_get_answered_in_order() {
     let server = server_with(ServerConfig::default());

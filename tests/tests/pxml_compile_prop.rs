@@ -162,8 +162,8 @@ const SHIP_TO: &str = "<shipTo country=\"US\">$n$<street>s</street>\
      <city>c</city><state>st</state><zip>1</zip></shipTo>";
 
 /// A template text run made only of Unicode spaces that are not XML
-/// whitespace, in mixed content: the plan drops it as formatting exactly
-/// like the interpreter does.
+/// whitespace, in mixed content: the plan keeps it as text exactly like
+/// the interpreter does.
 #[test]
 fn unicode_space_runs_in_mixed_content_agree() {
     let c = wml();

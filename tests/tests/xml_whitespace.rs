@@ -3,10 +3,11 @@
 //! are character data, so every engine must report them as text where
 //! no text is allowed: streaming and tree validation, a patch session's
 //! `SetText` and text insertion, the P-XML template checker and the
-//! typed V-DOM import.
+//! typed V-DOM import. In mixed content such a run is text, so the
+//! template interpreter, the compiled plan and the emitted Rust keep it.
 
 use limits::Limits;
-use pxml::{check_template, PxmlErrorKind, Template, TypeEnv};
+use pxml::{check_template, Bindings, PxmlErrorKind, Template, TypeEnv};
 use schema::corpus::WML_XSD;
 use schema::CompiledSchema;
 use validator::{
@@ -130,4 +131,19 @@ fn typed_import_rejects_unicode_space_in_element_only_content() {
             c as u32
         );
     }
+}
+
+#[test]
+fn unicode_space_between_holes_in_mixed_content_is_text() {
+    let compiled = wml();
+    let template = Template::parse("<p>$a$\u{A0}$b$</p>").unwrap();
+    let env = TypeEnv::new().text("a").text("b");
+    let bindings = Bindings::new().text("a", "x").text("b", "y");
+    let expected = "<p>x\u{A0}y</p>";
+    let plan = pxml::plan(&compiled, &template, &env).unwrap();
+    assert_eq!(plan.render_to_string(&bindings).unwrap(), expected);
+    let fragment = pxml::instantiate(&compiled, &template, &bindings).unwrap();
+    assert_eq!(fragment.to_xml().unwrap(), expected);
+    let rust = pxml::emit_rust(&compiled, &template, &env, "p").unwrap();
+    assert!(rust.contains("append_text(e0, \"\\u{a0}\")"), "{rust}");
 }
