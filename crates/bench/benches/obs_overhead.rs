@@ -1,17 +1,16 @@
 //! **B8 — observability overhead.** The `obs` layer's contract is that
 //! an uninstrumented process pays a single relaxed atomic load per probe
 //! site: instrumented code asks `obs::enabled()` once and skips every
-//! field rendering, clock read, and registry lookup when no sink is
-//! installed. This bench puts a number on that claim by running the
-//! B2b streaming-validation workload (purchase-order and WML corpora)
-//! two ways:
+//! clock read and registry lookup until `obs::enable()` is called. This
+//! bench puts a number on that claim by running the B2b
+//! streaming-validation workload (purchase-order and WML corpora) two
+//! ways:
 //!
-//! * `disabled`  — no sink installed, the shipping default;
-//! * `collector` — the in-process `CollectingSink` plus live metrics,
-//!   the xmlstat configuration;
+//! * `disabled` — instrumentation off, the shipping default;
+//! * `metrics`  — `obs::enable()`, live metrics and span timing.
 //!
 //! Expected shape: `disabled` within noise (<3%) of the pre-obs B2b
-//! baselines recorded in EXPERIMENTS.md; `collector` a few percent
+//! baselines recorded in EXPERIMENTS.md; `metrics` a few percent
 //! behind, dominated by the terminal-flush counter updates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -33,13 +32,13 @@ fn obs_overhead(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("B8-obs-overhead");
     group.sample_size(20);
-    for (mode, install) in [("disabled", false), ("collector", true)] {
-        if install {
-            obs::install_collector();
+    for (mode, metrics) in [("disabled", false), ("metrics", true)] {
+        if metrics {
+            obs::enable();
         } else {
             obs::shutdown();
         }
-        assert_eq!(obs::enabled(), install);
+        assert_eq!(obs::enabled(), metrics);
         group.throughput(Throughput::Bytes(po_xml.len() as u64));
         group.bench_with_input(
             BenchmarkId::new(format!("po-streaming-{mode}"), 1000),

@@ -7,12 +7,12 @@
 //!
 //! * `disabled`   — neither metrics nor recorder on, the shipping default;
 //! * `trace`      — recorder only (ring records + wide events, no metrics);
-//! * `collector`  — metrics only, the B8 `collector` configuration;
-//! * `trace+collector` — both, the xmldiag configuration.
+//! * `metrics`    — metrics only, the B8 `metrics` configuration;
+//! * `trace+metrics` — both, the xmldiag configuration.
 //!
 //! Expected shape: `disabled` within noise (<3%) of B8's `disabled`;
 //! `trace` a few percent behind (two clock reads and two ring pushes per
-//! span, one sampler pass per document); `trace+collector` roughly the
+//! span, one sampler pass per document); `trace+metrics` roughly the
 //! sum of both overheads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -24,7 +24,7 @@ fn configure(metrics: bool, trace: bool) {
     obs::shutdown();
     obs::trace::stop();
     if metrics {
-        obs::install_collector();
+        obs::enable();
     }
     if trace {
         // big enough that the hot loop never wraps mid-measurement
@@ -51,8 +51,8 @@ fn trace_overhead(c: &mut Criterion) {
     let modes = [
         ("disabled", false, false),
         ("trace", false, true),
-        ("collector", true, false),
-        ("trace+collector", true, true),
+        ("metrics", true, false),
+        ("trace+metrics", true, true),
     ];
     for (mode, metrics, trace) in modes {
         configure(metrics, trace);

@@ -1,6 +1,6 @@
-//! Pipeline observability: structured spans and a process-global metrics
-//! registry, with a human-readable text report and a Prometheus
-//! text-format exporter.
+//! Pipeline observability: named spans, a process-global metrics
+//! registry with a human-readable text report and a Prometheus
+//! text-format exporter, and the flight recorder ([`trace`]).
 //!
 //! The paper moves validity checking into the build pipeline
 //! (preprocessor → V-DOM → generator, Fig. 9); this crate makes that
@@ -11,29 +11,34 @@
 //!
 //! # Gating
 //!
-//! Everything is off by default. Until [`install`] (or
-//! [`install_collector`]) is called, every instrumented call site in the
-//! pipeline pays exactly **one relaxed atomic load** ([`enabled`]) and
-//! branches past the recording code; `crates/bench/benches/obs_overhead.rs`
-//! measures the residue. Installing a [`SpanSink`] turns on both span
-//! recording and metric updates; [`shutdown`] turns both off again.
+//! Everything is off by default. Until [`enable`] is called, every
+//! instrumented call site in the pipeline pays exactly **one relaxed
+//! atomic load** ([`enabled`]) and branches past the recording code;
+//! `crates/bench/benches/obs_overhead.rs` measures the residue.
+//! [`enable`] turns metric updates on and [`shutdown`] turns them off
+//! again. Spans are timed scopes: they feed the duration histograms
+//! their call sites own and, when the flight recorder flies
+//! ([`trace::start`]), land in its bounded per-thread rings — the only
+//! place spans are stored.
 //!
 //! # Quickstart
 //!
 //! ```
-//! // 1. install a sink (turns instrumentation on)
-//! let sink = obs::install_collector();
+//! // 1. turn instrumentation on (and, optionally, the flight recorder)
+//! obs::enable();
+//! obs::trace::start(4096);
 //!
 //! // 2. run instrumented code — spans time a scope, metrics accumulate
 //! {
-//!     let _span = obs::span!("demo.phase", corpus = "po");
+//!     let _span = obs::span!("demo.phase");
 //!     obs::metrics()
 //!         .counter("demo_documents_total", "Documents processed.")
 //!         .inc();
 //! }
 //!
-//! // 3. render: per-span timings, then both metric exporters
-//! println!("{}", sink.report());
+//! // 3. render: per-phase timings, then both metric exporters
+//! obs::trace::stop();
+//! println!("{}", obs::trace::summary());
 //! println!("{}", obs::metrics().render_text());
 //! println!("{}", obs::metrics().render_prometheus());
 //! # assert!(obs::metrics().render_prometheus().contains("demo_documents_total 1"));
@@ -45,22 +50,17 @@
 
 pub mod json;
 pub mod metrics;
-pub mod span;
 pub mod trace;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 pub use metrics::{Counter, Gauge, Histogram, Registry};
-pub use span::{CollectingSink, SpanRecord, SpanSink};
 
-/// Whether a sink is installed — the single hot-path check. Relaxed is
+/// Whether metrics are on — the single hot-path check. Relaxed is
 /// enough: instrumentation is advisory, not synchronization.
 static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// The installed span sink, if any.
-static SINK: RwLock<Option<Arc<dyn SpanSink>>> = RwLock::new(None);
 
 /// The process-global metrics registry.
 static GLOBAL_METRICS: OnceLock<Registry> = OnceLock::new();
@@ -76,7 +76,7 @@ pub const DURATION_BUCKETS: &[f64] = &[
 /// sizes): powers of two up to 256.
 pub const DEPTH_BUCKETS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
 
-/// Whether instrumentation is on (a sink is installed).
+/// Whether instrumentation is on ([`enable`] was called).
 ///
 /// This is the only cost instrumented call sites pay when observability
 /// is off: one relaxed atomic load and a branch.
@@ -85,7 +85,7 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Whether [`span!`] sites should arm: true when either the metrics/sink
+/// Whether [`span!`] sites should arm: true when either the metrics
 /// layer ([`enabled`]) or the flight recorder ([`trace::enabled`]) is on.
 /// Two relaxed loads when everything is off.
 #[inline]
@@ -93,27 +93,17 @@ pub fn span_enabled() -> bool {
     enabled() || trace::enabled()
 }
 
-/// Installs `sink` as the process-wide span sink and enables
-/// instrumentation (spans *and* metrics). Replaces any previous sink.
-pub fn install(sink: Arc<dyn SpanSink>) {
-    *SINK.write().expect("span sink lock") = Some(sink);
+/// Turns instrumentation on: metric updates at every probe site, and
+/// span timing for the duration histograms.
+pub fn enable() {
     ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Installs a fresh [`CollectingSink`] and returns a handle to it — the
-/// one-line setup used by `xmlstat` and the tests.
-pub fn install_collector() -> Arc<CollectingSink> {
-    let sink = Arc::new(CollectingSink::new());
-    install(sink.clone());
-    sink
-}
-
-/// Disables instrumentation and drops the installed sink. Metrics
-/// already accumulated in [`metrics()`] are kept (they are monotonic
-/// process totals); use [`Registry::reset`] to clear them.
+/// Turns instrumentation off. Metrics already accumulated in
+/// [`metrics()`] are kept (they are monotonic process totals); use
+/// [`Registry::reset`] to clear them.
 pub fn shutdown() {
     ENABLED.store(false, Ordering::Relaxed);
-    *SINK.write().expect("span sink lock") = None;
 }
 
 /// The process-global metrics registry.
@@ -121,16 +111,9 @@ pub fn metrics() -> &'static Registry {
     GLOBAL_METRICS.get_or_init(Registry::new)
 }
 
-/// Delivers a finished span to the installed sink, if any.
-fn record_span(record: SpanRecord) {
-    if let Some(sink) = SINK.read().expect("span sink lock").as_ref() {
-        sink.record(record);
-    }
-}
-
-/// A live span: records its wall time to the installed sink — and a
-/// begin/end pair to the flight recorder ([`trace`]) when one is flying —
-/// when dropped. Construct via [`span!`](crate::span!); a guard created
+/// A live span: records a begin/end pair to the flight recorder
+/// ([`trace`]) when one is flying, and times its scope for
+/// [`finish`](Self::finish). Construct via [`span!`](crate::span!); a guard created
 /// while instrumentation is off is inert and free to drop.
 #[must_use = "a span measures the scope it is bound to; bind it to a variable"]
 pub struct SpanGuard {
@@ -139,7 +122,6 @@ pub struct SpanGuard {
 
 struct ActiveSpan {
     name: &'static str,
-    fields: Vec<(&'static str, String)>,
     start: Instant,
     trace: Option<trace::SpanHandle>,
 }
@@ -147,16 +129,11 @@ struct ActiveSpan {
 impl SpanGuard {
     /// An armed guard; the clock starts now (one read, shared with the
     /// trace begin record). Prefer [`span!`](crate::span!).
-    pub fn enter(name: &'static str, fields: Vec<(&'static str, String)>) -> SpanGuard {
+    pub fn enter(name: &'static str) -> SpanGuard {
         let start = Instant::now();
         let trace = trace::begin_span(name, start);
         SpanGuard {
-            active: Some(ActiveSpan {
-                name,
-                fields,
-                start,
-                trace,
-            }),
+            active: Some(ActiveSpan { name, start, trace }),
         }
     }
 
@@ -166,8 +143,8 @@ impl SpanGuard {
     }
 
     /// Closes the span and returns its wall time — from **one** end-of-
-    /// scope clock read shared by the trace end record, the sink record,
-    /// and the returned duration, so a histogram fed from the return
+    /// scope clock read shared by the trace end record and the returned
+    /// duration, so a histogram fed from the return
     /// value can never disagree with the trace about a phase's length.
     /// Returns `None` for an inert guard.
     pub fn finish(mut self) -> Option<Duration> {
@@ -179,13 +156,7 @@ impl SpanGuard {
         if let Some(handle) = active.trace {
             trace::end_span(active.name, handle, end);
         }
-        let duration = end.saturating_duration_since(active.start);
-        record_span(SpanRecord {
-            name: active.name,
-            fields: active.fields,
-            duration,
-        });
-        duration
+        end.saturating_duration_since(active.start)
     }
 }
 
@@ -200,25 +171,21 @@ impl Drop for SpanGuard {
 /// Opens a structured span over the enclosing scope.
 ///
 /// ```
-/// # let _sink = obs::install_collector();
-/// let schema_name = "purchase-order";
-/// let _span = obs::span!("validate.stream", schema = schema_name);
+/// # obs::enable();
+/// let span = obs::span!("validate.stream");
 /// // ... timed work ...
-/// # drop(_span);
+/// let elapsed = span.finish();
+/// # assert!(elapsed.is_some());
 /// # obs::shutdown();
 /// ```
 ///
-/// Field values are captured with `ToString` **only when instrumentation
-/// is enabled** (sink or flight recorder); when everything is off the
-/// whole expansion is two relaxed atomic loads.
+/// When metrics and the flight recorder are both off the whole expansion
+/// is two relaxed atomic loads and the guard is inert.
 #[macro_export]
 macro_rules! span {
-    ($name:expr $(, $key:ident = $value:expr)* $(,)?) => {
+    ($name:expr $(,)?) => {
         if $crate::span_enabled() {
-            $crate::SpanGuard::enter(
-                $name,
-                ::std::vec![$((stringify!($key), ::std::string::ToString::to_string(&$value))),*],
-            )
+            $crate::SpanGuard::enter($name)
         } else {
             $crate::SpanGuard::noop()
         }
@@ -255,7 +222,7 @@ impl Timer {
 }
 
 /// Serializes every test that flips process-global observability state
-/// (the sink flag or the flight recorder): a `span!` fired by one test
+/// (the metrics flag or the flight recorder): a `span!` fired by one test
 /// while another test is recording would pollute that test's rings.
 #[cfg(test)]
 pub(crate) static GLOBAL_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -271,32 +238,19 @@ mod tests {
         let _guard = INSTALL_LOCK.lock().unwrap();
         shutdown();
         assert!(!enabled());
-        let span = span!("test.noop", ignored = "value");
-        drop(span);
+        assert!(span!("test.noop").finish().is_none());
         assert!(Timer::start().stop().is_none());
     }
 
     #[test]
-    fn install_enables_and_spans_reach_the_sink() {
+    fn enable_arms_spans_and_timers_until_shutdown() {
         let _guard = INSTALL_LOCK.lock().unwrap();
-        let sink = install_collector();
+        enable();
         assert!(enabled());
-        {
-            let _span = span!("test.phase", corpus = "po", n = 3);
-        }
-        let spans = sink.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "test.phase");
-        assert_eq!(
-            spans[0].fields,
-            vec![("corpus", "po".to_string()), ("n", "3".to_string())]
-        );
+        assert!(span!("test.phase").finish().is_some());
         assert!(Timer::start().stop().is_some());
         shutdown();
         assert!(!enabled());
-        {
-            let _span = span!("test.after-shutdown");
-        }
-        assert_eq!(sink.spans().len(), 1, "sink must not grow after shutdown");
+        assert!(span!("test.after-shutdown").finish().is_none());
     }
 }

@@ -49,8 +49,8 @@ use std::time::{Duration, Instant};
 use crate::json::{self, JsonValue};
 
 /// Whether trace recording is on — the single hot-path check, distinct
-/// from the metrics/span-sink flag so tracing can run with or without
-/// the aggregation layer.
+/// from the metrics flag ([`crate::enabled`]) so tracing can run with or
+/// without the aggregation layer.
 static TRACE_ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Bumped by every [`start`]; thread-locals compare against it to know

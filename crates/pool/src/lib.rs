@@ -296,7 +296,7 @@ impl ThreadPool {
         if n == 0 {
             return Vec::new();
         }
-        let batch_span = obs::span!("pool.batch", docs = n, threads = self.threads());
+        let batch_span = obs::span!("pool.batch");
         // Captured while the batch span is open, so worker-side spans
         // parent to it — across threads — when the flight recorder flies.
         let trace_ctx = obs::trace::TraceCtx::current();
@@ -321,7 +321,7 @@ impl ThreadPool {
                         obs::trace::complete_from("pool.queue_wait", ctx.queued);
                     }
                     let wait = instrument.then(|| ctx.queued.elapsed());
-                    let run_span = obs::span!("pool.run", worker = ctx.worker, stolen = ctx.stolen);
+                    let run_span = obs::span!("pool.run");
                     let result = f(item);
                     // one end-of-job clock read, shared by the trace
                     // record and the job-latency histogram

@@ -869,7 +869,7 @@ fn handle_order_page(
     outcome: &mut ReqOutcome,
 ) -> Result<Reply, Reply> {
     outcome.tenant = request_limits(shared, req, deadline).0;
-    let _span = obs::span!("http.page", page = "orders");
+    let _span = obs::span!("http.page");
     let (Ok(seed), Ok(count)) = (seed.parse::<u64>(), count.parse::<usize>()) else {
         return Err(Reply::error(400, "seed and count must be integers"));
     };
@@ -899,7 +899,7 @@ fn handle_directory_page(
     outcome: &mut ReqOutcome,
 ) -> Result<Reply, Reply> {
     outcome.tenant = request_limits(shared, req, deadline).0;
-    let _span = obs::span!("http.page", page = "directory");
+    let _span = obs::span!("http.page");
     let (Ok(seed), Ok(breadth), Ok(depth)) = (
         seed.parse::<u64>(),
         breadth.parse::<usize>(),

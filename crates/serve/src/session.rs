@@ -271,7 +271,7 @@ pub(crate) fn handle_session_create(
     let cap = limits.max_input_bytes;
     let raw = read_small_body(conn, req, deadline, cap, "document", &mut outcome.bytes_in)?;
     let document = utf8_body(raw, "document")?;
-    let _span = obs::span!("http.session.create", schema = schema);
+    let _span = obs::span!("http.session.create");
     let session = match shared.registry.open_session(schema, &document, limits) {
         Ok(session) => session,
         Err(SessionError::UnknownSchema(_)) => return Err(unknown_schema(schema)),

@@ -485,8 +485,7 @@ impl IncrementalValidator {
     /// Nodes re-checked by the most recent [`apply`](Self::apply) —
     /// suffix slots walked plus inserted-subtree nodes validated. The
     /// wide-event `nodes_rechecked` field; divide by
-    /// [`node_count`](Self::node_count) for the locality ratio B16
-    /// reports.
+    /// [`node_count`](Self::node_count) for the locality ratio.
     pub fn nodes_rechecked(&self) -> usize {
         self.last_nodes_rechecked
     }

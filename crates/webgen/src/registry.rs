@@ -358,7 +358,7 @@ impl SchemaRegistry {
         limits: &Limits,
     ) -> Option<std::io::Result<Vec<ValidationError>>> {
         let compiled = self.get(schema_name)?;
-        let span = obs::span!("registry.validate_reader", schema = schema_name);
+        let span = obs::span!("registry.validate_reader");
         let result = validator::validate_read_streaming_with_limits(&compiled, input, limits);
         Self::observe_latency(schema_name, span);
         Some(result)
@@ -372,7 +372,7 @@ impl SchemaRegistry {
         document: &str,
         limits: &Limits,
     ) -> Vec<ValidationError> {
-        let span = obs::span!("registry.validate", schema = schema_name);
+        let span = obs::span!("registry.validate");
         let errors = validator::validate_str_streaming_with_limits(compiled, document, limits);
         Self::observe_latency(schema_name, span);
         errors
@@ -472,12 +472,7 @@ impl SchemaRegistry {
     ) -> Option<Vec<Vec<ValidationError>>> {
         let compiled = self.get(schema_name)?;
         compiled.warm();
-        let _span = obs::span!(
-            "registry.validate_batch_parallel",
-            schema = schema_name,
-            docs = documents.len(),
-            threads = pool.threads()
-        );
+        let _span = obs::span!("registry.validate_batch_parallel");
         // documents are copied once into `Arc<str>` jobs: the pool needs
         // `'static` payloads
         let name: Arc<str> = Arc::from(schema_name);

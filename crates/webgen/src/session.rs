@@ -9,7 +9,8 @@
 //! span per patch, `patch_applied_total` / `patch_rejected_total`
 //! counters, a `patch_revalidate_seconds` latency histogram, and a wide
 //! event per patch carrying `nodes_rechecked` next to the document size
-//! (the locality ratio B16 reports).
+//! (the locality perfbench's edit-session reports as
+//! `validator.patch.nodes_rechecked`).
 
 use limits::Limits;
 use schema::CompiledSchema;
@@ -100,11 +101,7 @@ impl DocSession {
     /// span, outcome counters, the revalidation-latency histogram, and
     /// a wide event recording how local the recheck was.
     pub fn apply(&mut self, patch: &DomPatch) -> Result<(), PatchError> {
-        let span = obs::span!(
-            "session.patch",
-            schema = self.schema_name.as_str(),
-            op = patch.op_name()
-        );
+        let span = obs::span!("session.patch");
         let result = self.inner.apply(patch);
         let elapsed = span.finish();
         if obs::enabled() {

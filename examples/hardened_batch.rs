@@ -41,7 +41,7 @@ fn main() {
         .nth(1)
         .map(|a| a.parse().expect("threads must be a number"))
         .unwrap_or(4);
-    obs::install_collector();
+    obs::enable();
 
     let registry = SchemaRegistry::with_corpus().unwrap();
     registry.get("purchase-order").unwrap().warm();

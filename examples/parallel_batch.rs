@@ -22,7 +22,7 @@ fn main() {
         .nth(1)
         .map(|a| a.parse().expect("threads must be a number"))
         .unwrap_or(4);
-    obs::install_collector();
+    obs::enable();
 
     let registry = SchemaRegistry::with_corpus().unwrap();
     // Warm before serving: every content-model DFA and attribute table

@@ -41,7 +41,7 @@ fn main() {
     };
 
     // Metrics aggregate; the flight recorder attributes. Both on.
-    let _sink = obs::install_collector();
+    obs::enable();
     obs::trace::start(65_536);
 
     let registry = SchemaRegistry::with_corpus().unwrap();

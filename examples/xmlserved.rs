@@ -26,7 +26,7 @@ use webgen::SchemaRegistry;
 
 fn main() {
     let arg = std::env::args().nth(1);
-    obs::install_collector();
+    obs::enable();
     let registry = Arc::new(SchemaRegistry::with_corpus().expect("corpus schemas compile"));
     registry.get("purchase-order").unwrap().warm();
     registry.get("wml").unwrap().warm();

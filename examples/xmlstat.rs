@@ -2,8 +2,9 @@
 //! whole pipeline — parse, schema compile, tree validation, streaming
 //! validation, P-XML templating, and the schema registry — with the
 //! observability layer switched on, then print what the `obs` crate
-//! collected in all three output formats: the span report, the
-//! human-readable metrics report, and the Prometheus text exposition.
+//! collected in all three output formats: the flight recorder's phase
+//! summary, the human-readable metrics report, and the Prometheus text
+//! exposition.
 //!
 //! ```text
 //! cargo run -p examples --bin xmlstat
@@ -14,9 +15,11 @@ use schema::{corpus, CompiledSchema};
 use webgen::{DirectoryPageData, PxmlDirectoryPage, SchemaRegistry};
 
 fn main() {
-    // Installing a sink is the single switch: spans start flowing to the
-    // collector and pipeline metrics start landing in `obs::metrics()`.
-    let sink = obs::install_collector();
+    // `enable` is the metrics switch: pipeline metrics start landing in
+    // `obs::metrics()`. The flight recorder keeps the spans, in bounded
+    // per-thread rings.
+    obs::enable();
+    obs::trace::start(65_536);
 
     // --- purchase-order corpus ------------------------------------------
     let po = CompiledSchema::parse(corpus::PURCHASE_ORDER_XSD).unwrap();
@@ -76,8 +79,9 @@ fn main() {
     assert!(pxml::instantiate(&wml, &good, &Bindings::new()).is_err());
 
     // --- what the observability layer saw -------------------------------
-    println!("\n=== span report ===\n");
-    print!("{}", sink.report());
+    obs::trace::stop();
+    println!("\n=== flight recorder ===\n");
+    print!("{}", obs::trace::summary());
     println!("=== metrics (text) ===\n");
     print!("{}", obs::metrics().render_text());
     println!("=== metrics (prometheus) ===\n");

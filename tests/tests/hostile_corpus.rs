@@ -54,9 +54,9 @@ unsafe impl GlobalAlloc for PeakAlloc {
 #[global_allocator]
 static GLOBAL: PeakAlloc = PeakAlloc;
 
-/// The tracker is process-global; hold this across each measured region
-/// so the harness's parallel test threads cannot bleed allocations into
-/// each other's window.
+/// The tracker is process-global; every test of this binary holds this
+/// for its whole body, set-up included, so the harness's parallel test
+/// threads cannot bleed allocations into a measured window.
 static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 const BILLION_LAUGHS: &str = include_str!("../corpora/hostile/billion_laughs.xml");
@@ -129,6 +129,7 @@ fn assert_rejected(compiled: &CompiledSchema, src: &str, want: &ResourceErrorKin
 
 #[test]
 fn billion_laughs_trips_expansion_count() {
+    let _window = MEASURE.lock().unwrap();
     assert_rejected(
         &po(),
         BILLION_LAUGHS,
@@ -139,6 +140,7 @@ fn billion_laughs_trips_expansion_count() {
 
 #[test]
 fn deep_nesting_trips_depth() {
+    let _window = MEASURE.lock().unwrap();
     assert_rejected(
         &po(),
         DEEP_NESTING,
@@ -149,6 +151,7 @@ fn deep_nesting_trips_depth() {
 
 #[test]
 fn many_attributes_trips_attribute_count() {
+    let _window = MEASURE.lock().unwrap();
     assert_rejected(
         &po(),
         MANY_ATTRIBUTES,
@@ -159,6 +162,7 @@ fn many_attributes_trips_attribute_count() {
 
 #[test]
 fn quadratic_blowup_trips_attribute_value_length() {
+    let _window = MEASURE.lock().unwrap();
     assert_rejected(
         &po(),
         QUADRATIC_BLOWUP,
@@ -172,6 +176,7 @@ fn quadratic_blowup_trips_attribute_value_length() {
 
 #[test]
 fn corpus_files_trip_distinct_limits() {
+    let _window = MEASURE.lock().unwrap();
     // each file regression-tests exactly one ceiling; if two ever trip
     // the same one, a regression in that limit could hide behind another
     let compiled = po();
@@ -205,6 +210,7 @@ fn peak_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
 
 #[test]
 fn scaled_monsters_reject_in_bounded_time_and_memory() {
+    let _window = MEASURE.lock().unwrap();
     let compiled = po();
     // warm every size-independent lazy structure (symbol table, plans)
     validate_str_streaming(&compiled, "<purchaseOrder/>");
@@ -225,7 +231,6 @@ fn scaled_monsters_reject_in_bounded_time_and_memory() {
         ("attribute monster", &attr_monster, "TooManyAttributes"),
         ("expansion monster", &flood_monster, "TooManyExpansions"),
     ];
-    let _window = MEASURE.lock().unwrap();
     for (label, src, want) in cases {
         let started = Instant::now();
         let (peak, errors) = peak_during(|| validate_str_streaming(&compiled, src));
@@ -251,13 +256,13 @@ fn scaled_monsters_reject_in_bounded_time_and_memory() {
 
 #[test]
 fn input_size_ceiling_rejects_before_parsing() {
+    let _window = MEASURE.lock().unwrap();
     let compiled = po();
     let budget = limits::Limits::default().with_max_input_bytes(1 << 10);
     let doc = format!(
         "<purchaseOrder><comment>{}</comment></purchaseOrder>",
         "x".repeat(4096)
     );
-    let _window = MEASURE.lock().unwrap();
     let (peak, errors) =
         peak_during(|| validator::validate_str_streaming_with_limits(&compiled, &doc, &budget));
     assert!(

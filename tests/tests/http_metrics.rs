@@ -69,7 +69,7 @@ fn counter_value(metrics: &str, name: &str) -> Option<u64> {
 
 #[test]
 fn exported_counters_reconcile_exactly_with_the_traffic_sent() {
-    obs::install_collector(); // instrumentation is opt-in, as in the library
+    obs::enable(); // instrumentation is opt-in, as in the library
     let registry = Arc::new(SchemaRegistry::with_corpus().unwrap());
     let server = Server::start(registry, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.addr();

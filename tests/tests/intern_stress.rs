@@ -66,7 +66,7 @@ fn overlapping_schemas(prefix: &str) -> (String, String) {
 #[test]
 fn racing_threads_intern_each_distinct_model_exactly_once() {
     let _guard = OBS_LOCK.lock().unwrap();
-    obs::install_collector();
+    obs::enable();
     let (xsd_a, xsd_b) = overlapping_schemas("ixa");
     let before = compiled_total();
 

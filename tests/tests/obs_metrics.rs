@@ -47,7 +47,7 @@ fn by_kind(errors: &[validator::ValidationError]) -> BTreeMap<&'static str, u64>
 #[test]
 fn tree_validation_error_counters_match_ground_truth() {
     let _guard = OBS_LOCK.lock().unwrap();
-    obs::install_collector();
+    obs::enable();
     let compiled = CompiledSchema::parse(corpus::PURCHASE_ORDER_XSD).unwrap();
     let doc = xmlparse::parse_document(BROKEN_PO).unwrap();
 
@@ -82,7 +82,7 @@ fn tree_validation_error_counters_match_ground_truth() {
 #[test]
 fn tree_validation_leaves_streaming_metrics_alone() {
     let _guard = OBS_LOCK.lock().unwrap();
-    obs::install_collector();
+    obs::enable();
     let compiled = CompiledSchema::parse(corpus::PURCHASE_ORDER_XSD).unwrap();
     let doc = xmlparse::parse_document(BROKEN_PO).unwrap();
     let expected = by_kind(&validator::validate_document(&compiled, &doc));
@@ -135,7 +135,7 @@ fn tree_validation_leaves_streaming_metrics_alone() {
 #[test]
 fn streaming_validation_counters_match_ground_truth() {
     let _guard = OBS_LOCK.lock().unwrap();
-    obs::install_collector();
+    obs::enable();
     let compiled = CompiledSchema::parse(corpus::PURCHASE_ORDER_XSD).unwrap();
 
     let expected = by_kind(&validator::validate_str_streaming(&compiled, BROKEN_PO));
@@ -181,7 +181,7 @@ fn streaming_validation_counters_match_ground_truth() {
 #[test]
 fn parser_counters_match_the_document() {
     let _guard = OBS_LOCK.lock().unwrap();
-    obs::install_collector();
+    obs::enable();
 
     // count events with an explicit reader, then diff around parse_document
     let mut reader = xmlparse::Reader::new(corpus::PURCHASE_ORDER_XML);
@@ -220,7 +220,7 @@ fn parser_counters_match_the_document() {
 #[test]
 fn parallel_batch_counters_match_single_threaded_ground_truth() {
     let _guard = OBS_LOCK.lock().unwrap();
-    obs::install_collector();
+    obs::enable();
     let registry = webgen::SchemaRegistry::new();
     registry
         .register("po-parallel", corpus::PURCHASE_ORDER_XSD)
@@ -339,7 +339,7 @@ fn parallel_batch_counters_match_single_threaded_ground_truth() {
 #[test]
 fn registry_and_facet_counters_move() {
     let _guard = OBS_LOCK.lock().unwrap();
-    obs::install_collector();
+    obs::enable();
 
     let hits_before = labeled("registry_get_total", &[("result", "hit")]);
     let misses_before = labeled("registry_get_total", &[("result", "miss")]);
