@@ -4,6 +4,14 @@
 //! `NameChar` productions of XML 1.0 (Fifth Edition). They are used by the
 //! parser for well-formedness checking and by the schema layer for
 //! validating `NCName`/`NMTOKEN` lexical values.
+//!
+//! Beside them sits one byte-class table, [`BYTE_CLASS`], derived from
+//! the same predicates at compile time: for every ASCII byte, whether it
+//! is a `NameStartChar`, a `NameChar`, or in-line whitespace (SP/HTAB).
+//! Bytes `>= 0x80` have no class. [`class_run`] measures a run of one
+//! class with one table load per byte; it is the fast path for ASCII
+//! names and in-tag whitespace, and the `char` predicates stay the
+//! definition for everything else.
 
 /// Returns `true` if `c` is a legal XML 1.0 `Char`.
 ///
@@ -26,7 +34,7 @@ pub fn is_xml_whitespace(c: char) -> bool {
 
 /// Returns `true` if `c` may start an XML `Name` (production \[4\]).
 #[inline]
-pub fn is_name_start_char(c: char) -> bool {
+pub const fn is_name_start_char(c: char) -> bool {
     matches!(c,
         ':' | '_'
         | 'A'..='Z' | 'a'..='z'
@@ -40,20 +48,67 @@ pub fn is_name_start_char(c: char) -> bool {
 
 /// Returns `true` if `c` may continue an XML `Name` (production \[4a\]).
 #[inline]
-pub fn is_name_char(c: char) -> bool {
+pub const fn is_name_char(c: char) -> bool {
     is_name_start_char(c)
         || matches!(c,
             '-' | '.' | '0'..='9'
             | '\u{B7}' | '\u{300}'..='\u{36F}' | '\u{203F}'..='\u{2040}')
 }
 
-/// Returns `true` if `s` is a non-empty XML `Name`.
-pub fn is_name(s: &str) -> bool {
-    let mut chars = s.chars();
-    match chars.next() {
-        Some(first) if is_name_start_char(first) => chars.all(is_name_char),
-        _ => false,
+/// [`BYTE_CLASS`] bit: the byte is an ASCII `NameStartChar`.
+pub const NAME_START: u8 = 1;
+/// [`BYTE_CLASS`] bit: the byte is an ASCII `NameChar`.
+pub const NAME: u8 = 2;
+/// [`BYTE_CLASS`] bit: the byte is in-line whitespace, SP or HTAB. CR
+/// and LF are `S` too but break lines, so they stay off the table.
+pub const SPACE: u8 = 4;
+
+/// The class bits of every byte: [`NAME_START`], [`NAME`] and [`SPACE`]
+/// for ASCII bytes as the `char` predicates define them, nothing for
+/// bytes `>= 0x80`, which only a decoded `char` can classify.
+pub static BYTE_CLASS: [u8; 256] = byte_classes();
+
+const fn byte_classes() -> [u8; 256] {
+    let mut table = [0; 256];
+    let mut b = 0;
+    while b < 0x80 {
+        let c = b as u8 as char;
+        if is_name_start_char(c) {
+            table[b] |= NAME_START;
+        }
+        if is_name_char(c) {
+            table[b] |= NAME;
+        }
+        if c == ' ' || c == '\t' {
+            table[b] |= SPACE;
+        }
+        b += 1;
     }
+    table
+}
+
+/// The length of the run of bytes at the front of `bytes` that all have
+/// a bit of `class` in [`BYTE_CLASS`]. Every byte of such a run is one
+/// ASCII character, so the run length is also its width in columns.
+#[inline]
+pub fn class_run(bytes: &[u8], class: u8) -> usize {
+    bytes
+        .iter()
+        .position(|&b| BYTE_CLASS[b as usize] & class == 0)
+        .unwrap_or(bytes.len())
+}
+
+/// Returns `true` if `s` is a non-empty XML `Name`. The ASCII prefix is
+/// checked through [`BYTE_CLASS`]; decoding starts at the first byte
+/// the table cannot settle.
+pub fn is_name(s: &str) -> bool {
+    let (head, tail) = s.split_at(class_run(s.as_bytes(), NAME));
+    let mut chars = tail.chars();
+    let starts = match head.bytes().next() {
+        Some(b) => BYTE_CLASS[b as usize] & NAME_START != 0,
+        None => matches!(chars.next(), Some(c) if is_name_start_char(c)),
+    };
+    starts && chars.all(is_name_char)
 }
 
 /// Returns `true` if `s` is a non-empty `NMTOKEN` (every char a `NameChar`).
@@ -113,6 +168,44 @@ mod tests {
         assert!(is_nmtoken("US"));
         assert!(!is_nmtoken(""));
         assert!(!is_nmtoken("a b"));
+    }
+
+    #[test]
+    fn byte_classes_agree_with_the_char_predicates() {
+        for b in 0..=u8::MAX {
+            let class = BYTE_CLASS[b as usize];
+            let c = b as char;
+            if b.is_ascii() {
+                assert_eq!(class & NAME_START != 0, is_name_start_char(c), "{b:#04x}");
+                assert_eq!(class & NAME != 0, is_name_char(c), "{b:#04x}");
+                assert_eq!(
+                    class & SPACE != 0,
+                    is_xml_whitespace(c) && c != '\r' && c != '\n',
+                    "{b:#04x}"
+                );
+            } else {
+                assert_eq!(class, 0, "{b:#04x} is not ASCII");
+            }
+        }
+    }
+
+    #[test]
+    fn class_runs_stop_at_the_first_byte_outside_the_class() {
+        assert_eq!(class_run(b"po:item-1.x>", NAME), 11);
+        assert_eq!(class_run(b" \t \r\n", SPACE), 3);
+        assert_eq!(class_run("ab\u{B7}c".as_bytes(), NAME), 2);
+        assert_eq!(class_run(b"", NAME), 0);
+    }
+
+    #[test]
+    fn names_with_non_ascii_after_an_ascii_prefix() {
+        assert!(is_name("a\u{B7}b"));
+        assert!(is_name("a\u{301}"));
+        assert!(is_name("\u{C0}1"));
+        assert!(!is_name("\u{B7}a"));
+        assert!(!is_name("a\u{D7}"));
+        assert!(!is_name("ab!"));
+        assert!(!is_name("9\u{C0}"));
     }
 
     #[test]
