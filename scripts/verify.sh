@@ -166,13 +166,20 @@ echo "==> governance gates (differential props + deterministic fuzz smoke)"
 # chunked verdict matches the whole-input one.
 timeout 300 cargo test -q -p integration-tests --test limits_prop --test fuzz_smoke
 
-echo "==> EOL conformance pass (CRLF/CR corpora + chunk-boundary props)"
+echo "==> reader gates (EOL conformance, byte-class runs, tag error positions)"
 # eol_prop re-encodes the corpora and generated documents with CRLF and
 # lone-CR line endings and holds parse/validation results identical to
 # the LF originals (XML 1.0 §2.11), then splits documents at random byte
 # positions — inside tags, entities, \r\n pairs, UTF-8 sequences — and
 # holds the FeedReader event stream equal to the whole-input parse.
-timeout 300 cargo test -q -p integration-tests --test eol_prop
+# name_run_prop generates documents with ASCII and non-ASCII names and
+# SP/HTAB/LF/CR/CRLF inside tags and holds every span and error position
+# to line/column recomputed from its byte offset, names to the char
+# predicates, and FeedReader at every byte cut to the whole-input reader;
+# tag_error_positions pins the kind, line, column and offset of every
+# name and tag error in one table, whole and chunked.
+timeout 300 cargo test -q -p integration-tests --test eol_prop --test name_run_prop \
+  --test tag_error_positions
 
 echo "==> hardened batch smoke (typed rejection + cancellation metrics)"
 out="$(timeout 120 cargo run -q --release -p examples --bin hardened_batch)"
