@@ -1,23 +1,25 @@
-//! A schema with compiled, cached content-model automata — the shared
-//! artifact the runtime validator and V-DOM both hold.
+//! A schema with its compiled tables — the shared artifact the runtime
+//! validator and V-DOM both hold.
 //!
 //! Two layers of sharing:
 //!
-//! * a **per-schema cache** (`type name → Arc<ContentDfa>`), so every
-//!   element instance of a type reuses one automaton;
+//! * a **per-schema table**, the frozen [`SymIndex`], built once from the
+//!   schema: every complex type's content DFA and effective attributes,
+//!   and every element plan. Every per-type question a caller asks is
+//!   answered from it, and nothing a caller asks adds to it;
 //! * a **process-global intern table** (`content expression →
 //!   Arc<ContentDfa>`), so *identical content models* — across types,
 //!   across schemas, across registry entries — compile exactly once and
 //!   share one automaton. A fleet of worker threads validating against
 //!   overlapping schemas never compiles the same model twice.
 //!
-//! All locks are `parking_lot` (non-poisoning): a panic on one
-//! validation thread must not wedge the caches for every other worker.
+//! The intern table is the only lock here, taken while an index is
+//! built. It recovers from poisoning: an automaton enters the table only
+//! once compiled, so a panic under the lock leaves the table whole, and
+//! it must not wedge the table for every other worker.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::{Mutex, RwLock};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use automata::{ContentDfa, ContentExpr};
 
@@ -26,74 +28,91 @@ use crate::error::SchemaError;
 use crate::resolve::{SimpleCheck, SimpleTypeError};
 use crate::symtab::SymIndex;
 
-/// Cache of `type name → (child name → child element type)`, `None` when
-/// the child is undeclared within the type. Nested rather than keyed by
-/// `(String, String)` so a cache *hit* probes with two `&str`s and never
-/// allocates.
-type ChildTypeCache = Arc<RwLock<HashMap<String, HashMap<String, Option<TypeRef>>>>>;
-
 /// The process-global DFA intern table. Keyed by the (unexpanded)
 /// content expression, which derives `Hash`/`Eq` structurally — two
 /// types whose models are written identically intern to one automaton.
-static DFA_INTERN: OnceLock<Mutex<HashMap<ContentExpr, Arc<ContentDfa>>>> = OnceLock::new();
+static DFA_INTERN: LazyLock<Mutex<HashMap<ContentExpr, Arc<ContentDfa>>>> =
+    LazyLock::new(Default::default);
 
-fn intern_table() -> &'static Mutex<HashMap<ContentExpr, Arc<ContentDfa>>> {
-    DFA_INTERN.get_or_init(|| Mutex::new(HashMap::new()))
+fn intern_table() -> MutexGuard<'static, HashMap<ContentExpr, Arc<ContentDfa>>> {
+    DFA_INTERN.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Number of distinct content models interned process-wide.
 pub fn interned_dfa_count() -> usize {
-    intern_table().lock().len()
+    intern_table().len()
 }
 
-/// Looks `expr` up in the intern table, compiling it on first sight.
+/// The content DFA of complex type `type_name`, looked up in the intern
+/// table and compiled on first sight; its size is reported per type.
 ///
 /// Compilation happens *under* the table lock, so each distinct model is
 /// compiled exactly once no matter how many threads race here — the
 /// `schema_dfa_compiled_total` counter is a faithful count of real
 /// compilations. Failed compilations are not cached (every caller gets
 /// the same error).
-fn intern_dfa(expr: &ContentExpr, type_name: &str) -> Result<Arc<ContentDfa>, SimpleTypeError> {
-    let mut table = intern_table().lock();
-    if let Some(dfa) = table.get(expr) {
-        if obs::enabled() {
-            obs::metrics()
-                .counter(
-                    "schema_dfa_intern_hits_total",
-                    "Content-model DFA requests served from the process-global intern table.",
-                )
-                .inc();
+pub(crate) fn intern_dfa(
+    expr: &ContentExpr,
+    type_name: &str,
+) -> Result<Arc<ContentDfa>, SimpleTypeError> {
+    let mut table = intern_table();
+    let dfa = match table.get(expr) {
+        Some(dfa) => {
+            if obs::enabled() {
+                obs::metrics()
+                    .counter(
+                        "schema_dfa_intern_hits_total",
+                        "Content-model DFA requests served from the process-global intern table.",
+                    )
+                    .inc();
+            }
+            dfa.clone()
         }
-        return Ok(dfa.clone());
-    }
-    let dfa =
-        Arc::new(ContentDfa::compile(expr).map_err(|e| {
-            SimpleTypeError::Unresolved(format!("content model of {type_name}: {e}"))
-        })?);
+        None => {
+            let dfa = Arc::new(ContentDfa::compile(expr).map_err(|e| {
+                SimpleTypeError::Unresolved(format!("content model of {type_name}: {e}"))
+            })?);
+            if obs::enabled() {
+                obs::metrics()
+                    .counter(
+                        "schema_dfa_compiled_total",
+                        "Content-model DFAs compiled (intern-table misses).",
+                    )
+                    .inc();
+            }
+            table.insert(expr.clone(), dfa.clone());
+            dfa
+        }
+    };
+    drop(table);
     if obs::enabled() {
-        obs::metrics()
-            .counter(
-                "schema_dfa_compiled_total",
-                "Content-model DFAs compiled (intern-table misses).",
+        let metrics = obs::metrics();
+        metrics
+            .gauge_with(
+                "schema_dfa_states",
+                "DFA state count per content model.",
+                &[("content_model", type_name)],
             )
-            .inc();
+            .set(dfa.state_count() as i64);
+        metrics
+            .gauge_with(
+                "schema_dfa_transitions",
+                "DFA transition count per content model.",
+                &[("content_model", type_name)],
+            )
+            .set(dfa.transition_count() as i64);
     }
-    table.insert(expr.clone(), dfa.clone());
     Ok(dfa)
 }
 
-/// A checked schema plus lazily populated caches (content DFAs, effective
-/// attribute lists, child-element types), cheap to clone and share across
-/// threads. The caches are what make V-DOM's per-mutation checks O(1)
-/// amortized rather than a schema walk per operation.
+/// A checked schema plus its frozen [`SymIndex`], cheap to clone and
+/// share across threads. The index is what makes V-DOM's per-mutation
+/// checks a table lookup rather than a schema walk per operation.
 #[derive(Debug, Clone)]
 pub struct CompiledSchema {
     schema: Arc<Schema>,
-    dfas: Arc<RwLock<HashMap<String, Arc<ContentDfa>>>>,
-    attrs: Arc<RwLock<HashMap<String, Arc<[AttributeUse]>>>>,
-    child_types: ChildTypeCache,
-    /// Symbol-keyed dispatch plans, built once on first use (or eagerly
-    /// by [`warm`](Self::warm)) and shared by every clone.
+    /// Built once on first use (or eagerly by [`warm`](Self::warm)) and
+    /// shared by every clone.
     sym_index: Arc<OnceLock<SymIndex>>,
 }
 
@@ -103,9 +122,6 @@ impl CompiledSchema {
         schema.check()?;
         Ok(CompiledSchema {
             schema: Arc::new(schema),
-            dfas: Arc::new(RwLock::new(HashMap::new())),
-            attrs: Arc::new(RwLock::new(HashMap::new())),
-            child_types: Arc::new(RwLock::new(HashMap::new())),
             sym_index: Arc::new(OnceLock::new()),
         })
     }
@@ -135,41 +151,20 @@ impl CompiledSchema {
         &self.schema
     }
 
-    /// The content DFA of a complex type, interned on first use.
+    /// The content DFA of a complex type.
     ///
     /// The returned handle is shared: two types (in this or any other
     /// schema) with structurally identical content models get
     /// pointer-equal `Arc<ContentDfa>`s.
     pub fn content_dfa(&self, type_name: &str) -> Result<Arc<ContentDfa>, SimpleTypeError> {
-        if let Some(dfa) = self.dfas.read().get(type_name) {
-            return Ok(dfa.clone());
+        match self.sym_index().complex_type(type_name) {
+            Some(entry) => entry.dfa.clone(),
+            // not a complex type: the walk reports why
+            None => self
+                .schema
+                .content_expr(type_name)
+                .and_then(|expr| intern_dfa(&expr, type_name)),
         }
-        let expr = self.schema.content_expr(type_name)?;
-        let dfa = intern_dfa(&expr, type_name)?;
-        if obs::enabled() {
-            let metrics = obs::metrics();
-            metrics
-                .gauge_with(
-                    "schema_dfa_states",
-                    "DFA state count per content model.",
-                    &[("content_model", type_name)],
-                )
-                .set(dfa.state_count() as i64);
-            metrics
-                .gauge_with(
-                    "schema_dfa_transitions",
-                    "DFA transition count per content model.",
-                    &[("content_model", type_name)],
-                )
-                .set(dfa.transition_count() as i64);
-        }
-        self.dfas.write().insert(type_name.to_string(), dfa.clone());
-        Ok(dfa)
-    }
-
-    /// The (uncompiled) content expression of a complex type.
-    pub fn content_expr(&self, type_name: &str) -> Result<ContentExpr, SimpleTypeError> {
-        self.schema.content_expr(type_name)
     }
 
     /// Whether the content of `type_name` allows interleaved text.
@@ -189,45 +184,31 @@ impl CompiledSchema {
         }
     }
 
-    /// The effective attribute uses of a complex type, cached.
+    /// The effective attribute uses of a complex type.
     pub fn effective_attributes(
         &self,
         type_name: &str,
     ) -> Result<Arc<[AttributeUse]>, SimpleTypeError> {
-        if let Some(a) = self.attrs.read().get(type_name) {
-            return Ok(a.clone());
+        match self.sym_index().complex_type(type_name) {
+            Some(entry) => entry.attrs.clone(),
+            // not a complex type: the walk reports why
+            None => self.schema.effective_attributes(type_name).map(Arc::from),
         }
-        let computed: Arc<[AttributeUse]> = self.schema.effective_attributes(type_name)?.into();
-        self.attrs
-            .write()
-            .insert(type_name.to_string(), computed.clone());
-        Ok(computed)
     }
 
     /// The declared type of `child` inside complex type `type_name`,
-    /// cached (including negative results).
+    /// `None` when the type declares no such child.
     pub fn child_element_type(&self, type_name: &str, child: &str) -> Option<TypeRef> {
-        if let Some(t) = self
-            .child_types
-            .read()
-            .get(type_name)
-            .and_then(|m| m.get(child))
-        {
-            return t.clone();
-        }
-        let computed = self.schema.child_element_type(type_name, child);
-        self.child_types
-            .write()
-            .entry(type_name.to_string())
-            .or_default()
-            .insert(child.to_string(), computed.clone());
-        computed
+        let index = self.sym_index();
+        let parent = index.complex_type(type_name)?.sym;
+        let plan = index.child(parent, index.sym(child)?)?;
+        Some(plan.type_ref.clone())
     }
 
-    /// The symbol-keyed dispatch index: per-element open plans keyed by
-    /// interned QNames, built on first use. The streaming validator's
-    /// zero-allocation hot path dispatches through this instead of the
-    /// string-keyed caches.
+    /// The frozen per-schema tables: per-type facts and per-element open
+    /// plans keyed by interned QNames, built on first use. Every per-type
+    /// accessor here and the streaming validator's zero-allocation hot
+    /// path answer from it.
     pub fn sym_index(&self) -> &SymIndex {
         self.sym_index.get_or_init(|| SymIndex::build(self))
     }
@@ -242,35 +223,18 @@ impl CompiledSchema {
         }
     }
 
-    /// Precompiles every complex type's content DFA, effective attribute
-    /// table, and child-type map, so a server pays all compilation cost
-    /// *before* taking traffic instead of on the first unlucky request.
-    /// Idempotent and safe to race from several threads.
+    /// Builds the index now — every complex type's content DFA and
+    /// effective attributes, every element plan — so a server pays all
+    /// compilation cost *before* taking traffic instead of on the first
+    /// unlucky request. Idempotent and safe to race from several threads.
     ///
     /// Returns the number of complex types whose DFA is ready. Types
     /// whose model cannot be DFA-compiled (occurrence bounds beyond the
-    /// expansion limit) are skipped here and keep reporting their error
-    /// on the per-document path, exactly as without warming.
+    /// expansion limit) keep reporting their error on the per-document
+    /// path, exactly as without warming.
     pub fn warm(&self) -> usize {
         let span = obs::span!("schema.warm");
-        let mut ready = 0;
-        for (name, def) in &self.schema.types {
-            if !matches!(def, TypeDef::Complex(_)) {
-                continue;
-            }
-            let _ = self.effective_attributes(name);
-            if let Ok(expr) = self.schema.content_expr(name) {
-                for symbol in expr.symbols() {
-                    let _ = self.child_element_type(name, &symbol);
-                }
-            }
-            if self.content_dfa(name).is_ok() {
-                ready += 1;
-            }
-        }
-        // build the symbol-keyed dispatch plans while we're still ahead
-        // of traffic (this also interns every declared QName)
-        let _ = self.sym_index();
+        let ready = self.sym_index().ready_dfa_count();
         // one clock read shared by the trace record and the histogram
         let elapsed = span.finish();
         if obs::enabled() {
@@ -285,10 +249,5 @@ impl CompiledSchema {
             }
         }
         ready
-    }
-
-    /// Number of DFAs cached in *this* schema so far (bench metric).
-    pub fn compiled_count(&self) -> usize {
-        self.dfas.read().len()
     }
 }

@@ -9,10 +9,10 @@
 //!
 //! Two entry points with deliberately different contracts:
 //!
-//! * [`intern`] adds to the table. Only **schema-side** code (DFA
-//!   construction, `CompiledSchema::warm`) calls this: the set of
-//!   declared names is bounded by schema size, so the table cannot grow
-//!   without bound.
+//! * [`intern`] adds to the table. Only **schema-side** code calls
+//!   this, when a schema's `SymIndex` is built: the set of declared
+//!   names is bounded by schema size, so the table cannot grow without
+//!   bound.
 //! * [`lookup`] never adds: a name no schema declared resolves to
 //!   `None`, and a hostile document cannot bloat the table no matter how
 //!   many distinct names it invents. Validation does not call it per
@@ -28,11 +28,13 @@
 //! Interned strings are leaked (`Box::leak`): the table is append-only
 //! and lives for the process, so each name is one small allocation,
 //! once, ever. `symbol_table_bytes` reports the cumulative cost.
+//!
+//! The table sits behind a `std::sync::RwLock`. A lock poisoned by a
+//! panicking holder is recovered rather than propagated, so one failed
+//! thread cannot wedge symbol resolution for every other.
 
 use std::collections::HashMap;
-
-use parking_lot::RwLock;
-use std::sync::OnceLock;
+use std::sync::{LazyLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// An interned QName: a dense `u32` index into the global table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -51,6 +53,7 @@ impl std::fmt::Display for Sym {
     }
 }
 
+#[derive(Default)]
 struct Table {
     by_name: HashMap<&'static str, Sym>,
     names: Vec<&'static str>,
@@ -59,16 +62,17 @@ struct Table {
     bytes: usize,
 }
 
-static TABLE: OnceLock<RwLock<Table>> = OnceLock::new();
+static TABLE: LazyLock<RwLock<Table>> = LazyLock::new(Default::default);
 
-fn table() -> &'static RwLock<Table> {
-    TABLE.get_or_init(|| {
-        RwLock::new(Table {
-            by_name: HashMap::new(),
-            names: Vec::new(),
-            bytes: 0,
-        })
-    })
+// The table only grows, and a holder that panics mid-update leaves at
+// worst an unused trailing name, so a poisoned lock is recovered rather
+// than propagated.
+fn read() -> RwLockReadGuard<'static, Table> {
+    TABLE.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write() -> RwLockWriteGuard<'static, Table> {
+    TABLE.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Interns `name`, returning its stable symbol. Idempotent; the second
@@ -77,10 +81,10 @@ fn table() -> &'static RwLock<Table> {
 /// Schema-side only: callers must ensure the set of interned names is
 /// bounded (e.g. by schema size). Document text should use [`lookup`].
 pub fn intern(name: &str) -> Sym {
-    if let Some(&sym) = table().read().by_name.get(name) {
+    if let Some(&sym) = read().by_name.get(name) {
         return sym;
     }
-    let mut t = table().write();
+    let mut t = write();
     // racing interner may have won between the locks
     if let Some(&sym) = t.by_name.get(name) {
         return sym;
@@ -113,7 +117,7 @@ pub fn intern(name: &str) -> Sym {
 /// the "undeclared element" case.
 #[inline]
 pub fn lookup(name: &str) -> Option<Sym> {
-    table().read().by_name.get(name).copied()
+    read().by_name.get(name).copied()
 }
 
 /// The interned string for `sym`.
@@ -121,17 +125,17 @@ pub fn lookup(name: &str) -> Option<Sym> {
 /// # Panics
 /// If `sym` did not come from [`intern`] in this process.
 pub fn name(sym: Sym) -> &'static str {
-    table().read().names[sym.0 as usize]
+    read().names[sym.0 as usize]
 }
 
 /// Number of symbols interned so far.
 pub fn count() -> usize {
-    table().read().names.len()
+    read().names.len()
 }
 
 /// Cumulative bytes of interned name storage.
 pub fn table_bytes() -> usize {
-    table().read().bytes
+    read().bytes
 }
 
 #[cfg(test)]

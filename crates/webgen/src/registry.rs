@@ -4,10 +4,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use limits::{Limits, ResourceErrorKind};
-use parking_lot::RwLock;
 use pool::ThreadPool;
 use pxml::{Bindings, CompiledTemplate, InstantiateError, Template, TypeEnv, VarType};
 use schema::{CompiledSchema, SchemaError};
@@ -121,6 +120,16 @@ fn env_signature(env: &TypeEnv) -> String {
     sig
 }
 
+// Each map update is one call that leaves the map whole, so a lock
+// poisoned by a panicking holder is recovered rather than propagated.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A named registry of compiled schemas.
 #[derive(Default)]
 pub struct SchemaRegistry {
@@ -152,11 +161,11 @@ impl SchemaRegistry {
     /// should be an error instead.
     pub fn register(&self, name: &str, xsd: &str) -> Result<Option<CompiledSchema>, SchemaError> {
         let compiled = CompiledSchema::parse(xsd)?;
-        let previous = self.schemas.write().insert(name.to_string(), compiled);
+        let previous = write(&self.schemas).insert(name.to_string(), compiled);
         if previous.is_some() {
             // compiled templates were planned against the replaced
             // schema — drop them so the next render recompiles
-            self.templates.write().retain(|key, _| key.0 != name);
+            write(&self.templates).retain(|key, _| key.0 != name);
         }
         if obs::enabled() {
             obs::metrics()
@@ -180,11 +189,11 @@ impl SchemaRegistry {
     /// cannot both succeed.
     pub fn try_register(&self, name: &str, xsd: &str) -> Result<CompiledSchema, RegisterError> {
         // fast fail before paying for compilation
-        if self.schemas.read().contains_key(name) {
+        if read(&self.schemas).contains_key(name) {
             return Err(RegisterError::Duplicate(name.to_string()));
         }
         let compiled = CompiledSchema::parse(xsd)?;
-        let mut schemas = self.schemas.write();
+        let mut schemas = write(&self.schemas);
         if schemas.contains_key(name) {
             return Err(RegisterError::Duplicate(name.to_string()));
         }
@@ -204,7 +213,7 @@ impl SchemaRegistry {
 
     /// Fetches a registered schema.
     pub fn get(&self, name: &str) -> Option<CompiledSchema> {
-        let found = self.schemas.read().get(name).cloned();
+        let found = read(&self.schemas).get(name).cloned();
         if obs::enabled() {
             obs::metrics()
                 .counter_with(
@@ -232,7 +241,7 @@ impl SchemaRegistry {
             source.to_string(),
             env_signature(env),
         );
-        if let Some(hit) = self.templates.read().get(&key) {
+        if let Some(hit) = read(&self.templates).get(&key) {
             Self::count_template("hit");
             return Ok(hit.clone());
         }
@@ -241,7 +250,7 @@ impl SchemaRegistry {
                 Self::count_template("miss");
                 // a racing miss may have inserted first; keep whichever
                 // landed so every caller shares one plan
-                let mut templates = self.templates.write();
+                let mut templates = write(&self.templates);
                 Ok(templates.entry(key).or_insert_with(|| plan).clone())
             }
             Err(e) => {
@@ -279,7 +288,7 @@ impl SchemaRegistry {
 
     /// Number of compiled templates currently cached.
     pub fn cached_templates(&self) -> usize {
-        self.templates.read().len()
+        read(&self.templates).len()
     }
 
     /// Renders one page through the compiled-template cache: compiles
@@ -299,12 +308,12 @@ impl SchemaRegistry {
 
     /// Number of registered schemas.
     pub fn len(&self) -> usize {
-        self.schemas.read().len()
+        read(&self.schemas).len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.schemas.read().is_empty()
+        read(&self.schemas).is_empty()
     }
 
     /// Streaming-validates one rendered page against the schema

@@ -32,6 +32,19 @@ if grep -rnE 'symbols::lookup\(|check_simple_value\(|validate_simple_value\(' cr
   exit 1
 fi
 
+echo "==> one frozen schema table, std locks only"
+# CompiledSchema answers every per-type question from its frozen
+# SymIndex, so compiled.rs keeps no reader-writer lock outside its tests
+# (cut at the first column-0 #[cfg(test)]), and the vendored parking_lot
+# shim stays deleted: every lock in the workspace is std::sync's.
+compiled_src="$(sed '/^#\[cfg(test)\]/,$d' crates/schema/src/compiled.rs)"
+if grep -rn --include='*.rs' --include='Cargo.toml' 'parking_lot' crates tests examples \
+    || { [ -e vendor/parking_lot ] && echo "vendor/parking_lot exists"; } \
+    || grep -n 'RwLock' <<<"$compiled_src"; then
+  echo "a lock-guarded schema cache or the parking_lot shim is back (see above)" >&2
+  exit 1
+fi
+
 echo "==> one JSON codec, one event type"
 # obs::json holds the workspace's only JSON parser and string escaper
 # (a JSON escaper is recognised by its \u00XX control-character
