@@ -13,8 +13,9 @@
 //!   governed case: the validator must also consult the clock at every
 //!   event gate.
 //!
-//! Same B2b/B10 corpora, warmed schemas, so rows are directly comparable
-//! with the B10 `*-streaming` numbers.
+//! Corpora: purchase orders of 1, 10, 100 and 1000 items
+//! (`generate_order(17, n)`) and WML directory pages of 4, 64 and 512
+//! entries, validated by `validate_str_streaming` against warmed schemas.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -22,7 +23,7 @@ use std::time::Duration;
 
 use bench::{po_schema, wml_schema};
 use limits::Limits;
-use validator::validate_str_streaming_with_limits;
+use validator::validate_str_streaming;
 
 fn limit_overhead(c: &mut Criterion) {
     let po = po_schema();
@@ -40,7 +41,7 @@ fn limit_overhead(c: &mut Criterion) {
     for &n in &[1usize, 10, 100, 1000] {
         let order = webgen::generate_order(17, n);
         let xml = webgen::render_order_string(&order);
-        assert!(validate_str_streaming_with_limits(&po, &xml, &default).is_empty());
+        assert!(validate_str_streaming(&po, &xml, &default).is_empty());
         group.throughput(Throughput::Bytes(xml.len() as u64));
         for (tag, budget) in [
             ("po-unbounded", &unbounded),
@@ -48,7 +49,7 @@ fn limit_overhead(c: &mut Criterion) {
             ("po-deadline", &deadline),
         ] {
             group.bench_with_input(BenchmarkId::new(tag, n), &xml, |b, xml| {
-                b.iter(|| black_box(validate_str_streaming_with_limits(&po, xml, budget).len()))
+                b.iter(|| black_box(validate_str_streaming(&po, xml, budget).len()))
             });
         }
     }
@@ -59,7 +60,7 @@ fn limit_overhead(c: &mut Criterion) {
             parent_dir: "/media".into(),
         };
         let xml = webgen::render_string(&data);
-        assert!(validate_str_streaming_with_limits(&wml, &xml, &default).is_empty());
+        assert!(validate_str_streaming(&wml, &xml, &default).is_empty());
         group.throughput(Throughput::Bytes(xml.len() as u64));
         for (tag, budget) in [
             ("wml-unbounded", &unbounded),
@@ -67,7 +68,7 @@ fn limit_overhead(c: &mut Criterion) {
             ("wml-deadline", &deadline),
         ] {
             group.bench_with_input(BenchmarkId::new(tag, n), &xml, |b, xml| {
-                b.iter(|| black_box(validate_str_streaming_with_limits(&wml, xml, budget).len()))
+                b.iter(|| black_box(validate_str_streaming(&wml, xml, budget).len()))
             });
         }
     }

@@ -4,8 +4,9 @@
 //! warmed `CompiledSchema` is shared by every worker of a `pool`
 //! work-stealing thread pool, and a batch of rendered documents fans out
 //! via `SchemaRegistry::validate_batch_parallel`. Baseline is
-//! the sequential `validate_batch` over the identical batch
-//! (the B2b streaming path, batched).
+//! the sequential `validate_batch` over the identical batch: seeded
+//! purchase orders and WML directory pages, each document
+//! streaming-validated in turn.
 //!
 //! Expected shape: near-linear scaling in thread count while documents
 //! outnumber workers — the acceptance bar is ≥3× over sequential at 4

@@ -136,8 +136,7 @@ fn gigabyte_pass() {
         .chain(std::iter::repeat_n(block.as_bytes(), reps))
         .chain(std::iter::once(suffix.as_bytes()));
     let started = Instant::now();
-    let errors =
-        validator::validate_chunks_streaming_with_limits(&po, chunks, &Limits::unbounded());
+    let errors = validator::validate_chunks_streaming(&po, chunks, &Limits::unbounded());
     let validate_secs = started.elapsed().as_secs_f64();
     assert!(errors.is_empty(), "synthetic stream must validate");
     eprintln!(

@@ -19,6 +19,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use bench::{po_schema, wml_schema};
+use limits::Limits;
+use validator::validate_str_streaming;
 
 fn configure(metrics: bool, trace: bool) {
     obs::shutdown();
@@ -60,13 +62,17 @@ fn trace_overhead(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new(format!("po-streaming-{mode}"), 1000),
             &po_xml,
-            |b, xml| b.iter(|| black_box(validator::validate_str_streaming(&po, xml).len())),
+            |b, xml| {
+                b.iter(|| black_box(validate_str_streaming(&po, xml, &Limits::default()).len()))
+            },
         );
         group.throughput(Throughput::Bytes(wml_xml.len() as u64));
         group.bench_with_input(
             BenchmarkId::new(format!("wml-streaming-{mode}"), 512),
             &wml_xml,
-            |b, xml| b.iter(|| black_box(validator::validate_str_streaming(&wml, xml).len())),
+            |b, xml| {
+                b.iter(|| black_box(validate_str_streaming(&wml, xml, &Limits::default()).len()))
+            },
         );
     }
     obs::trace::stop();

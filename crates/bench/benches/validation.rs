@@ -13,19 +13,11 @@
 //!
 //! Expected shape: `revalidate-each` explodes; the crossover against
 //! `vdom-incremental` appears at single-digit mutation counts.
-//!
-//! **B2b** (group `B2b-streaming-validation`) compares the two ways to
-//! check a *rendered* page: build a DOM from the text and run the tree
-//! validator (`dom-then-validate`) vs. feeding parser events straight to
-//! `validator::validate_str_streaming` (`streaming`), on purchase-order
-//! and WML corpora. Expected shape: identical verdicts, with streaming
-//! ahead by the cost of tree construction and with O(depth) instead of
-//! O(document) memory.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use bench::{po_schema, wml_schema};
+use bench::po_schema;
 
 fn append_items_dom(order: &webgen::Order, compiled: &schema::CompiledSchema, per_step: bool) {
     let mut doc = dom::Document::new();
@@ -89,53 +81,5 @@ fn validation(c: &mut Criterion) {
     group.finish();
 }
 
-fn streaming_vs_dom(c: &mut Criterion) {
-    let po = po_schema();
-    let wml = wml_schema();
-    let mut group = c.benchmark_group("B2b-streaming-validation");
-    group.sample_size(15);
-    for &n in &[1usize, 10, 100, 1000] {
-        let order = webgen::generate_order(17, n);
-        let xml = webgen::render_order_string(&order);
-        group.throughput(Throughput::Bytes(xml.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::new("po-dom-then-validate", n),
-            &xml,
-            |b, xml| {
-                b.iter(|| {
-                    let doc = xmlparse::parse_document(xml).unwrap();
-                    black_box(validator::validate_document(&po, &doc).len())
-                })
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("po-streaming", n), &xml, |b, xml| {
-            b.iter(|| black_box(validator::validate_str_streaming(&po, xml).len()))
-        });
-    }
-    for &n in &[4usize, 64, 512] {
-        let data = webgen::DirectoryPageData {
-            sub_dirs: (0..n).map(|i| format!("dir{i:04}")).collect(),
-            current_dir: "/media/archive".into(),
-            parent_dir: "/media".into(),
-        };
-        let xml = webgen::render_string(&data);
-        group.throughput(Throughput::Bytes(xml.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::new("wml-dom-then-validate", n),
-            &xml,
-            |b, xml| {
-                b.iter(|| {
-                    let doc = xmlparse::parse_document(xml).unwrap();
-                    black_box(validator::validate_document(&wml, &doc).len())
-                })
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("wml-streaming", n), &xml, |b, xml| {
-            b.iter(|| black_box(validator::validate_str_streaming(&wml, xml).len()))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, validation, streaming_vs_dom);
+criterion_group!(benches, validation);
 criterion_main!(benches);

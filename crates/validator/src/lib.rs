@@ -23,6 +23,14 @@
 //! each with the source span the parser recorded, or none for
 //! programmatic nodes — this is the "extensive testing at runtime" cost
 //! centre measured by benches B1/B2.
+//!
+//! Each input shape has one entry point, and the resource budget is a
+//! parameter: the three streaming functions and the
+//! [`StreamingValidator`] and [`IncrementalValidator`] constructors take
+//! a [`Limits`] last, so a caller wanting the defaults passes
+//! [`Limits::default()`]. [`validate_document`] still runs under the
+//! defaults beside [`validate_document_with_limits`], because the
+//! benchmark harness calls the short name.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,9 +47,7 @@ use xmlchars::Span;
 pub use error::{ValidationError, ValidationErrorKind};
 pub use patch::{apply_unchecked, DomPatch, IncrementalValidator, NewNode, NodePath, PatchError};
 pub use stream::{
-    validate_chunks_streaming, validate_chunks_streaming_with_limits, validate_read_streaming,
-    validate_read_streaming_with_limits, validate_str_streaming,
-    validate_str_streaming_with_limits, StreamingValidator,
+    validate_chunks_streaming, validate_read_streaming, validate_str_streaming, StreamingValidator,
 };
 
 /// The parser-recorded span of `node`, if there is one.

@@ -437,16 +437,11 @@ impl fmt::Debug for IncrementalValidator {
 }
 
 impl IncrementalValidator {
-    /// Takes ownership of `doc` after proving it valid under
-    /// [`Limits::default`]. Returns the violations if it is not.
-    pub fn new(compiled: CompiledSchema, doc: Document) -> Result<Self, Vec<ValidationError>> {
-        IncrementalValidator::with_limits(compiled, doc, Limits::default())
-    }
-
-    /// [`new`](Self::new) under an explicit session budget: the initial
-    /// full pass, every fragment parse, and every patch run under
-    /// `limits`.
-    pub fn with_limits(
+    /// Takes ownership of `doc` after proving it valid. Returns the
+    /// violations if it is not. `limits` is the session budget: the
+    /// initial full pass, every fragment parse, and every patch run under
+    /// it.
+    pub fn new(
         compiled: CompiledSchema,
         doc: Document,
         limits: Limits,
@@ -1154,7 +1149,7 @@ mod tests {
     fn po_session() -> IncrementalValidator {
         let compiled = CompiledSchema::parse(PURCHASE_ORDER_XSD).unwrap();
         let doc = xmlparse::parse_document(PURCHASE_ORDER_XML).unwrap();
-        IncrementalValidator::new(compiled, doc).unwrap()
+        IncrementalValidator::new(compiled, doc, Limits::default()).unwrap()
     }
 
     fn path_of(doc: &Document, node: NodeId) -> NodePath {
@@ -1178,7 +1173,7 @@ mod tests {
     fn invalid_document_is_refused_at_open() {
         let compiled = CompiledSchema::parse(PURCHASE_ORDER_XSD).unwrap();
         let doc = xmlparse::parse_document("<purchaseOrder/>").unwrap();
-        let errors = match IncrementalValidator::new(compiled, doc) {
+        let errors = match IncrementalValidator::new(compiled, doc, Limits::default()) {
             Err(errors) => errors,
             Ok(_) => panic!("invalid document accepted"),
         };
@@ -1422,7 +1417,7 @@ mod tests {
             "<wml><card id=\"c\"><p>hello <b>bold</b> world</p></card></wml>",
         )
         .unwrap();
-        let mut s = IncrementalValidator::new(compiled, doc).unwrap();
+        let mut s = IncrementalValidator::new(compiled, doc, Limits::default()).unwrap();
         // text inside mixed content: fine
         let p_path = vec![0, 0, 0];
         s.apply(&DomPatch::AppendChild {
@@ -1494,7 +1489,7 @@ mod tests {
         let limits = Limits::default()
             .with_max_patch_bytes(16)
             .with_max_patches(2);
-        let mut s = IncrementalValidator::with_limits(compiled, doc, limits).unwrap();
+        let mut s = IncrementalValidator::new(compiled, doc, limits).unwrap();
         let root = s.document().root_element().unwrap();
         let ship = s.document().child_element_named(root, "shipTo").unwrap();
         let zip = s.document().child_element_named(ship, "zip").unwrap();

@@ -177,23 +177,15 @@ pub struct StreamingValidator<'a, 'src> {
 }
 
 impl<'a, 'src> StreamingValidator<'a, 'src> {
-    /// A validator with an empty stack, ready for a document's events.
-    /// Builds the schema's [`SymIndex`] if this is its first use (warmed
-    /// schemas have it precomputed). Runs under [`Limits::default`];
-    /// those ceilings are far above anything a legitimate document
-    /// produces, so results are byte-identical to an unbounded run.
-    pub fn new(compiled: &'a CompiledSchema) -> StreamingValidator<'a, 'src> {
-        StreamingValidator::with_limits(compiled, Limits::default())
-    }
-
-    /// [`Self::new`] under an explicit resource budget. The validator
-    /// enforces the collection-side budgets (`max_errors`, deadline,
-    /// cancellation); the parse-side budgets belong to
-    /// [`xmlparse::Reader::with_limits`].
-    pub fn with_limits(
-        compiled: &'a CompiledSchema,
-        limits: Limits,
-    ) -> StreamingValidator<'a, 'src> {
+    /// A validator with an empty stack, ready for a document's events,
+    /// under the resource budget `limits`. Builds the schema's
+    /// [`SymIndex`] if this is its first use (warmed schemas have it
+    /// precomputed). The validator enforces the collection-side budgets
+    /// (`max_errors`, deadline, cancellation); the parse-side budgets
+    /// belong to [`xmlparse::Reader::with_limits`]. [`Limits::default`]'s
+    /// ceilings are far above anything a legitimate document produces, so
+    /// results under it are byte-identical to an unbounded run.
+    pub fn new(compiled: &'a CompiledSchema, limits: Limits) -> StreamingValidator<'a, 'src> {
         StreamingValidator {
             index: compiled.sym_index(),
             stack: Vec::new(),
@@ -634,7 +626,7 @@ pub(crate) fn walk_document(
     doc: &Document,
     limits: &Limits,
 ) -> (Vec<ValidationError>, bool) {
-    let mut v = StreamingValidator::with_limits(compiled, limits.clone());
+    let mut v = StreamingValidator::new(compiled, limits.clone());
     if let Some(root) = doc.root_element() {
         v.walk(doc, std::slice::from_ref(&root));
     }
@@ -652,7 +644,7 @@ pub(crate) fn check_subtree(
     node: NodeId,
     plan: Option<&ElemPlan>,
 ) -> Vec<ValidationError> {
-    let mut v = StreamingValidator::with_limits(compiled, Limits::unbounded());
+    let mut v = StreamingValidator::new(compiled, Limits::unbounded());
     let Some(plan) = plan else {
         v.walk(doc, std::slice::from_ref(&node));
         return v.errors;
@@ -676,20 +668,14 @@ pub(crate) fn check_subtree(
 /// [`ValidationErrorKind::NotWellFormed`] after whatever violations the
 /// valid prefix already produced.
 ///
-/// Runs under [`Limits::default`] — generous enough that legitimate
-/// documents validate byte-identically to an unbounded run, tight enough
-/// that hostile input is rejected in bounded time and memory. Use
-/// [`validate_str_streaming_with_limits`] to tune or disable the budget.
-pub fn validate_str_streaming(compiled: &CompiledSchema, src: &str) -> Vec<ValidationError> {
-    validate_str_streaming_with_limits(compiled, src, &Limits::default())
-}
-
-/// [`validate_str_streaming`] under an explicit resource budget: the
-/// reader enforces the parse-side ceilings, the validator the
-/// collection-side ones, and a trip ends the stream with a single
-/// [`ValidationErrorKind::Resource`] marker after whatever errors the
-/// governed prefix already produced.
-pub fn validate_str_streaming_with_limits(
+/// `limits` is the resource budget: the reader enforces the parse-side
+/// ceilings, the validator the collection-side ones, and a trip ends the
+/// stream with a single [`ValidationErrorKind::Resource`] marker after
+/// whatever errors the governed prefix already produced.
+/// [`Limits::default`] is generous enough that legitimate documents
+/// validate byte-identically to an unbounded run, tight enough that
+/// hostile input is rejected in bounded time and memory.
+pub fn validate_str_streaming(
     compiled: &CompiledSchema,
     src: &str,
     limits: &Limits,
@@ -717,7 +703,7 @@ fn validate_str_streaming_inner(
     limits: &Limits,
 ) -> (Vec<ValidationError>, DocTally) {
     let mut reader = Reader::with_limits(src, limits.clone());
-    let mut validator = StreamingValidator::with_limits(compiled, limits.clone());
+    let mut validator = StreamingValidator::new(compiled, limits.clone());
     loop {
         let outcome = reader.next_event_borrowed();
         match outcome {
@@ -783,18 +769,10 @@ fn terminal_parse_error(
 /// list (kinds *and* spans) as [`validate_str_streaming`] over the
 /// chunks' concatenation, but in memory bounded by element depth plus
 /// one in-flight token: the chunked-parse path for documents larger
-/// than memory. Runs under [`Limits::default`].
+/// than memory. In `limits`, `max_input_bytes` governs the *cumulative*
+/// fed byte count, so the budget holds even though no single chunk
+/// exceeds it.
 pub fn validate_chunks_streaming<'c>(
-    compiled: &CompiledSchema,
-    chunks: impl IntoIterator<Item = &'c [u8]>,
-) -> Vec<ValidationError> {
-    validate_chunks_streaming_with_limits(compiled, chunks, &Limits::default())
-}
-
-/// [`validate_chunks_streaming`] under an explicit resource budget.
-/// `max_input_bytes` governs the *cumulative* fed byte count, so the
-/// budget holds even though no single chunk exceeds it.
-pub fn validate_chunks_streaming_with_limits<'c>(
     compiled: &CompiledSchema,
     chunks: impl IntoIterator<Item = &'c [u8]>,
     limits: &Limits,
@@ -824,16 +802,9 @@ const READ_CHUNK_BYTES: usize = 64 * 1024;
 /// socket) validates in O(depth) memory without ever being resident.
 /// I/O errors are the caller's problem and propagate as `Err`
 /// (`Interrupted` reads are retried); parse and validation problems come
-/// back in the usual error list.
+/// back in the usual error list. `limits` governs as for
+/// [`validate_chunks_streaming`].
 pub fn validate_read_streaming<R: std::io::Read>(
-    compiled: &CompiledSchema,
-    input: R,
-) -> std::io::Result<Vec<ValidationError>> {
-    validate_read_streaming_with_limits(compiled, input, &Limits::default())
-}
-
-/// [`validate_read_streaming`] under an explicit resource budget.
-pub fn validate_read_streaming_with_limits<R: std::io::Read>(
     compiled: &CompiledSchema,
     mut input: R,
     limits: &Limits,
@@ -866,7 +837,7 @@ fn validate_feed<E>(
     source: impl FnOnce(&mut dyn FnMut(&[u8]) -> bool) -> Result<(), E>,
 ) -> Result<Vec<ValidationError>, E> {
     let mut feeder = FeedReader::with_limits(limits.clone());
-    let mut validator = StreamingValidator::with_limits(compiled, limits.clone());
+    let mut validator = StreamingValidator::new(compiled, limits.clone());
     let mut outcome: Result<bool, ParseError> = Ok(true);
     let mut sink = |event: &BorrowedEvent<'_, '_>| {
         validator.feed_transient(event);
@@ -977,7 +948,7 @@ mod tests {
     /// Both validators on the same source; asserts full agreement
     /// (kinds *and* spans) and returns the streaming list.
     fn both(compiled: &CompiledSchema, src: &str) -> Vec<ValidationError> {
-        let streamed = validate_str_streaming(compiled, src);
+        let streamed = validate_str_streaming(compiled, src, &Limits::default());
         let doc = xmlparse::parse_document(src).expect("well-formed test input");
         let treed = validate_document(compiled, &doc);
         assert_eq!(streamed, treed, "validators disagree on:\n{src}");
@@ -1003,7 +974,7 @@ mod tests {
         let src = PURCHASE_ORDER_XML
             .replacen("<shipTo", "<billTo", 1)
             .replacen("</shipTo>", "</billTo>", 1);
-        let errors = validate_str_streaming(&po(), &src);
+        let errors = validate_str_streaming(&po(), &src, &Limits::default());
         assert!(errors
             .iter()
             .any(|e| matches!(e.kind, ValidationErrorKind::UnexpectedChild { .. })));
@@ -1084,7 +1055,11 @@ mod tests {
 
     #[test]
     fn malformed_input_reported_not_well_formed() {
-        let errors = validate_str_streaming(&po(), "<purchaseOrder><shipTo></purchaseOrder>");
+        let errors = validate_str_streaming(
+            &po(),
+            "<purchaseOrder><shipTo></purchaseOrder>",
+            &Limits::default(),
+        );
         assert!(matches!(
             errors.last().unwrap().kind,
             ValidationErrorKind::NotWellFormed(_)
@@ -1099,6 +1074,7 @@ mod tests {
         let errors = validate_str_streaming(
             &po(),
             "<purchaseOrder orderDate=\"1999-10-20\" orderDate=\"1999-10-21\"/>",
+            &Limits::default(),
         );
         assert!(matches!(
             &errors.last().unwrap().kind,
@@ -1108,7 +1084,7 @@ mod tests {
 
     #[test]
     fn empty_input_reports_missing_root() {
-        let errors = validate_str_streaming(&po(), "");
+        let errors = validate_str_streaming(&po(), "", &Limits::default());
         assert!(!errors.is_empty());
     }
 
@@ -1122,7 +1098,7 @@ mod tests {
             page.push_str(&format!("<option value=\"{i}\">o{i}</option>"));
         }
         page.push_str("</select></p></card></wml>");
-        let mut v = StreamingValidator::new(&compiled);
+        let mut v = StreamingValidator::new(&compiled, Limits::default());
         let mut max_depth = 0;
         feed_source(&mut v, &page, |v| max_depth = max_depth.max(v.depth()));
         assert!(max_depth <= 5, "depth grew to {max_depth}");
@@ -1137,9 +1113,9 @@ mod tests {
         let src = PURCHASE_ORDER_XML
             .replace("orderDate=\"1999-10-20\"", "orderDate=\"soon\"")
             .replace("<zip>90952</zip>", "<zip>nope</zip>");
-        let borrowed = validate_str_streaming(&compiled, &src);
+        let borrowed = validate_str_streaming(&compiled, &src, &Limits::default());
         let mut reader = Reader::new(src.as_str());
-        let mut v = StreamingValidator::new(&compiled);
+        let mut v = StreamingValidator::new(&compiled, Limits::default());
         loop {
             match reader.next_event_borrowed().unwrap() {
                 BorrowedEvent::Eof => break,
@@ -1152,7 +1128,7 @@ mod tests {
     #[test]
     fn error_count_tracks_errors_without_collecting() {
         let compiled = po();
-        let mut v = StreamingValidator::new(&compiled);
+        let mut v = StreamingValidator::new(&compiled, Limits::default());
         assert_eq!(v.error_count(), 0);
         let mut counts = Vec::new();
         feed_source(&mut v, "<purchaseOrder><junk/></purchaseOrder>", |v| {
@@ -1167,7 +1143,7 @@ mod tests {
     #[test]
     fn feed_and_errors_are_incremental() {
         let compiled = po();
-        let mut v = StreamingValidator::new(&compiled);
+        let mut v = StreamingValidator::new(&compiled, Limits::default());
         feed_source(&mut v, "<purchaseOrder><junk/></purchaseOrder>", |_| {});
         // <junk> rejected mid-stream, before finish()
         assert!(v
@@ -1217,8 +1193,8 @@ mod tests {
             error_flood(20),
         ] {
             assert_eq!(
-                validate_str_streaming_with_limits(&compiled, &src, &Limits::unbounded()),
-                validate_str_streaming(&compiled, &src),
+                validate_str_streaming(&compiled, &src, &Limits::unbounded()),
+                validate_str_streaming(&compiled, &src, &Limits::default()),
                 "default limits changed the verdict on:\n{src}"
             );
         }
@@ -1228,13 +1204,9 @@ mod tests {
     fn error_cap_yields_exact_prefix_plus_marker() {
         let compiled = po();
         let src = error_flood(30);
-        let unbounded = validate_str_streaming_with_limits(&compiled, &src, &Limits::unbounded());
+        let unbounded = validate_str_streaming(&compiled, &src, &Limits::unbounded());
         assert!(unbounded.len() > 20, "flood too small: {}", unbounded.len());
-        let capped = validate_str_streaming_with_limits(
-            &compiled,
-            &src,
-            &Limits::default().with_max_errors(8),
-        );
+        let capped = validate_str_streaming(&compiled, &src, &Limits::default().with_max_errors(8));
         assert_eq!(capped.len(), 9, "{capped:#?}");
         assert_eq!(&capped[..8], &unbounded[..8]);
         let marker = capped.last().unwrap();
@@ -1250,8 +1222,7 @@ mod tests {
     fn fed_error_accumulation_is_capped() {
         let compiled = po();
         let src = error_flood(500);
-        let mut v =
-            StreamingValidator::with_limits(&compiled, Limits::default().with_max_errors(8));
+        let mut v = StreamingValidator::new(&compiled, Limits::default().with_max_errors(8));
         feed_source(&mut v, &src, |_| {});
         assert!(v.tripped());
         assert_eq!(v.error_count(), 9, "{:#?}", v.errors());
@@ -1270,7 +1241,7 @@ mod tests {
     fn past_deadline_trips_on_first_event() {
         let compiled = po();
         let budget = Limits::default().with_deadline(Instant::now() - Duration::from_millis(10));
-        let errors = validate_str_streaming_with_limits(&compiled, PURCHASE_ORDER_XML, &budget);
+        let errors = validate_str_streaming(&compiled, PURCHASE_ORDER_XML, &budget);
         assert_eq!(errors.len(), 1, "{errors:#?}");
         assert!(matches!(
             errors[0].kind,
@@ -1286,7 +1257,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let budget = Limits::default().with_cancel_token(&token);
-        let errors = validate_str_streaming_with_limits(&compiled, PURCHASE_ORDER_XML, &budget);
+        let errors = validate_str_streaming(&compiled, PURCHASE_ORDER_XML, &budget);
         assert_eq!(errors.len(), 1, "{errors:#?}");
         assert!(matches!(
             errors[0].kind,
@@ -1298,7 +1269,7 @@ mod tests {
     fn parser_budget_trip_surfaces_typed_not_as_well_formedness() {
         let compiled = po();
         let budget = Limits::default().with_max_depth(2);
-        let errors = validate_str_streaming_with_limits(&compiled, PURCHASE_ORDER_XML, &budget);
+        let errors = validate_str_streaming(&compiled, PURCHASE_ORDER_XML, &budget);
         let last = errors.last().unwrap();
         assert!(
             matches!(
@@ -1324,11 +1295,11 @@ mod tests {
             PURCHASE_ORDER_XML.replace("orderDate=\"1999-10-20\"", "orderDate=\"soon\""),
             error_flood(30),
         ] {
-            let whole = validate_str_streaming(&compiled, &src);
+            let whole = validate_str_streaming(&compiled, &src, &Limits::default());
             for size in [1, 3, 7, 64, 4096] {
                 let chunks: Vec<&[u8]> = src.as_bytes().chunks(size).collect();
                 assert_eq!(
-                    validate_chunks_streaming(&compiled, chunks),
+                    validate_chunks_streaming(&compiled, chunks, &Limits::default()),
                     whole,
                     "chunk size {size} diverged on:\n{src}"
                 );
@@ -1340,12 +1311,19 @@ mod tests {
     fn chunked_validation_reports_malformed_input() {
         let compiled = po();
         let src = "<purchaseOrder><shipTo></purchaseOrder>";
-        let whole = validate_str_streaming(&compiled, src);
+        let whole = validate_str_streaming(&compiled, src, &Limits::default());
         let chunks: Vec<&[u8]> = src.as_bytes().chunks(5).collect();
-        assert_eq!(validate_chunks_streaming(&compiled, chunks), whole);
+        assert_eq!(
+            validate_chunks_streaming(&compiled, chunks, &Limits::default()),
+            whole
+        );
         // a truncated stream is an UnexpectedEof the whole-input parse
         // of the prefix would also report
-        let errors = validate_chunks_streaming(&compiled, [&b"<purchaseOrder><shipTo"[..]]);
+        let errors = validate_chunks_streaming(
+            &compiled,
+            [&b"<purchaseOrder><shipTo"[..]],
+            &Limits::default(),
+        );
         assert!(matches!(
             errors.last().unwrap().kind,
             ValidationErrorKind::NotWellFormed(_)
@@ -1355,8 +1333,10 @@ mod tests {
     #[test]
     fn read_streaming_matches_whole_input() {
         let compiled = po();
-        let whole = validate_str_streaming(&compiled, PURCHASE_ORDER_XML);
-        let via_read = validate_read_streaming(&compiled, PURCHASE_ORDER_XML.as_bytes()).unwrap();
+        let whole = validate_str_streaming(&compiled, PURCHASE_ORDER_XML, &Limits::default());
+        let via_read =
+            validate_read_streaming(&compiled, PURCHASE_ORDER_XML.as_bytes(), &Limits::default())
+                .unwrap();
         assert_eq!(via_read, whole);
     }
 
@@ -1382,7 +1362,7 @@ mod tests {
     fn read_streaming_retries_interrupted_and_returns_other_io_errors() {
         use std::io::{Error, ErrorKind};
         let compiled = po();
-        let whole = validate_str_streaming(&compiled, PURCHASE_ORDER_XML);
+        let whole = validate_str_streaming(&compiled, PURCHASE_ORDER_XML, &Limits::default());
         let (head, tail) = PURCHASE_ORDER_XML.as_bytes().split_at(100);
         let interrupted = ScriptedRead(
             [
@@ -1394,11 +1374,11 @@ mod tests {
             .into(),
         );
         assert_eq!(
-            validate_read_streaming(&compiled, interrupted).unwrap(),
+            validate_read_streaming(&compiled, interrupted, &Limits::default()).unwrap(),
             whole
         );
         let broken = ScriptedRead([Ok(head), Err(Error::other("link down")), Ok(tail)].into());
-        let err = validate_read_streaming(&compiled, broken).unwrap_err();
+        let err = validate_read_streaming(&compiled, broken, &Limits::default()).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Other);
         assert_eq!(err.to_string(), "link down");
     }
@@ -1409,7 +1389,7 @@ mod tests {
         let budget = Limits::default().with_max_input_bytes(64);
         let big = error_flood(100);
         let chunks: Vec<&[u8]> = big.as_bytes().chunks(16).collect();
-        let errors = validate_chunks_streaming_with_limits(&compiled, chunks, &budget);
+        let errors = validate_chunks_streaming(&compiled, chunks, &budget);
         assert!(
             matches!(
                 errors.last().unwrap().kind,
@@ -1424,8 +1404,7 @@ mod tests {
         let compiled = po();
         let token = CancelToken::new();
         token.cancel();
-        let mut v =
-            StreamingValidator::with_limits(&compiled, Limits::default().with_cancel_token(&token));
+        let mut v = StreamingValidator::new(&compiled, Limits::default().with_cancel_token(&token));
         feed_source(&mut v, PURCHASE_ORDER_XML, |_| {});
         let errors = v.finish();
         // only the cancellation marker — no misleading NoRootElement

@@ -39,5 +39,5 @@ pub use orders::{
     Address, Item, Order, OrderTemplates,
 };
 pub use pool::ThreadPool;
-pub use registry::{PageError, RegisterError, SchemaRegistry, TemplateError};
+pub use registry::{RegisterError, SchemaRegistry};
 pub use session::{DocSession, SessionError};

@@ -1,6 +1,9 @@
 //! A process-wide registry of compiled schemas, shared by server pages:
 //! schemas compile once and every page handler clones a cheap handle
-//! (`CompiledSchema` is `Arc`-backed).
+//! (`CompiledSchema` is `Arc`-backed). The registry holds schemas only;
+//! a page generator compiles its P-XML templates once against the handle
+//! it fetched and keeps the plans itself ([`crate::OrderTemplates`],
+//! [`crate::CompiledDirectoryPage`]).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -8,7 +11,6 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use limits::{Limits, ResourceErrorKind};
 use pool::ThreadPool;
-use pxml::{Bindings, CompiledTemplate, InstantiateError, Template, TypeEnv, VarType};
 use schema::{CompiledSchema, SchemaError};
 use validator::{ValidationError, ValidationErrorKind};
 
@@ -41,85 +43,6 @@ impl From<SchemaError> for RegisterError {
     }
 }
 
-/// Why [`SchemaRegistry::compile_template`] refused a template.
-#[derive(Debug)]
-pub enum TemplateError {
-    /// No schema is registered under the name.
-    UnknownSchema(String),
-    /// The template failed to parse or to check against the schema.
-    Check(Vec<pxml::PxmlError>),
-}
-
-impl fmt::Display for TemplateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TemplateError::UnknownSchema(name) => {
-                write!(f, "no schema registered under {name:?}")
-            }
-            TemplateError::Check(errors) => {
-                write!(f, "template rejected with {} error(s)", errors.len())?;
-                if let Some(first) = errors.first() {
-                    write!(f, "; first: {first}")?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-impl std::error::Error for TemplateError {}
-
-/// Why [`SchemaRegistry::render_page`] failed: compilation or the
-/// value-level runtime residue.
-#[derive(Debug)]
-pub enum PageError {
-    /// The template did not compile (unknown schema, parse, or check).
-    Template(TemplateError),
-    /// The compiled template rejected the bindings at render time.
-    Render(InstantiateError),
-}
-
-impl fmt::Display for PageError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PageError::Template(e) => write!(f, "{e}"),
-            PageError::Render(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for PageError {}
-
-impl From<TemplateError> for PageError {
-    fn from(e: TemplateError) -> Self {
-        PageError::Template(e)
-    }
-}
-
-impl From<InstantiateError> for PageError {
-    fn from(e: InstantiateError) -> Self {
-        PageError::Render(e)
-    }
-}
-
-/// Cache key for compiled templates: schema name, template source, and
-/// a canonical rendering of the type environment (BTreeMap order).
-fn env_signature(env: &TypeEnv) -> String {
-    let mut sig = String::new();
-    for (name, ty) in env.iter() {
-        sig.push_str(name);
-        match ty {
-            VarType::Text => sig.push_str(":text;"),
-            VarType::Element(tag) => {
-                sig.push(':');
-                sig.push_str(tag);
-                sig.push(';');
-            }
-        }
-    }
-    sig
-}
-
 // Each map update is one call that leaves the map whole, so a lock
 // poisoned by a panicking holder is recovered rather than propagated.
 fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
@@ -134,7 +57,6 @@ fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 #[derive(Default)]
 pub struct SchemaRegistry {
     schemas: RwLock<HashMap<String, CompiledSchema>>,
-    templates: RwLock<HashMap<(String, String, String), Arc<CompiledTemplate>>>,
 }
 
 impl SchemaRegistry {
@@ -157,16 +79,13 @@ impl SchemaRegistry {
     /// existing registration. The replaced schema is returned (`None`
     /// for a first registration), so an overwrite is always visible to
     /// the caller — it can be logged, diffed, or treated as a rollout.
-    /// Use [`try_register`](Self::try_register) when a duplicate name
-    /// should be an error instead.
+    /// Handles fetched before the replacement, and templates compiled
+    /// against them, keep the schema they were fetched with. Use
+    /// [`try_register`](Self::try_register) when a duplicate name should
+    /// be an error instead.
     pub fn register(&self, name: &str, xsd: &str) -> Result<Option<CompiledSchema>, SchemaError> {
         let compiled = CompiledSchema::parse(xsd)?;
         let previous = write(&self.schemas).insert(name.to_string(), compiled);
-        if previous.is_some() {
-            // compiled templates were planned against the replaced
-            // schema — drop them so the next render recompiles
-            write(&self.templates).retain(|key, _| key.0 != name);
-        }
         if obs::enabled() {
             obs::metrics()
                 .counter_with(
@@ -226,86 +145,6 @@ impl SchemaRegistry {
         found
     }
 
-    /// Compiles a P-XML template against the schema registered under
-    /// `schema_name`, caching the lowered plan: the first call per
-    /// (schema, source, environment) pays parse + check + lowering,
-    /// every later call returns the shared [`CompiledTemplate`] handle.
-    pub fn compile_template(
-        &self,
-        schema_name: &str,
-        source: &str,
-        env: &TypeEnv,
-    ) -> Result<Arc<CompiledTemplate>, TemplateError> {
-        let key = (
-            schema_name.to_string(),
-            source.to_string(),
-            env_signature(env),
-        );
-        if let Some(hit) = read(&self.templates).get(&key) {
-            Self::count_template("hit");
-            return Ok(hit.clone());
-        }
-        match self.compile_template_uncached(schema_name, source, env) {
-            Ok(plan) => {
-                Self::count_template("miss");
-                // a racing miss may have inserted first; keep whichever
-                // landed so every caller shares one plan
-                let mut templates = write(&self.templates);
-                Ok(templates.entry(key).or_insert_with(|| plan).clone())
-            }
-            Err(e) => {
-                Self::count_template("error");
-                Err(e)
-            }
-        }
-    }
-
-    fn compile_template_uncached(
-        &self,
-        schema_name: &str,
-        source: &str,
-        env: &TypeEnv,
-    ) -> Result<Arc<CompiledTemplate>, TemplateError> {
-        let compiled = self
-            .get(schema_name)
-            .ok_or_else(|| TemplateError::UnknownSchema(schema_name.to_string()))?;
-        let template = Template::parse(source).map_err(|e| TemplateError::Check(vec![e]))?;
-        let plan = pxml::plan(&compiled, &template, env).map_err(TemplateError::Check)?;
-        Ok(Arc::new(plan))
-    }
-
-    fn count_template(outcome: &str) {
-        if obs::enabled() {
-            obs::metrics()
-                .counter_with(
-                    "registry_template_total",
-                    "Template compilations through the registry, by outcome.",
-                    &[("outcome", outcome)],
-                )
-                .inc();
-        }
-    }
-
-    /// Number of compiled templates currently cached.
-    pub fn cached_templates(&self) -> usize {
-        read(&self.templates).len()
-    }
-
-    /// Renders one page through the compiled-template cache: compiles
-    /// (or reuses) the plan for `source` under `schema_name`, then
-    /// renders `bindings` — the serving-path entry point where only the
-    /// value-level runtime residue can reject.
-    pub fn render_page(
-        &self,
-        schema_name: &str,
-        source: &str,
-        env: &TypeEnv,
-        bindings: &Bindings,
-    ) -> Result<String, PageError> {
-        let plan = self.compile_template(schema_name, source, env)?;
-        Ok(plan.render_to_string(bindings)?)
-    }
-
     /// Number of registered schemas.
     pub fn len(&self) -> usize {
         read(&self.schemas).len()
@@ -319,28 +158,20 @@ impl SchemaRegistry {
     /// Streaming-validates one rendered page against the schema
     /// registered under `schema_name`, without building a DOM; `None`
     /// when no such schema is registered. An empty error list means the
-    /// page is valid. Runs under [`Limits::default`] — see
-    /// [`validate_streaming_with_limits`](Self::validate_streaming_with_limits)
-    /// to tune the budget.
+    /// page is valid. Runs under [`Limits::default`];
+    /// [`validate_batch`](Self::validate_batch) takes an explicit budget.
     pub fn validate_streaming(
         &self,
         schema_name: &str,
         document: &str,
     ) -> Option<Vec<ValidationError>> {
-        self.validate_streaming_with_limits(schema_name, document, &Limits::default())
-    }
-
-    /// [`validate_streaming`](Self::validate_streaming) under an explicit
-    /// resource budget; a tripped budget ends the error list with a
-    /// typed [`ValidationErrorKind::Resource`] marker.
-    pub fn validate_streaming_with_limits(
-        &self,
-        schema_name: &str,
-        document: &str,
-        limits: &Limits,
-    ) -> Option<Vec<ValidationError>> {
         let compiled = self.get(schema_name)?;
-        Some(Self::validate_one(schema_name, &compiled, document, limits))
+        Some(Self::validate_one(
+            schema_name,
+            &compiled,
+            document,
+            &Limits::default(),
+        ))
     }
 
     /// Streaming-validates a byte stream pulled from `input` against the
@@ -368,7 +199,7 @@ impl SchemaRegistry {
     ) -> Option<std::io::Result<Vec<ValidationError>>> {
         let compiled = self.get(schema_name)?;
         let span = obs::span!("registry.validate_reader");
-        let result = validator::validate_read_streaming_with_limits(&compiled, input, limits);
+        let result = validator::validate_read_streaming(&compiled, input, limits);
         Self::observe_latency(schema_name, span);
         Some(result)
     }
@@ -382,7 +213,7 @@ impl SchemaRegistry {
         limits: &Limits,
     ) -> Vec<ValidationError> {
         let span = obs::span!("registry.validate");
-        let errors = validator::validate_str_streaming_with_limits(compiled, document, limits);
+        let errors = validator::validate_str_streaming(compiled, document, limits);
         Self::observe_latency(schema_name, span);
         errors
     }
@@ -709,78 +540,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(baseline, governed);
-    }
-
-    #[test]
-    fn template_cache_compiles_once_and_renders_pages() {
-        let reg = SchemaRegistry::with_corpus().unwrap();
-        let env = TypeEnv::new().text("subDir").text("label");
-        let src = crate::directory_page::DIRECTORY_OPTION_TEMPLATE;
-        let first = reg.compile_template("wml", src, &env).unwrap();
-        let second = reg.compile_template("wml", src, &env).unwrap();
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "second call must be a cache hit"
-        );
-        assert_eq!(reg.cached_templates(), 1);
-        // same source under a different environment is a distinct plan
-        let env2 = TypeEnv::new().text("subDir").text("label").text("unused");
-        let third = reg.compile_template("wml", src, &env2).unwrap();
-        assert!(!Arc::ptr_eq(&first, &third));
-        assert_eq!(reg.cached_templates(), 2);
-
-        let page = reg
-            .render_page(
-                "wml",
-                src,
-                &env,
-                &Bindings::new()
-                    .text("subDir", "/media/a b")
-                    .text("label", "a<b"),
-            )
-            .unwrap();
-        assert_eq!(page, "<option value=\"/media/a b\">a&lt;b</option>");
-    }
-
-    #[test]
-    fn template_cache_reports_typed_failures() {
-        let reg = SchemaRegistry::with_corpus().unwrap();
-        let env = TypeEnv::new();
-        let err = reg
-            .compile_template("nope", "<option value=\"x\">y</option>", &env)
-            .unwrap_err();
-        assert!(
-            matches!(err, TemplateError::UnknownSchema(ref n) if n == "nope"),
-            "{err}"
-        );
-        let err = reg
-            .compile_template("wml", "<option value=\"x\">$y$</option>", &env)
-            .unwrap_err();
-        assert!(matches!(err, TemplateError::Check(_)), "{err}");
-        // failures are not cached
-        assert_eq!(reg.cached_templates(), 0);
-        // runtime residue comes back as a render error, not a compile one
-        let err = reg
-            .render_page(
-                "purchase-order",
-                "<comment>$text$</comment>",
-                &TypeEnv::new().text("text"),
-                &Bindings::new(),
-            )
-            .unwrap_err();
-        assert!(matches!(err, PageError::Render(_)), "{err}");
-    }
-
-    #[test]
-    fn re_registration_drops_stale_template_plans() {
-        let reg = SchemaRegistry::new();
-        reg.register("wml", schema::corpus::WML_XSD).unwrap();
-        let env = TypeEnv::new().text("subDir").text("label");
-        let src = crate::directory_page::DIRECTORY_OPTION_TEMPLATE;
-        reg.compile_template("wml", src, &env).unwrap();
-        assert_eq!(reg.cached_templates(), 1);
-        reg.register("wml", schema::corpus::WML_XSD).unwrap();
-        assert_eq!(reg.cached_templates(), 0, "replacement invalidates plans");
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl DocSession {
                 return Err(vec![ValidationError { kind, span: None }]);
             }
         };
-        let inner = IncrementalValidator::with_limits(compiled, doc, limits)?;
+        let inner = IncrementalValidator::new(compiled, doc, limits)?;
         Ok(DocSession {
             schema_name: schema_name.to_string(),
             inner,

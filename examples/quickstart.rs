@@ -6,6 +6,7 @@
 //! cargo run -p examples --bin quickstart
 //! ```
 
+use limits::Limits;
 use schema::{corpus, CompiledSchema};
 use vdom::TypedDocument;
 
@@ -72,12 +73,12 @@ fn main() {
     //    serialized text through the event-based validator. This is the
     //    shape server pages use to check rendered output on its way out.
     let page = dom::serialize(&doc, root).unwrap();
-    let errors = validator::validate_str_streaming(&compiled, &page);
+    let errors = validator::validate_str_streaming(&compiled, &page, &Limits::default());
     assert!(errors.is_empty());
     println!("streaming validator agrees: document is valid");
 
     let broken = page.replace("148.95", "a lot");
-    for e in validator::validate_str_streaming(&compiled, &broken) {
+    for e in validator::validate_str_streaming(&compiled, &broken, &Limits::default()) {
         println!("streaming validator caught: {e}");
     }
 }

@@ -10,6 +10,7 @@
 //! cargo run -p examples --bin xmlstat
 //! ```
 
+use limits::Limits;
 use pxml::{Bindings, Template, TypeEnv};
 use schema::{corpus, CompiledSchema};
 use webgen::{DirectoryPageData, PxmlDirectoryPage, SchemaRegistry};
@@ -33,7 +34,7 @@ fn main() {
     for n in [1usize, 10, 100] {
         let order = webgen::generate_order(17, n);
         let xml = webgen::render_order_string(&order);
-        let errors = validator::validate_str_streaming(&po, &xml);
+        let errors = validator::validate_str_streaming(&po, &xml, &Limits::default());
         println!(
             "purchase-order: {n:>3}-item order, {} bytes, {} streaming errors",
             xml.len(),

@@ -100,6 +100,27 @@ if grep -rnE 'SpanSink|CollectingSink|SpanRecord|install_collector|fn install\('
   exit 1
 fi
 
+echo "==> one entry point per input shape"
+# The streaming entry points and the StreamingValidator and
+# IncrementalValidator constructors take Limits as a parameter, so no
+# _with_limits twin of them comes back; the registry holds schemas only,
+# and page generators own their compiled templates. Only non-test code
+# counts: crates/*/tests is skipped and every other file is cut at its
+# first column-0 #[cfg(test)].
+twins="$(for f in $(find crates -name '*.rs' -not -path 'crates/*/tests/*' | sort); do
+  sed '/^#\[cfg(test)\]/,$d' "$f" \
+    | grep -nE 'fn validate_(str|chunks|read)_streaming_with_limits\b|fn validate_streaming_with_limits\b|\b(compile_template|render_page|TemplateError|PageError|registry_template_total)\b' \
+    | sed "s|^|$f:|" || true
+done
+for f in crates/validator/src/stream.rs crates/validator/src/patch.rs; do
+  sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'fn with_limits\b' | sed "s|^|$f:|" || true
+done)"
+if [ -n "$twins" ]; then
+  echo "$twins" >&2
+  echo "a _with_limits twin or the registry template cache is back (see above)" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release -p examples --bins"
 cargo build --release -p examples --bins
 
@@ -257,8 +278,8 @@ echo "==> compiled template gate (plan ≡ interpreter differential battery)"
 # instantiate(...).to_xml() — or the identical typed error — across
 # hostile values (markup metacharacters, ]]>, lone \r, empty strings),
 # injected facet faults, fragment/pre-rendered splices, and occurrence
-# overflows; the pxml and webgen suites pin the plan lowering, the
-# registry plan cache, and the compiled page generators underneath.
+# overflows; the pxml and webgen suites pin the plan lowering and the
+# compiled page generators underneath.
 timeout 120 cargo test -q -p pxml
 timeout 120 cargo test -q -p integration-tests --test pxml_compile_prop
 timeout 120 cargo test -q -p webgen compiled

@@ -3,26 +3,39 @@
 //! allocations per event** — all per-document costs (frame stack,
 //! attribute buffer, open-element stack) are O(depth), not O(length).
 //!
-//! Method: a counting global allocator wraps the system allocator (this
-//! test file is its own binary, so the counter sees only this test).
-//! Validating a document with 10× the events must cost *exactly* the
-//! same number of allocations as the small one — any per-event
-//! allocation would scale with the event count and break the equality.
+//! Method: a counting global allocator wraps the system allocator and
+//! counts per thread, so a test's window sees only the allocations its
+//! own thread makes — not the harness's, which starts the other test
+//! threads while a measurement runs, nor a parallel test's. Validating a
+//! document with 10× the events must cost *exactly* the same number of
+//! allocations as the small one — any per-event allocation would scale
+//! with the event count and break the equality.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
+use limits::Limits;
 use schema::corpus::{PURCHASE_ORDER_XSD, WML_XSD};
 use schema::CompiledSchema;
 use validator::validate_str_streaming;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // const-initialised and free of drop glue: reaching it neither
+    // allocates nor registers a destructor, so the allocator may touch it
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` never panics inside the allocator; a counter without a
+    // destructor is reachable for the thread's whole life anyway
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -31,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -39,14 +52,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
-
-/// The tests measure a process-global counter; each holds this for
-/// its whole body, set-up included, so the harness's parallel test
-/// threads cannot bleed allocations into each other's window.
-static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// A flat, entity-free WML page with `n` options — event count scales
 /// linearly with `n` while depth stays constant.
@@ -61,7 +70,6 @@ fn flat_page(n: usize) -> String {
 
 #[test]
 fn streaming_validation_allocates_zero_per_event() {
-    let _window = MEASURE.lock().unwrap();
     let compiled = CompiledSchema::parse(WML_XSD).unwrap();
     compiled.warm();
 
@@ -70,16 +78,16 @@ fn streaming_validation_allocates_zero_per_event() {
 
     // one throwaway pass over each document: settles every lazy,
     // size-independent cost (symbol table, DFA intern, plan index)
-    assert!(validate_str_streaming(&compiled, &small).is_empty());
-    assert!(validate_str_streaming(&compiled, &large).is_empty());
+    assert!(validate_str_streaming(&compiled, &small, &Limits::default()).is_empty());
+    assert!(validate_str_streaming(&compiled, &large, &Limits::default()).is_empty());
 
     let before_small = allocations();
-    let errors = validate_str_streaming(&compiled, &small);
+    let errors = validate_str_streaming(&compiled, &small, &Limits::default());
     let cost_small = allocations() - before_small;
     assert!(errors.is_empty(), "{errors:#?}");
 
     let before_large = allocations();
-    let errors = validate_str_streaming(&compiled, &large);
+    let errors = validate_str_streaming(&compiled, &large, &Limits::default());
     let cost_large = allocations() - before_large;
     assert!(errors.is_empty(), "{errors:#?}");
 
@@ -119,22 +127,21 @@ fn purchase_order(n: usize) -> String {
 
 #[test]
 fn typed_values_allocate_zero_per_item() {
-    let _window = MEASURE.lock().unwrap();
     let compiled = CompiledSchema::parse(PURCHASE_ORDER_XSD).unwrap();
     compiled.warm();
 
     let small = purchase_order(100);
     let large = purchase_order(1000);
-    assert!(validate_str_streaming(&compiled, &small).is_empty());
-    assert!(validate_str_streaming(&compiled, &large).is_empty());
+    assert!(validate_str_streaming(&compiled, &small, &Limits::default()).is_empty());
+    assert!(validate_str_streaming(&compiled, &large, &Limits::default()).is_empty());
 
     let before_small = allocations();
-    let errors = validate_str_streaming(&compiled, &small);
+    let errors = validate_str_streaming(&compiled, &small, &Limits::default());
     let cost_small = allocations() - before_small;
     assert!(errors.is_empty(), "{errors:#?}");
 
     let before_large = allocations();
-    let errors = validate_str_streaming(&compiled, &large);
+    let errors = validate_str_streaming(&compiled, &large, &Limits::default());
     let cost_large = allocations() - before_large;
     assert!(errors.is_empty(), "{errors:#?}");
 
@@ -151,7 +158,6 @@ fn typed_values_allocate_zero_per_item() {
 fn borrowed_event_stream_allocates_zero_per_event() {
     // the parser alone, below the validator: pulling borrowed events
     // over an entity-free document costs O(depth) allocations total
-    let _window = MEASURE.lock().unwrap();
     let small = flat_page(100);
     let large = flat_page(1000);
 

@@ -6,8 +6,7 @@ use dom::{Document, NodeId};
 use limits::Limits;
 use schema::CompiledSchema;
 use validator::{
-    validate_document, validate_document_with_limits, validate_str_streaming_with_limits,
-    ValidationErrorKind,
+    validate_document, validate_document_with_limits, validate_str_streaming, ValidationErrorKind,
 };
 
 /// `<a>` of type `T`, whose sequence holds an optional `<a>` of type `T`.
@@ -49,7 +48,7 @@ fn deep_programmatic_chain_validates_without_overflow() {
     let (mut doc, leaf) = chain(DEPTH);
     assert!(validate_document(&compiled, &doc).is_empty());
     let src = "<a>".repeat(DEPTH) + &"</a>".repeat(DEPTH);
-    assert!(validate_str_streaming_with_limits(&compiled, &src, &Limits::unbounded()).is_empty());
+    assert!(validate_str_streaming(&compiled, &src, &Limits::unbounded()).is_empty());
 
     // an error at the very bottom proves the walk reached it
     doc.set_attribute(leaf, "n", "not-a-number").unwrap();

@@ -10,6 +10,7 @@
 //! parse event-for-event, spans included.
 
 use integration_tests::{event_stream, snapshot};
+use limits::Limits;
 use proptest::prelude::*;
 use schema::corpus::{PURCHASE_ORDER_XML, PURCHASE_ORDER_XSD, WML_XSD};
 use schema::CompiledSchema;
@@ -188,9 +189,17 @@ fn corpus_validation_verdicts_are_eol_invariant() {
                 })
                 .collect::<Vec<_>>()
         };
-        let lf = strip(validate_str_streaming(&compiled, &src));
-        let crlf = strip(validate_str_streaming(&compiled, &to_crlf(&src)));
-        let cr = strip(validate_str_streaming(&compiled, &to_cr(&src)));
+        let lf = strip(validate_str_streaming(&compiled, &src, &Limits::default()));
+        let crlf = strip(validate_str_streaming(
+            &compiled,
+            &to_crlf(&src),
+            &Limits::default(),
+        ));
+        let cr = strip(validate_str_streaming(
+            &compiled,
+            &to_cr(&src),
+            &Limits::default(),
+        ));
         assert_eq!(lf, crlf, "CRLF changed the verdict on:\n{src}");
         assert_eq!(lf, cr, "CR changed the verdict on:\n{src}");
     }
@@ -255,7 +264,7 @@ proptest! {
     ) {
         let compiled = po();
         let order = webgen::render_order_string(&webgen::generate_order(seed, items));
-        let whole = validate_str_streaming(&compiled, &order);
+        let whole = validate_str_streaming(&compiled, &order, &Limits::default());
         let mut positions: Vec<usize> = cuts
             .iter()
             .map(|c| c % (order.len() + 1))
@@ -271,6 +280,6 @@ proptest! {
             prev = p;
         }
         chunks.push(&bytes[prev..]);
-        prop_assert_eq!(validate_chunks_streaming(&compiled, chunks), whole);
+        prop_assert_eq!(validate_chunks_streaming(&compiled, chunks, &Limits::default()), whole);
     }
 }

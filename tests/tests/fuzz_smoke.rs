@@ -9,6 +9,7 @@
 
 use std::time::{Duration, Instant};
 
+use limits::Limits;
 use schema::corpus::{PURCHASE_ORDER_XML, PURCHASE_ORDER_XSD, WML_XSD};
 use schema::CompiledSchema;
 use validator::{validate_chunks_streaming, validate_str_streaming};
@@ -111,7 +112,7 @@ fn smoke(compiled: &CompiledSchema, seed_doc: &str, seed: u64, cases: usize) {
     for case in 0..cases {
         let doc = mutate(&mut rng, seed_doc);
         let started = Instant::now();
-        let errors = validate_str_streaming(compiled, &doc);
+        let errors = validate_str_streaming(compiled, &doc, &Limits::default());
         let elapsed = started.elapsed();
         assert!(
             errors.len() <= max_errors + 1,
@@ -125,7 +126,8 @@ fn smoke(compiled: &CompiledSchema, seed_doc: &str, seed: u64, cases: usize) {
         );
         // the same mangled document fed chunk-wise must neither panic
         // nor change the verdict, wherever the cuts land
-        let chunked = validate_chunks_streaming(compiled, random_chunks(&mut rng, &doc));
+        let chunked =
+            validate_chunks_streaming(compiled, random_chunks(&mut rng, &doc), &Limits::default());
         assert_eq!(
             chunked, errors,
             "case {case}: chunked validation diverged on:\n{doc}"

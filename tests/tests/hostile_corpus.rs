@@ -15,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use limits::ResourceErrorKind;
+use limits::{Limits, ResourceErrorKind};
 use schema::corpus::PURCHASE_ORDER_XSD;
 use schema::CompiledSchema;
 use validator::{validate_str_streaming, ValidationError, ValidationErrorKind};
@@ -87,7 +87,7 @@ fn rejected_in(compiled: &CompiledSchema, src: &str) -> (Duration, Vec<Validatio
     let mut best: Option<(Duration, Vec<ValidationError>)> = None;
     for _ in 0..3 {
         let started = Instant::now();
-        let errors = validate_str_streaming(compiled, src);
+        let errors = validate_str_streaming(compiled, src, &Limits::default());
         let elapsed = started.elapsed();
         match &mut best {
             Some((t, e)) => {
@@ -187,12 +187,16 @@ fn corpus_files_trip_distinct_limits() {
         QUADRATIC_BLOWUP,
     ]
     .iter()
-    .map(
-        |src| match &validate_str_streaming(&compiled, src).last().unwrap().kind {
+    .map(|src| {
+        match &validate_str_streaming(&compiled, src, &Limits::default())
+            .last()
+            .unwrap()
+            .kind
+        {
             ValidationErrorKind::Resource(kind) => kind.label(),
             other => panic!("untyped rejection: {other:?}"),
-        },
-    )
+        }
+    })
     .collect();
     kinds.sort_unstable();
     kinds.dedup();
@@ -213,7 +217,7 @@ fn scaled_monsters_reject_in_bounded_time_and_memory() {
     let _window = MEASURE.lock().unwrap();
     let compiled = po();
     // warm every size-independent lazy structure (symbol table, plans)
-    validate_str_streaming(&compiled, "<purchaseOrder/>");
+    validate_str_streaming(&compiled, "<purchaseOrder/>", &Limits::default());
 
     // 100,000-deep nesting: ~100× past the default ceiling
     let depth_monster = format!("{}{}", "<d>".repeat(100_000), "</d>".repeat(100_000));
@@ -233,7 +237,8 @@ fn scaled_monsters_reject_in_bounded_time_and_memory() {
     ];
     for (label, src, want) in cases {
         let started = Instant::now();
-        let (peak, errors) = peak_during(|| validate_str_streaming(&compiled, src));
+        let (peak, errors) =
+            peak_during(|| validate_str_streaming(&compiled, src, &Limits::default()));
         let elapsed = started.elapsed();
         assert!(
             elapsed < 4 * time_budget(),
@@ -264,7 +269,7 @@ fn input_size_ceiling_rejects_before_parsing() {
         "x".repeat(4096)
     );
     let (peak, errors) =
-        peak_during(|| validator::validate_str_streaming_with_limits(&compiled, &doc, &budget));
+        peak_during(|| validator::validate_str_streaming(&compiled, &doc, &budget));
     assert!(
         peak < 64 << 10,
         "pre-parse rejection allocated {peak} bytes"

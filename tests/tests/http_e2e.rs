@@ -17,6 +17,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use limits::Limits;
 use serve::{Server, ServerConfig};
 use webgen::SchemaRegistry;
 
@@ -269,6 +270,7 @@ fn hot_swap_under_traffic_never_serves_a_torn_verdict() {
         &validator::validate_str_streaming(
             &schema::CompiledSchema::parse(schema::corpus::WML_XSD).unwrap(),
             WML_VALID,
+            &Limits::default(),
         ),
     );
     let under_po = serve::json::verdict_json(
@@ -276,6 +278,7 @@ fn hot_swap_under_traffic_never_serves_a_torn_verdict() {
         &validator::validate_str_streaming(
             &schema::CompiledSchema::parse(schema::corpus::PURCHASE_ORDER_XSD).unwrap(),
             WML_VALID,
+            &Limits::default(),
         ),
     );
     assert_ne!(under_wml, under_po);

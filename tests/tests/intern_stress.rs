@@ -13,6 +13,7 @@
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 
+use limits::Limits;
 use schema::CompiledSchema;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -133,8 +134,12 @@ fn repeated_warm_and_validate_interleavings_do_not_deadlock() {
                         a.warm();
                         b.warm();
                     }
-                    assert!(validator::validate_str_streaming(&a, doc).is_empty());
-                    assert!(!validator::validate_str_streaming(&b, bad).is_empty());
+                    assert!(
+                        validator::validate_str_streaming(&a, doc, &Limits::default()).is_empty()
+                    );
+                    assert!(
+                        !validator::validate_str_streaming(&b, bad, &Limits::default()).is_empty()
+                    );
                 }
             })
         })

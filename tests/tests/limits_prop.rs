@@ -10,10 +10,7 @@ use pool::ThreadPool;
 use proptest::prelude::*;
 use schema::corpus::{PURCHASE_ORDER_XML, PURCHASE_ORDER_XSD, WML_XSD};
 use schema::CompiledSchema;
-use validator::{
-    validate_str_streaming, validate_str_streaming_with_limits, ValidationError,
-    ValidationErrorKind,
-};
+use validator::{validate_str_streaming, ValidationError, ValidationErrorKind};
 use webgen::SchemaRegistry;
 
 fn po() -> CompiledSchema {
@@ -67,8 +64,8 @@ proptest! {
         let c = po();
         let src = mutated_po(&picks);
         prop_assert_eq!(
-            validate_str_streaming(&c, &src),
-            validate_str_streaming_with_limits(&c, &src, &Limits::unbounded())
+            validate_str_streaming(&c, &src, &Limits::default()),
+            validate_str_streaming(&c, &src, &Limits::unbounded())
         );
     }
 
@@ -83,8 +80,8 @@ proptest! {
         let c = po();
         let order = webgen::render_order_string(&webgen::generate_order(seed, items));
         prop_assert_eq!(
-            validate_str_streaming(&c, &order),
-            validate_str_streaming_with_limits(&c, &order, &Limits::unbounded())
+            validate_str_streaming(&c, &order, &Limits::default()),
+            validate_str_streaming(&c, &order, &Limits::unbounded())
         );
         let c = wml();
         let page = webgen::render_string(&webgen::DirectoryPageData {
@@ -93,8 +90,8 @@ proptest! {
             parent_dir: "/media".into(),
         });
         prop_assert_eq!(
-            validate_str_streaming(&c, &page),
-            validate_str_streaming_with_limits(&c, &page, &Limits::unbounded())
+            validate_str_streaming(&c, &page, &Limits::default()),
+            validate_str_streaming(&c, &page, &Limits::unbounded())
         );
     }
 
@@ -107,8 +104,8 @@ proptest! {
     ) {
         let c = po();
         let src = mutated_po(&picks);
-        let unbounded = validate_str_streaming_with_limits(&c, &src, &Limits::unbounded());
-        let limited = validate_str_streaming_with_limits(
+        let unbounded = validate_str_streaming(&c, &src, &Limits::unbounded());
+        let limited = validate_str_streaming(
             &c,
             &src,
             &Limits::default().with_max_errors(cap),
@@ -132,8 +129,8 @@ proptest! {
     ) {
         let c = po();
         let src = mutated_po(&picks);
-        let unbounded = validate_str_streaming_with_limits(&c, &src, &Limits::unbounded());
-        let limited = validate_str_streaming_with_limits(
+        let unbounded = validate_str_streaming(&c, &src, &Limits::unbounded());
+        let limited = validate_str_streaming(
             &c,
             &src,
             &Limits::default().with_max_depth(depth),

@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
+use limits::Limits;
 use pool::ThreadPool;
 use schema::{corpus, CompiledSchema};
 
@@ -138,7 +139,11 @@ fn streaming_validation_counters_match_ground_truth() {
     obs::enable();
     let compiled = CompiledSchema::parse(corpus::PURCHASE_ORDER_XSD).unwrap();
 
-    let expected = by_kind(&validator::validate_str_streaming(&compiled, BROKEN_PO));
+    let expected = by_kind(&validator::validate_str_streaming(
+        &compiled,
+        BROKEN_PO,
+        &Limits::default(),
+    ));
     assert!(!expected.is_empty());
     let before: BTreeMap<_, _> = expected
         .keys()
@@ -155,7 +160,7 @@ fn streaming_validation_counters_match_ground_truth() {
     let depth_before = obs::metrics()
         .histogram("validator_stream_max_depth", "", obs::DEPTH_BUCKETS)
         .count();
-    let errors = validator::validate_str_streaming(&compiled, BROKEN_PO);
+    let errors = validator::validate_str_streaming(&compiled, BROKEN_PO, &Limits::default());
     assert_eq!(by_kind(&errors), expected);
     for (kind, count) in &expected {
         let after = labeled(

@@ -20,7 +20,7 @@ fn po_session() -> IncrementalValidator {
     let compiled = CompiledSchema::parse(PURCHASE_ORDER_XSD).unwrap();
     let order = webgen::render_order_string(&webgen::generate_order(3, 2));
     let doc = xmlparse::parse_document(&order).unwrap();
-    IncrementalValidator::new(compiled, doc).unwrap()
+    IncrementalValidator::new(compiled, doc, Limits::default()).unwrap()
 }
 
 fn wml_session() -> IncrementalValidator {
@@ -29,7 +29,7 @@ fn wml_session() -> IncrementalValidator {
         "<wml><card id=\"c1\" title=\"T\"><p>hello <b>bold</b> tail</p></card></wml>",
     )
     .unwrap();
-    IncrementalValidator::new(compiled, doc).unwrap()
+    IncrementalValidator::new(compiled, doc, Limits::default()).unwrap()
 }
 
 fn snapshot(session: &IncrementalValidator) -> String {
@@ -288,7 +288,7 @@ fn unserializable_comment_and_pi_payloads_are_structure_errors() {
         })
         .unwrap();
     let xml = snapshot(&session);
-    assert!(validate_str_streaming(session.schema(), &xml).is_empty());
+    assert!(validate_str_streaming(session.schema(), &xml, &Limits::default()).is_empty());
 }
 
 /// Occurrence overflow exactly at the DFA boundary: `comment?` is
@@ -355,7 +355,7 @@ fn occurrence_overflow_at_dfa_boundary() {
          <option value=\"1\">one</option></select></p></card></wml>",
     )
     .unwrap();
-    let mut session = IncrementalValidator::new(compiled, doc).unwrap();
+    let mut session = IncrementalValidator::new(compiled, doc, Limits::default()).unwrap();
     let select_path = vec![0, 0, 0, 0];
     let before = snapshot(&session);
     let err = session
@@ -390,7 +390,7 @@ fn patch_floods_hit_typed_resource_limits() {
     let limits = Limits::default()
         .with_max_patch_bytes(256)
         .with_max_patches(50);
-    let mut session = IncrementalValidator::with_limits(compiled, doc, limits).unwrap();
+    let mut session = IncrementalValidator::new(compiled, doc, limits).unwrap();
     let root = root_path(&session);
 
     // oversized payload: typed PatchTooLarge carrying both numbers

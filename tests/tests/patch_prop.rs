@@ -16,6 +16,7 @@
 //!    not always), the streaming validator agrees on the error kinds.
 
 use dom::{Document, NodeKind};
+use limits::Limits;
 use proptest::prelude::*;
 use schema::corpus::{PURCHASE_ORDER_XSD, WML_XSD};
 use schema::CompiledSchema;
@@ -236,7 +237,7 @@ fn sorted_labels(errors: &[ValidationError]) -> Vec<String> {
 /// the three full-pass oracles. Returns (applied, rejected) for sanity.
 fn run_differential(compiled: &CompiledSchema, xml: &str, ops: &[(u8, u64)]) -> (u64, u64) {
     let doc = xmlparse::parse_document(xml).expect("corpus document parses");
-    let mut session = match IncrementalValidator::new(compiled.clone(), doc) {
+    let mut session = match IncrementalValidator::new(compiled.clone(), doc, Limits::default()) {
         Ok(s) => s,
         Err(errors) => panic!("generated document must start valid: {errors:?}"),
     };
@@ -266,7 +267,7 @@ fn run_differential(compiled: &CompiledSchema, xml: &str, ops: &[(u8, u64)]) -> 
                 // the serialization survives the streaming validator
                 let clone_xml = dom::serialize(&clone, clone.document_node()).unwrap();
                 assert_eq!(after, clone_xml, "step {step}: committed trees diverge");
-                let streaming = validate_str_streaming(compiled, &after);
+                let streaming = validate_str_streaming(compiled, &after, &Limits::default());
                 assert!(
                     streaming.is_empty(),
                     "step {step}: committed document fails streaming validation: {streaming:?}"
@@ -288,7 +289,8 @@ fn run_differential(compiled: &CompiledSchema, xml: &str, ops: &[(u8, u64)]) -> 
                     if let Ok(reparsed) = xmlparse::parse_document(&clone_xml) {
                         let refull = validate_document(compiled, &reparsed);
                         if sorted_labels(&refull) == sorted_labels(errors) {
-                            let streaming = validate_str_streaming(compiled, &clone_xml);
+                            let streaming =
+                                validate_str_streaming(compiled, &clone_xml, &Limits::default());
                             assert_eq!(
                                 sorted_labels(&streaming),
                                 sorted_labels(errors),

@@ -210,7 +210,7 @@ fn simple_value_errors_are_pinned_across_engines() {
         let doc = slot.document(value);
         let expected: Vec<String> = expected.iter().map(|s| s.to_string()).collect();
 
-        let streamed = shown(&validate_str_streaming(compiled, &doc));
+        let streamed = shown(&validate_str_streaming(compiled, &doc, &Limits::default()));
         let tree = shown(&validate_document(
             compiled,
             &xmlparse::parse_document(&doc).unwrap(),

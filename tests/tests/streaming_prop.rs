@@ -4,6 +4,7 @@
 //! `validator::validate_document` must produce the *same* error list
 //! (kinds and spans), and in particular the same valid/invalid verdict.
 
+use limits::Limits;
 use proptest::prelude::*;
 use schema::corpus::{PURCHASE_ORDER_XML, PURCHASE_ORDER_XSD, WML_XSD};
 use schema::CompiledSchema;
@@ -20,7 +21,7 @@ fn wml() -> CompiledSchema {
 /// Runs both validators on the same well-formed source and returns the
 /// (asserted-identical) error list.
 fn agree(c: &CompiledSchema, src: &str) -> Vec<ValidationError> {
-    let streamed = validate_str_streaming(c, src);
+    let streamed = validate_str_streaming(c, src, &Limits::default());
     let doc = xmlparse::parse_document(src).expect("well-formed input");
     let treed = validate_document(c, &doc);
     assert_eq!(streamed, treed, "validators disagree on:\n{src}");
@@ -111,7 +112,7 @@ proptest! {
     #[test]
     fn arbitrary_input_agrees_or_reports_malformed(input in ".{0,48}") {
         let c = po();
-        let streamed = validate_str_streaming(&c, &input);
+        let streamed = validate_str_streaming(&c, &input, &Limits::default());
         match xmlparse::parse_document(&input) {
             Ok(doc) => prop_assert_eq!(streamed, validate_document(&c, &doc)),
             Err(_) => prop_assert!(matches!(

@@ -38,7 +38,7 @@ fn text_not_allowed_in_wml(errors: &[ValidationError]) -> bool {
 fn xml_whitespace_between_children_is_formatting() {
     let compiled = wml();
     let src = page(" \t\r\n");
-    assert!(validate_str_streaming(&compiled, &src).is_empty());
+    assert!(validate_str_streaming(&compiled, &src, &Limits::default()).is_empty());
     let doc = xmlparse::parse_document(&src).unwrap();
     assert!(validate_document(&compiled, &doc).is_empty());
 }
@@ -47,7 +47,7 @@ fn xml_whitespace_between_children_is_formatting() {
 fn streaming_rejects_unicode_space_in_element_only_content() {
     let compiled = wml();
     for c in NON_XML_SPACES {
-        let errors = validate_str_streaming(&compiled, &page(&c.to_string()));
+        let errors = validate_str_streaming(&compiled, &page(&c.to_string()), &Limits::default());
         assert!(
             text_not_allowed_in_wml(&errors),
             "U+{:04X}: {errors:?}",

@@ -121,7 +121,7 @@ fn tree_stream(src: &str) -> Result<Vec<String>, String> {
 /// Streaming and tree validation must agree on well-formed input; returns
 /// the error list.
 fn agree(c: &CompiledSchema, src: &str) -> Vec<ValidationError> {
-    let streamed = validate_str_streaming(c, src);
+    let streamed = validate_str_streaming(c, src, &Limits::default());
     let doc = xmlparse::parse_document(src).expect("well-formed input");
     let treed = validate_document(c, &doc);
     assert_eq!(streamed, treed, "validators disagree on:\n{src}");
@@ -257,7 +257,7 @@ proptest! {
         let docs: Vec<&str> = batch.iter().map(String::as_str).collect();
         let expected: Vec<Vec<ValidationError>> = docs
             .iter()
-            .map(|d| validate_str_streaming(&compiled, d))
+            .map(|d| validate_str_streaming(&compiled, d, &Limits::default()))
             .collect();
         for threads in [1, 8] {
             let pool = ThreadPool::new(threads);
