@@ -4,8 +4,9 @@
 //! minimal, *hostile-input-hardened* subset the validation service
 //! needs: request-line and header parsing with hard size caps,
 //! `Content-Length` and `chunked` body framing exposed as an
-//! [`std::io::Read`] so bodies stream straight into the chunked
-//! validation path without ever being buffered whole, absolute
+//! [`std::io::BufRead`] over the connection buffer so bodies stream
+//! straight into the chunked validation path without ever being
+//! buffered whole or copied, absolute
 //! per-request read deadlines (a slowloris client dripping one byte per
 //! write runs out of *deadline*, not out of server patience), and
 //! keep-alive with pipelining (unread pipelined requests simply wait in
@@ -33,7 +34,7 @@
 //!   connection buffer; the request line and headers are parsed as
 //!   borrowed slices of it, and only what [`Request`] keeps is copied.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -259,19 +260,6 @@ impl Conn {
         std::str::from_utf8(line).map_err(|_| HttpError::Malformed("line is not UTF-8"))
     }
 
-    /// Reads up to `out.len()` body bytes (buffer first, then socket).
-    /// `Ok(0)` only at EOF.
-    fn read_some(&mut self, out: &mut [u8], deadline: Instant) -> Result<usize, HttpError> {
-        if self.buffered().is_empty() && self.fill(deadline)? == 0 {
-            return Ok(0);
-        }
-        let avail = self.buffered();
-        let n = avail.len().min(out.len());
-        out[..n].copy_from_slice(&avail[..n]);
-        self.consume(n);
-        Ok(n)
-    }
-
     /// The write half and the reusable response buffer, for
     /// [`write_response`].
     pub fn writer(&mut self) -> (&mut TcpStream, &mut Vec<u8>) {
@@ -430,11 +418,15 @@ enum BodyState {
     Done,
 }
 
-/// A request body as an [`io::Read`]: the adapter that lets a socket
+/// A request body as an [`io::BufRead`] over the connection's read
+/// buffer: [`fill_buf`](BufRead::fill_buf) returns the body bytes
+/// already received, capped by the `Content-Length` or chunk remainder,
+/// and reads the socket only when none are buffered. That lets a socket
 /// body stream straight into `validate_streaming_reader` without ever
-/// being resident. Timeouts surface as [`io::ErrorKind::TimedOut`],
-/// framing violations as [`io::ErrorKind::InvalidData`], a peer that
-/// vanished mid-body as [`io::ErrorKind::UnexpectedEof`].
+/// being resident or copied; [`Read`] is a copy out of `fill_buf`.
+/// Timeouts surface as [`io::ErrorKind::TimedOut`], framing violations
+/// as [`io::ErrorKind::InvalidData`], a peer that vanished mid-body as
+/// [`io::ErrorKind::UnexpectedEof`].
 pub struct Body<'c> {
     conn: &'c mut Conn,
     deadline: Instant,
@@ -476,12 +468,13 @@ impl<'c> Body<'c> {
     /// carry another request; `false` means the caller must close.
     pub fn drain(&mut self, cap: usize) -> bool {
         let mut left = cap;
-        let mut sink = [0u8; 4096];
         while !self.finished() && left > 0 {
-            let want = sink.len().min(left);
-            match self.read(&mut sink[..want]) {
-                Ok(0) => break,
-                Ok(n) => left -= n,
+            match self.fill_buf() {
+                Ok(avail) => {
+                    let n = avail.len().min(left);
+                    self.consume(n);
+                    left -= n;
+                }
                 Err(_) => return false,
             }
         }
@@ -535,51 +528,57 @@ impl<'c> Body<'c> {
     }
 }
 
-impl Read for Body<'_> {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        loop {
+impl BufRead for Body<'_> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        let remaining = loop {
             match self.state {
-                BodyState::Done => return Ok(0),
-                BodyState::Length(remaining) => {
-                    let want = out.len().min(remaining.min(usize::MAX as u64) as usize);
-                    let n = self
-                        .conn
-                        .read_some(&mut out[..want], self.deadline)
-                        .map_err(HttpError::into_io)?;
-                    if n == 0 {
-                        return Err(io::ErrorKind::UnexpectedEof.into());
-                    }
-                    self.consumed += n as u64;
-                    let left = remaining - n as u64;
-                    self.state = if left == 0 {
-                        BodyState::Done
-                    } else {
-                        BodyState::Length(left)
-                    };
-                    return Ok(n);
-                }
+                BodyState::Done => return Ok(&[]),
                 BodyState::Chunk {
                     remaining: 0,
                     first,
                 } => self.next_chunk(first)?,
-                BodyState::Chunk { remaining, .. } => {
-                    let want = out.len().min(remaining.min(usize::MAX as u64) as usize);
-                    let n = self
-                        .conn
-                        .read_some(&mut out[..want], self.deadline)
-                        .map_err(HttpError::into_io)?;
-                    if n == 0 {
-                        return Err(io::ErrorKind::UnexpectedEof.into());
-                    }
-                    self.consumed += n as u64;
-                    self.state = BodyState::Chunk {
-                        remaining: remaining - n as u64,
-                        first: false,
-                    };
-                    return Ok(n);
+                BodyState::Length(remaining) | BodyState::Chunk { remaining, .. } => {
+                    break remaining
                 }
             }
+        };
+        if self.conn.buffered().is_empty()
+            && self.conn.fill(self.deadline).map_err(HttpError::into_io)? == 0
+        {
+            return Err(io::ErrorKind::UnexpectedEof.into());
         }
+        let avail = self.conn.buffered();
+        Ok(&avail[..avail.len().min(remaining.min(usize::MAX as u64) as usize)])
+    }
+
+    fn consume(&mut self, n: usize) {
+        let (BodyState::Length(remaining) | BodyState::Chunk { remaining, .. }) = self.state else {
+            return;
+        };
+        let n = (n as u64)
+            .min(remaining)
+            .min(self.conn.buffered().len() as u64);
+        self.conn.consume(n as usize);
+        self.consumed += n;
+        let left = remaining - n;
+        self.state = match self.state {
+            BodyState::Length(_) if left == 0 => BodyState::Done,
+            BodyState::Length(_) => BodyState::Length(left),
+            _ => BodyState::Chunk {
+                remaining: left,
+                first: false,
+            },
+        };
+    }
+}
+
+impl Read for Body<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let avail = self.fill_buf()?;
+        let n = avail.len().min(out.len());
+        out[..n].copy_from_slice(&avail[..n]);
+        self.consume(n);
+        Ok(n)
     }
 }
 
@@ -660,6 +659,44 @@ mod tests {
             assert_eq!(req.header("host"), Some("t"));
             assert_eq!(conn.armed, Some(IDLE_SLICE));
         }
+    }
+
+    /// Reads `body` to its end through `fill_buf`/`consume`, returning
+    /// each lent slice.
+    fn lent_slices(mut body: Body<'_>) -> Vec<Vec<u8>> {
+        let mut slices = Vec::new();
+        loop {
+            let avail = body.fill_buf().unwrap();
+            if avail.is_empty() {
+                assert!(body.finished());
+                return slices;
+            }
+            slices.push(avail.to_vec());
+            let n = avail.len();
+            body.consume(n);
+        }
+    }
+
+    #[test]
+    fn body_lends_buffered_bytes_up_to_its_framing() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let mut conn = Conn::new(accepted, Duration::from_secs(5));
+        let deadline = Instant::now() + Duration::from_secs(10);
+
+        client.write_all(b"hello worldNEXT").unwrap();
+        let body = Body::new(&mut conn, Framing::Length(11), deadline);
+        assert_eq!(lent_slices(body).concat(), b"hello world");
+        assert_eq!(conn.buffered(), b"NEXT");
+        conn.consume(4);
+
+        client
+            .write_all(b"5\r\nhello\r\n6;ext=1\r\n world\r\n0\r\nTrailer: x\r\n\r\nNEXT")
+            .unwrap();
+        let body = Body::new(&mut conn, Framing::Chunked, deadline);
+        assert_eq!(lent_slices(body), [&b"hello"[..], b" world"]);
+        assert_eq!(conn.buffered(), b"NEXT");
     }
 
     #[test]

@@ -112,9 +112,8 @@ pub fn validate_document(compiled: &CompiledSchema, doc: &Document) -> Vec<Valid
 /// already parsed, so only the collection-side budgets apply here, with
 /// the streaming path's semantics: an expired deadline or cancelled
 /// token rejects the document up front (and stops the walk if it expires
-/// on the way), and `max_errors` caps the list via [`cap_errors`]
-/// semantics — exact unbounded prefix plus one
-/// [`ValidationErrorKind::Resource`] marker. Parse-side ceilings are
+/// on the way), and `max_errors` caps the list to the exact unbounded
+/// prefix plus one [`ValidationErrorKind::Resource`] marker. Parse-side ceilings are
 /// enforced where the tree is built
 /// ([`xmlparse::parse_document_with_limits`]).
 pub fn validate_document_with_limits(

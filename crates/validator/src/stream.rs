@@ -26,6 +26,13 @@
 //! against (simple content). Memory is O(depth + deepest buffered leaf
 //! text), so arbitrarily long documents validate in constant space.
 //!
+//! A subtree that cannot be checked (undeclared child or root, abstract
+//! root, child of simple content, unusable content plan) has no frames:
+//! one counter holds how many elements are open inside it. Its starts
+//! and ends only move the counter, with no name lookup, and its text only
+//! feeds an enclosing simple element's value, so a hostile subtree costs
+//! O(1) memory and O(1) work per event however deep it nests.
+//!
 //! The parser path is **allocation-free and lock-free**: the schema's
 //! precomputed [`SymIndex`] resolves each element name to its symbol with
 //! one hash in a frozen per-schema table, then dispatches with one
@@ -109,11 +116,11 @@ impl TextRun<'_, '_> {
     }
 }
 
-/// An open-element frame: the three regimes for an element's content.
-/// Only checked frames carry their name (as an interned symbol — every
-/// checked element is, by construction, declared somewhere in the schema
-/// and therefore interned at index build time); skipped subtrees carry
-/// nothing at all. Spans are `None` for programmatic nodes.
+/// An open-element frame: the two checked regimes for an element's
+/// content. Frames carry their name as an interned symbol — every checked
+/// element is declared somewhere in the schema and therefore interned at
+/// index build time. Skipped subtrees have no frames. Spans are `None`
+/// for programmatic nodes.
 enum Frame<'a, 'src> {
     /// Complex element-only or mixed content: child names step a DFA.
     Complex {
@@ -138,10 +145,6 @@ enum Frame<'a, 'src> {
         text: TextBuf<'src>,
         span: Option<Span>,
     },
-    /// A subtree that cannot be validated — undeclared child, unknown or
-    /// abstract root, uncompilable content model. The error (if any) was
-    /// reported when the frame opened; the subtree is consumed silently.
-    Skip,
 }
 
 /// An incremental validator over element events.
@@ -158,6 +161,10 @@ pub struct StreamingValidator<'a, 'src> {
     /// The schema's precomputed symbol-keyed dispatch plans.
     index: &'a SymIndex,
     stack: Vec<Frame<'a, 'src>>,
+    /// Elements open inside the outermost skipped subtree. Skipped
+    /// elements nest only inside each other, so they are always the
+    /// innermost open elements and need no frames.
+    skip: usize,
     errors: Vec<ValidationError>,
     saw_root: bool,
     /// Deepest element nesting seen (observability; histogram-recorded
@@ -189,6 +196,7 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
         StreamingValidator {
             index: compiled.sym_index(),
             stack: Vec::new(),
+            skip: 0,
             errors: Vec::new(),
             saw_root: false,
             max_depth: 0,
@@ -354,10 +362,9 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
         self.errors.len()
     }
 
-    /// Number of currently open element frames — the validator's entire
-    /// per-document state (besides leaf text buffers).
+    /// Number of currently open elements, skipped ones included.
     pub fn depth(&self) -> usize {
-        self.stack.len()
+        self.stack.len() + self.skip
     }
 
     /// Deepest element nesting seen so far — the number the per-document
@@ -411,8 +418,9 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
         // noise); a name outside the index cannot be valid anywhere, and
         // the frozen table never grows, so attacker input stays O(1)
         let index = self.index;
-        let sym = index.sym(name);
-        let frame = if let Some(parent) = self.stack.last_mut() {
+        if self.skip > 0 {
+            self.skip += 1;
+        } else if let Some(parent) = self.stack.last_mut() {
             match parent {
                 Frame::Complex {
                     name: parent_name,
@@ -421,6 +429,7 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                     content_ok,
                     ..
                 } => {
+                    let sym = index.sym(name);
                     if *content_ok && !sym.is_some_and(|s| matcher.try_step_sym(s)) {
                         // the cold path: re-step by string for the rich
                         // error (a failed step leaves the state unchanged,
@@ -441,7 +450,7 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                     // surface too; undeclared ones were just reported
                     match sym.and_then(|s| index.child(*type_sym, s).map(|p| (s, p))) {
                         Some((s, plan)) => self.open(s, plan, attributes, span),
-                        None => Frame::Skip,
+                        None => self.skip = 1,
                     }
                 }
                 Frame::Simple {
@@ -455,19 +464,19 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                         },
                         span,
                     ));
-                    Frame::Skip
+                    self.skip = 1;
                 }
-                Frame::Skip => Frame::Skip,
             }
         } else {
             self.saw_root = true;
+            let sym = index.sym(name);
             match sym.and_then(|s| index.root(s).map(|p| (s, p))) {
                 Some((_, RootPlan::Abstract)) => {
                     self.errors.push(ValidationError::at_opt(
                         ValidationErrorKind::AbstractElement(name.to_string()),
                         span,
                     ));
-                    Frame::Skip
+                    self.skip = 1;
                 }
                 Some((s, RootPlan::Elem(plan))) => self.open(s, plan, attributes, span),
                 None => {
@@ -475,30 +484,31 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                         ValidationErrorKind::UndeclaredRoot(name.to_string()),
                         span,
                     ));
-                    Frame::Skip
+                    self.skip = 1;
                 }
             }
-        };
-        self.stack.push(frame);
-        self.max_depth = self.max_depth.max(self.stack.len());
+        }
+        self.max_depth = self.max_depth.max(self.depth());
     }
 
     /// Runs the element-open checks (abstract type, attributes) against a
-    /// precomputed plan and builds the frame.
+    /// precomputed plan and pushes the frame, or starts a skipped subtree
+    /// when the plan cannot check the content.
     fn open<A: AttrView>(
         &mut self,
         name: Sym,
         plan: &'a ElemPlan,
         attributes: &[A],
         span: Option<Span>,
-    ) -> Frame<'a, 'src> {
+    ) {
         // an unresolvable type reports only itself: no attribute checks
         if let ContentPlan::Unknown(type_name) = &plan.content {
             self.errors.push(ValidationError::at_opt(
                 ValidationErrorKind::UnknownType(type_name.clone()),
                 span,
             ));
-            return Frame::Skip;
+            self.skip = 1;
+            return;
         }
         if let Some(type_name) = &plan.abstract_type {
             self.errors.push(ValidationError::at_opt(
@@ -513,7 +523,7 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
             span,
             &mut self.errors,
         );
-        match &plan.content {
+        let frame = match &plan.content {
             ContentPlan::Simple(check) => Frame::Simple {
                 name,
                 check,
@@ -540,41 +550,39 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                     },
                     span,
                 ));
-                Frame::Skip
+                self.skip = 1;
+                return;
             }
             ContentPlan::Unknown(_) => unreachable!("handled above"),
-        }
+        };
+        self.stack.push(frame);
     }
 
     fn on_text(&mut self, text: TextRun<'src, '_>, span: Option<Span>) {
-        // Walk inward-out: the nearest frame decides. A Skip frame defers
-        // to its enclosing frames only for simple-content buffering (a
-        // simple element's value is all its *descendant* text), never for
-        // text-placement errors (undeclared subtrees are not checked).
-        let top = match self.stack.len().checked_sub(1) {
-            Some(top) => top,
-            // text with no open element (prolog/epilog whitespace)
-            None => return,
-        };
-        for i in (0..=top).rev() {
-            match &mut self.stack[i] {
-                Frame::Skip => continue,
-                Frame::Simple { text: buffer, .. } => buffer.push(text),
-                Frame::Complex { name, mixed, .. } => {
-                    if i == top && !*mixed && !text.as_str().chars().all(is_xml_whitespace) {
-                        let element = symbols::name(*name).to_string();
-                        self.errors.push(ValidationError::at_opt(
-                            ValidationErrorKind::TextNotAllowed { element },
-                            span,
-                        ));
-                    }
-                }
+        // The top frame decides: inside a skipped subtree it still buffers
+        // simple content (a simple element's value is all its descendant
+        // text) but checks no text placement. Prolog/epilog text meets no
+        // frame.
+        match self.stack.last_mut() {
+            Some(Frame::Simple { text: buffer, .. }) => buffer.push(text),
+            Some(Frame::Complex {
+                name, mixed: false, ..
+            }) if self.skip == 0 && !text.as_str().chars().all(is_xml_whitespace) => {
+                let element = symbols::name(*name).to_string();
+                self.errors.push(ValidationError::at_opt(
+                    ValidationErrorKind::TextNotAllowed { element },
+                    span,
+                ));
             }
-            return;
+            _ => {}
         }
     }
 
     fn on_end(&mut self) {
+        if self.skip > 0 {
+            self.skip -= 1;
+            return;
+        }
         let frame = match self.stack.pop() {
             Some(f) => f,
             // unmatched end tag: the reader rejects this before we see it
@@ -612,7 +620,6 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                     ));
                 }
             }
-            Frame::Skip => {}
         }
     }
 }
@@ -654,8 +661,7 @@ pub(crate) fn check_subtree(
             .index
             .sym(name)
             .expect("an element with a plan has an indexed name");
-        let frame = v.open(sym, plan, attributes, node_span(doc, node));
-        v.stack.push(frame);
+        v.open(sym, plan, attributes, node_span(doc, node));
         v.walk(doc, doc.child_slice(node).unwrap_or_default());
         v.on_end();
     }
@@ -792,35 +798,31 @@ pub fn validate_chunks_streaming<'c>(
     }
 }
 
-/// How many bytes [`validate_read_streaming`] pulls per `read` call.
-/// Large enough that per-chunk resume overhead vanishes against scan
-/// cost, small enough that the window stays cache-friendly.
-const READ_CHUNK_BYTES: usize = 64 * 1024;
-
 /// Validates a byte stream pulled from `input` — [`validate_chunks_streaming`]
-/// over [`READ_CHUNK_BYTES`]-sized reads, so a multi-gigabyte file (or
-/// socket) validates in O(depth) memory without ever being resident.
-/// I/O errors are the caller's problem and propagate as `Err`
-/// (`Interrupted` reads are retried); parse and validation problems come
-/// back in the usual error list. `limits` governs as for
-/// [`validate_chunks_streaming`].
-pub fn validate_read_streaming<R: std::io::Read>(
+/// over the reader's own buffer, one chunk per `fill_buf`, so a
+/// multi-gigabyte file (or socket) validates in O(depth) memory without
+/// ever being resident or copied. Wrap a plain [`std::io::Read`] in
+/// [`std::io::BufReader::with_capacity`] to choose the chunk size. I/O
+/// errors are the caller's problem and propagate as `Err` (`Interrupted`
+/// reads are retried); parse and validation problems come back in the
+/// usual error list. `limits` governs as for [`validate_chunks_streaming`].
+pub fn validate_read_streaming<R: std::io::BufRead>(
     compiled: &CompiledSchema,
     mut input: R,
     limits: &Limits,
 ) -> std::io::Result<Vec<ValidationError>> {
     let span = obs::span!("validate.stream.read");
-    let mut buf = vec![0u8; READ_CHUNK_BYTES];
     validate_feed(compiled, limits, span, "stream.read", |push| loop {
-        match input.read(&mut buf) {
-            Ok(0) => return Ok(()),
-            Ok(n) => {
-                if !push(&buf[..n]) {
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+        let chunk = match input.fill_buf() {
+            Ok([]) => return Ok(()),
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
+        };
+        let (n, more) = (chunk.len(), push(chunk));
+        input.consume(n);
+        if !more {
+            return Ok(());
         }
     })
 }
@@ -1051,6 +1053,48 @@ mod tests {
             &errors[0].kind,
             ValidationErrorKind::UnexpectedChild { child, .. } if child == "bogus"
         ));
+    }
+
+    /// `Broken` and `Unknown` content plans cannot come out of a checked
+    /// schema, so they are driven here directly: the element reports its
+    /// error (a broken plan after the attribute checks, an unknown type
+    /// instead of them) and its whole subtree, text included, is skipped.
+    #[test]
+    fn broken_and_unknown_plans_skip_their_subtree() {
+        let compiled = po();
+        let doc =
+            xmlparse::parse_document(r#"<comment a="1">x<b>y<c>z</c></b>w</comment>"#).unwrap();
+        let root = doc.root_element().unwrap();
+        let Ok(NodeKind::Element { name, attributes }) = doc.kind(root) else {
+            unreachable!()
+        };
+        let index = compiled.sym_index();
+        let sym = index.sym(name).unwrap();
+        let Some(RootPlan::Elem(declared)) = index.root(sym) else {
+            unreachable!()
+        };
+        for (content, labels) in [
+            (
+                ContentPlan::Broken("maxOccurs too large".into()),
+                &["UndeclaredAttribute", "SimpleType"][..],
+            ),
+            (ContentPlan::Unknown("Nope".into()), &["UnknownType"][..]),
+        ] {
+            let plan = ElemPlan {
+                content,
+                ..ElemPlan::clone(declared)
+            };
+            let mut v = StreamingValidator::new(&compiled, Limits::default());
+            v.open(sym, &plan, attributes, node_span(&doc, root));
+            v.walk(&doc, doc.child_slice(root).unwrap());
+            assert_eq!((v.depth(), v.max_depth()), (1, 3));
+            v.on_end();
+            assert_eq!(v.depth(), 0);
+            let errors = v.into_errors();
+            let kinds: Vec<_> = errors.iter().map(|e| e.kind.label()).collect();
+            assert_eq!(kinds, labels, "{errors:#?}");
+            assert_eq!(check_subtree(&compiled, &doc, root, Some(&plan)), errors);
+        }
     }
 
     #[test]
@@ -1360,11 +1404,11 @@ mod tests {
 
     #[test]
     fn read_streaming_retries_interrupted_and_returns_other_io_errors() {
-        use std::io::{Error, ErrorKind};
+        use std::io::{BufReader, Error, ErrorKind};
         let compiled = po();
         let whole = validate_str_streaming(&compiled, PURCHASE_ORDER_XML, &Limits::default());
         let (head, tail) = PURCHASE_ORDER_XML.as_bytes().split_at(100);
-        let interrupted = ScriptedRead(
+        let interrupted = BufReader::new(ScriptedRead(
             [
                 Err(Error::from(ErrorKind::Interrupted)),
                 Ok(head),
@@ -1372,12 +1416,14 @@ mod tests {
                 Ok(tail),
             ]
             .into(),
-        );
+        ));
         assert_eq!(
             validate_read_streaming(&compiled, interrupted, &Limits::default()).unwrap(),
             whole
         );
-        let broken = ScriptedRead([Ok(head), Err(Error::other("link down")), Ok(tail)].into());
+        let broken = BufReader::new(ScriptedRead(
+            [Ok(head), Err(Error::other("link down")), Ok(tail)].into(),
+        ));
         let err = validate_read_streaming(&compiled, broken, &Limits::default()).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Other);
         assert_eq!(err.to_string(), "link down");

@@ -177,10 +177,12 @@ impl SchemaRegistry {
     /// Streaming-validates a byte stream pulled from `input` against the
     /// schema registered under `schema_name`, in O(depth) memory — the
     /// serving-path entry point for documents too large to hold resident
-    /// (spooled uploads, proxied bodies). `None` when no such schema is
-    /// registered; I/O errors propagate, validation problems come back
+    /// (spooled uploads, proxied bodies). The reader's own buffer is fed
+    /// as it fills, with no copy; wrap a plain [`std::io::Read`] in
+    /// [`std::io::BufReader::with_capacity`]. `None` when no such schema
+    /// is registered; I/O errors propagate, validation problems come back
     /// in the error list.
-    pub fn validate_streaming_reader<R: std::io::Read>(
+    pub fn validate_streaming_reader<R: std::io::BufRead>(
         &self,
         schema_name: &str,
         input: R,
@@ -191,7 +193,7 @@ impl SchemaRegistry {
     /// [`validate_streaming_reader`](Self::validate_streaming_reader)
     /// under an explicit resource budget; `max_input_bytes` caps the
     /// cumulative bytes read, so an unbounded stream cannot run away.
-    pub fn validate_streaming_reader_with_limits<R: std::io::Read>(
+    pub fn validate_streaming_reader_with_limits<R: std::io::BufRead>(
         &self,
         schema_name: &str,
         input: R,
