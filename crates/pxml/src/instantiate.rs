@@ -8,7 +8,7 @@
 //! runtime-residue: facets and occurrence counts).
 //!
 //! This interpreter is also the differential oracle for the compiled
-//! path in [`crate::plan`]: `CompiledTemplate::render` must produce the
+//! path in [`crate::plan`](mod@crate::plan): `CompiledTemplate::render` must produce the
 //! same bytes (or the same typed rejection) as `instantiate` followed by
 //! [`Fragment::to_xml`].
 

@@ -20,8 +20,8 @@
 //!   exactly the declared type,
 //! * content-model completeness at each dynamic element's close.
 //!
-//! The interpreter in [`crate::instantiate`] is kept as the
-//! differential oracle: for every binding set, `render` produces the
+//! The interpreter in [`crate::instantiate`](mod@crate::instantiate) is
+//! kept as the differential oracle: for every binding set, `render` produces the
 //! same bytes as `instantiate(..)` + [`Fragment::to_xml`] — or the same
 //! typed error when exactly one fault is present (the two engines
 //! discover multiple faults in different orders: the interpreter

@@ -9,9 +9,10 @@
 //! `CompiledSchema`'s per-type accessors. For every element a schema can
 //! ever admit — root declarations and every `(complex type, child name)`
 //! pair — it holds an [`ElemPlan`]: the declared type, the effective
-//! attributes, each with its resolved [`SimplePlan`], the abstract-type
-//! verdict, and the content regime (a simple-type plan to check at
-//! close, a compiled DFA to step, or a precomputed error). A frozen
+//! attributes, each with its resolved
+//! [`SimplePlan`](crate::SimplePlan), the abstract-type verdict, and the
+//! content regime (a simple-type plan to check at close, a compiled DFA
+//! to step, or a precomputed error). A frozen
 //! per-schema name table maps every element name the schema declares to
 //! its symbol. Nothing is added to any of these tables after the build.
 //!

@@ -12,7 +12,7 @@
 //! * [`PxmlDirectoryPage`] — pre-checked P-XML templates instantiated at
 //!   runtime (paper Fig. 10);
 //! * [`CompiledDirectoryPage`] — the same templates lowered once by
-//!   [`pxml::plan`] and rendered as static bytes plus escaped hole
+//!   [`pxml::plan()`] and rendered as static bytes plus escaped hole
 //!   fills, with no per-page DOM or structural re-validation.
 //!
 //! All six correct styles produce a page for the same [`MediaObject`];

@@ -347,7 +347,7 @@ pub fn order_comment_env() -> TypeEnv {
 }
 
 /// The compiled-template order renderer: the page, item, and comment
-/// constructors are checked and lowered **once** ([`pxml::plan`]); every
+/// constructors are checked and lowered **once** ([`pxml::plan()`]); every
 /// subsequent order renders through [`CompiledTemplate::render`] — static
 /// bytes copied, holes escaped and spliced, with only the value-level
 /// runtime residue (facets, fragment type and occurrence) still checked.
@@ -456,7 +456,7 @@ impl OrderTemplates {
     }
 
     /// Renders one order through the interpreter
-    /// ([`pxml::instantiate`]) — the differential oracle for
+    /// ([`pxml::instantiate()`]) — the differential oracle for
     /// [`render_compiled`](Self::render_compiled): same templates, same
     /// bindings, full V-DOM construction and seal per page.
     pub fn render_interpreted(&self, order: &Order) -> Result<String, InstantiateError> {

@@ -3,9 +3,9 @@
 //! [`FeedReader`] accepts raw bytes in arbitrary slices via
 //! [`feed`](FeedReader::feed) and delivers the same event stream — same
 //! text, same spans, same line/column positions, same errors — as a
-//! whole-input [`Reader`](crate::Reader) over the concatenation. Only
-//! the *unconsumed suffix* of the input (at most one in-flight token
-//! plus the current chunk) is buffered, so an O(depth) consumer such as
+//! whole-input [`Reader`] over the concatenation. Only the *unconsumed
+//! suffix* of the input (at most one in-flight token plus the current
+//! chunk) is buffered, so an O(depth) consumer such as
 //! `validator::StreamingValidator` runs in memory independent of
 //! document length.
 //!
