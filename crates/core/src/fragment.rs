@@ -57,7 +57,7 @@ impl TypedDocument {
             .map_err(|e| VdomError::Dom(e.to_string()))?
             .to_vec()
         {
-            if attr.name == "xmlns" || attr.name.starts_with("xmlns:") {
+            if &*attr.name == "xmlns" || attr.name.starts_with("xmlns:") {
                 continue;
             }
             self.set_attribute(dst, &attr.name, attr.value)?;

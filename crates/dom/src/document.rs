@@ -4,7 +4,7 @@ use xmlchars::chars::is_name;
 use xmlchars::Span;
 
 use crate::error::DomError;
-use crate::node::{Attribute, NodeData, NodeKind};
+use crate::node::{Attribute, ChildList, NodeData, NodeKind};
 
 /// A handle to a node inside a [`Document`].
 ///
@@ -40,16 +40,23 @@ impl Default for Document {
 impl Document {
     /// Creates an empty document containing only the document node.
     pub fn new() -> Self {
-        let root = NodeData {
+        Self::with_capacity(0)
+    }
+
+    /// An empty document with room for `nodes` more nodes before its
+    /// arena grows.
+    pub fn with_capacity(nodes: usize) -> Self {
+        let mut arena = Vec::with_capacity(nodes + 1);
+        arena.push(NodeData {
             kind: NodeKind::Document,
             parent: None,
-            children: Vec::new(),
+            children: ChildList::default(),
             span: Span::default(),
             generation: 0,
             alive: true,
-        };
+        });
         Document {
-            nodes: vec![root],
+            nodes: arena,
             free: Vec::new(),
         }
     }
@@ -107,7 +114,7 @@ impl Document {
             self.nodes[index as usize] = NodeData {
                 kind,
                 parent: None,
-                children: Vec::new(),
+                children: ChildList::default(),
                 span: Span::default(),
                 generation,
                 alive: true,
@@ -118,7 +125,7 @@ impl Document {
             self.nodes.push(NodeData {
                 kind,
                 parent: None,
-                children: Vec::new(),
+                children: ChildList::default(),
                 span: Span::default(),
                 generation: 0,
                 alive: true,
@@ -133,13 +140,10 @@ impl Document {
     // ---- creation -------------------------------------------------------
 
     /// Creates a detached element node.
-    pub fn create_element(&mut self, name: impl Into<String>) -> Result<NodeId, DomError> {
-        let name = name.into();
-        if !is_name(&name) {
-            return Err(DomError::BadName(name));
-        }
+    pub fn create_element(&mut self, name: impl AsRef<str>) -> Result<NodeId, DomError> {
+        let name = checked_name(name.as_ref())?;
         Ok(self.alloc(NodeKind::Element {
-            name,
+            name: name.into(),
             attributes: Vec::new(),
         }))
     }
@@ -230,33 +234,27 @@ impl Document {
             if let NodeKind::Text(t) = &data.kind {
                 out.push_str(t);
             }
-            for &c in data.children.iter().rev() {
+            for &c in data.children.as_slice().iter().rev() {
                 stack.push(c);
             }
         }
         Ok(out)
     }
 
-    /// Iterates over the children of `id` in document order.
+    /// Iterates over the children of `id` in document order (none for a
+    /// stale id), borrowing the child list.
     pub fn children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        match self.get(id) {
-            Ok(data) => data.children.clone().into_iter(),
-            Err(_) => Vec::new().into_iter(),
-        }
+        self.child_slice(id).unwrap_or_default().iter().copied()
     }
 
     /// The children of `id` as a slice-backed `Vec` (document order).
     pub fn child_vec(&self, id: NodeId) -> Result<Vec<NodeId>, DomError> {
-        Ok(self.get(id)?.children.clone())
+        Ok(self.get(id)?.children.as_slice().to_vec())
     }
 
     /// The children of `id` as a borrowed slice (document order).
-    ///
-    /// Unlike [`children`](Self::children), this does not clone the
-    /// child list — the read-only walks of the P-XML engines use it to
-    /// traverse without per-element allocation.
     pub fn child_slice(&self, id: NodeId) -> Result<&[NodeId], DomError> {
-        Ok(&self.get(id)?.children)
+        Ok(self.get(id)?.children.as_slice())
     }
 
     /// Number of children of `id`.
@@ -291,7 +289,7 @@ impl Document {
         Ok(self
             .attributes(id)?
             .iter()
-            .find(|a| a.name == name)
+            .find(|a| &*a.name == name)
             .map(|a| a.value.as_str()))
     }
 
@@ -299,20 +297,20 @@ impl Document {
     pub fn set_attribute(
         &mut self,
         id: NodeId,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         value: impl Into<String>,
     ) -> Result<(), DomError> {
-        let name = name.into();
-        if !is_name(&name) {
-            return Err(DomError::BadName(name));
-        }
+        let name = checked_name(name.as_ref())?;
         match &mut self.get_mut(id)?.kind {
             NodeKind::Element { attributes, .. } => {
                 let value = value.into();
-                if let Some(a) = attributes.iter_mut().find(|a| a.name == name) {
+                if let Some(a) = attributes.iter_mut().find(|a| &*a.name == name) {
                     a.value = value;
                 } else {
-                    attributes.push(Attribute { name, value });
+                    attributes.push(Attribute {
+                        name: name.into(),
+                        value,
+                    });
                 }
                 Ok(())
             }
@@ -331,9 +329,7 @@ impl Document {
         attrs: Vec<Attribute>,
     ) -> Result<Vec<Attribute>, DomError> {
         for a in &attrs {
-            if !is_name(&a.name) {
-                return Err(DomError::BadName(a.name.clone()));
-            }
+            checked_name(&a.name)?;
         }
         match &mut self.get_mut(id)?.kind {
             NodeKind::Element { attributes, .. } => Ok(std::mem::replace(attributes, attrs)),
@@ -345,7 +341,7 @@ impl Document {
     pub fn remove_attribute(&mut self, id: NodeId, name: &str) -> Result<Option<String>, DomError> {
         match &mut self.get_mut(id)?.kind {
             NodeKind::Element { attributes, .. } => {
-                match attributes.iter().position(|a| a.name == name) {
+                match attributes.iter().position(|a| &*a.name == name) {
                     Some(i) => Ok(Some(attributes.remove(i).value)),
                     None => Ok(None),
                 }
@@ -411,12 +407,61 @@ impl Document {
         Ok(())
     }
 
+    /// Creates a node of `kind` with source span `span` and appends it as
+    /// the last child of `parent`, in one step: what [`create_element`],
+    /// [`set_span`], [`set_attribute`] per attribute and
+    /// [`append_child`] do, for the parser's tree builder.
+    ///
+    /// A fresh node can be neither attached elsewhere nor an ancestor of
+    /// `parent`, so those checks are skipped, as is the duplicate-name
+    /// scan over `kind`'s attributes (the reader rejects duplicates).
+    /// `parent` must still be a live container, names must be XML names,
+    /// and the document node keeps its single root element; a
+    /// [`NodeKind::Document`] payload is refused as
+    /// [`DomError::NotAnElement`].
+    ///
+    /// [`create_element`]: Self::create_element
+    /// [`set_span`]: Self::set_span
+    /// [`set_attribute`]: Self::set_attribute
+    /// [`append_child`]: Self::append_child
+    pub fn append_new(
+        &mut self,
+        parent: NodeId,
+        kind: NodeKind,
+        span: Span,
+    ) -> Result<NodeId, DomError> {
+        if !self.get(parent)?.kind.is_container() {
+            return Err(DomError::NotAContainer(parent));
+        }
+        match &kind {
+            NodeKind::Document => return Err(DomError::NotAnElement(parent)),
+            NodeKind::Element { name, attributes } => {
+                checked_name(name)?;
+                for a in attributes {
+                    checked_name(&a.name)?;
+                }
+                if parent.index == 0 && self.root_element().is_some() {
+                    return Err(DomError::SecondRootElement);
+                }
+            }
+            NodeKind::ProcessingInstruction { target, .. } => {
+                checked_name(target)?;
+            }
+            NodeKind::Text(_) | NodeKind::Comment(_) => {}
+        }
+        let child = self.alloc(kind);
+        let data = &mut self.nodes[child.index as usize];
+        data.parent = Some(parent);
+        data.span = span;
+        self.nodes[parent.index as usize].children.push(child);
+        Ok(child)
+    }
+
     /// Detaches `node` from its parent, keeping it (and its subtree) alive.
     pub fn detach(&mut self, node: NodeId) -> Result<(), DomError> {
         let parent = self.get(node)?.parent;
         if let Some(p) = parent {
-            let siblings = &mut self.get_mut(p)?.children;
-            siblings.retain(|&c| c != node);
+            self.get_mut(p)?.children.remove(node);
             self.get_mut(node)?.parent = None;
         }
         Ok(())
@@ -433,7 +478,7 @@ impl Document {
             let data = self.get_mut(n)?;
             data.alive = false;
             data.generation = data.generation.wrapping_add(1);
-            stack.extend(std::mem::take(&mut data.children));
+            stack.extend(std::mem::take(&mut data.children).as_slice());
             self.free.push(n.index);
         }
         Ok(())
@@ -445,13 +490,22 @@ impl Document {
         let data = source.get(node)?;
         let copy = self.alloc(data.kind.clone());
         let children = data.children.clone();
-        for child in children {
+        for &child in children.as_slice() {
             let child_copy = self.import_subtree(source, child)?;
             // Document-node restriction does not apply to detached copies.
             self.get_mut(child_copy)?.parent = Some(copy);
             self.get_mut(copy)?.children.push(child_copy);
         }
         Ok(copy)
+    }
+}
+
+/// `name`, if it is an XML name.
+fn checked_name(name: &str) -> Result<&str, DomError> {
+    if is_name(name) {
+        Ok(name)
+    } else {
+        Err(DomError::BadName(name.to_string()))
     }
 }
 
@@ -517,7 +571,7 @@ mod tests {
         d.set_attribute(root, "partNum", "mangled").unwrap();
         // partNum is now *last*; replace restores the original order.
         let mangled = d.replace_attributes(root, saved.clone()).unwrap();
-        assert_eq!(mangled[0].name, "extra");
+        assert_eq!(&*mangled[0].name, "extra");
         assert_eq!(mangled[1].value, "mangled");
         assert_eq!(d.attributes(root).unwrap(), &saved[..]);
         assert!(matches!(
@@ -656,6 +710,80 @@ mod tests {
         dst.set_attribute(b, "k", "w").unwrap();
         let src_b = src.child_element_named(root, "b").unwrap();
         assert_eq!(src.attribute(src_b, "k").unwrap(), Some("v"));
+    }
+
+    #[test]
+    fn append_new_builds_in_one_step() {
+        let mut d = Document::new();
+        let dn = d.document_node();
+        let span = Span {
+            start: xmlchars::Position::START,
+            end: xmlchars::Position::START,
+        };
+        let element = |name: &str, attrs: &[&str]| NodeKind::Element {
+            name: name.into(),
+            attributes: attrs
+                .iter()
+                .map(|&a| Attribute {
+                    name: a.into(),
+                    value: "v".into(),
+                })
+                .collect(),
+        };
+        let root = d.append_new(dn, element("a", &["k"]), span).unwrap();
+        let text = d
+            .append_new(root, NodeKind::Text("t".into()), span)
+            .unwrap();
+        let b = d.append_new(root, element("b", &[]), span).unwrap();
+        assert_eq!(d.root_element(), Some(root));
+        assert_eq!(d.child_vec(root).unwrap(), vec![text, b]);
+        assert_eq!(d.parent(b).unwrap(), Some(root));
+        assert_eq!(d.span(text).unwrap(), span);
+        assert_eq!(d.attribute(root, "k").unwrap(), Some("v"));
+
+        // what the checked calls refuse, append_new refuses too
+        let refused = [
+            (dn, element("second", &[]), DomError::SecondRootElement),
+            (
+                text,
+                NodeKind::Comment("c".into()),
+                DomError::NotAContainer(text),
+            ),
+            (root, element("1x", &[]), DomError::BadName("1x".into())),
+            (
+                root,
+                element("c", &["a b"]),
+                DomError::BadName("a b".into()),
+            ),
+            (root, NodeKind::Document, DomError::NotAnElement(root)),
+        ];
+        for (parent, kind, error) in refused {
+            assert_eq!(d.append_new(parent, kind, span), Err(error));
+        }
+        d.remove(b).unwrap();
+        assert!(matches!(
+            d.append_new(b, element("c", &[]), span),
+            Err(DomError::StaleNode(_))
+        ));
+        assert_eq!(d.len(), 3);
+    }
+
+    #[test]
+    fn lone_child_moves_to_the_heap_and_back() {
+        let (mut d, root) = doc_with_root("a");
+        let x = d.create_element("x").unwrap();
+        let y = d.create_element("y").unwrap();
+        d.append_child(root, y).unwrap();
+        d.insert_child(root, 0, x).unwrap();
+        assert_eq!(d.child_slice(root).unwrap(), &[x, y]);
+        d.detach(x).unwrap();
+        d.detach(y).unwrap();
+        assert_eq!(d.child_count(root).unwrap(), 0);
+        d.append_child(root, y).unwrap();
+        d.detach(x).unwrap();
+        assert_eq!(d.child_slice(root).unwrap(), &[y]);
+        d.remove(y).unwrap();
+        assert!(d.children(root).next().is_none());
     }
 
     #[test]

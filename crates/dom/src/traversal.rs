@@ -66,7 +66,7 @@ impl Document {
         name: &'a str,
     ) -> impl Iterator<Item = NodeId> + 'a {
         self.descendants(root).filter(move |&n| {
-            matches!(self.kind(n), Ok(NodeKind::Element { name: tag, .. }) if tag == name)
+            matches!(self.kind(n), Ok(NodeKind::Element { name: tag, .. }) if **tag == *name)
         })
     }
 

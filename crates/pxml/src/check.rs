@@ -117,16 +117,16 @@ impl<'a> Checker<'a> {
         };
         let present = doc.attributes(node).unwrap_or(&[]).to_vec();
         for attr in &present {
-            if attr.name == "xmlns" || attr.name.starts_with("xmlns:") {
+            if &*attr.name == "xmlns" || attr.name.starts_with("xmlns:") {
                 continue;
             }
-            let decl = match declared.iter().find(|d| d.name == attr.name) {
+            let decl = match declared.iter().find(|d| *d.name == *attr.name) {
                 Some(d) => d,
                 None => {
                     errors.push(PxmlError::at(
                         PxmlErrorKind::UndeclaredAttribute {
                             element: element.clone(),
-                            attribute: attr.name.clone(),
+                            attribute: attr.name.to_string(),
                         },
                         pos,
                     ));
@@ -147,7 +147,7 @@ impl<'a> Checker<'a> {
                                 Some(VarType::Element(_)) => errors.push(PxmlError::at(
                                     PxmlErrorKind::ElementHoleInAttribute {
                                         variable: name.clone(),
-                                        attribute: attr.name.clone(),
+                                        attribute: attr.name.to_string(),
                                     },
                                     pos,
                                 )),
@@ -161,7 +161,7 @@ impl<'a> Checker<'a> {
                             errors.push(PxmlError::at(
                                 PxmlErrorKind::BadAttributeValue {
                                     element: element.clone(),
-                                    attribute: attr.name.clone(),
+                                    attribute: attr.name.to_string(),
                                     message: e.to_string(),
                                 },
                                 pos,
@@ -172,7 +172,7 @@ impl<'a> Checker<'a> {
                                 errors.push(PxmlError::at(
                                     PxmlErrorKind::BadAttributeValue {
                                         element: element.clone(),
-                                        attribute: attr.name.clone(),
+                                        attribute: attr.name.to_string(),
                                         message: format!("must be fixed value {fixed:?}"),
                                     },
                                     pos,
@@ -185,7 +185,7 @@ impl<'a> Checker<'a> {
             }
         }
         for decl in &declared {
-            if decl.required && !present.iter().any(|a| a.name == decl.name) {
+            if decl.required && !present.iter().any(|a| *a.name == *decl.name) {
                 errors.push(PxmlError::at(
                     PxmlErrorKind::MissingAttribute {
                         element: element.clone(),
@@ -257,7 +257,7 @@ impl<'a> Checker<'a> {
                             errors.push(PxmlError::at(
                                 PxmlErrorKind::ContentModel {
                                     parent: element.to_string(),
-                                    got: name.clone(),
+                                    got: name.to_string(),
                                     expected: e.expected,
                                 },
                                 self.pos(child),
@@ -275,7 +275,7 @@ impl<'a> Checker<'a> {
                                 errors.push(PxmlError::at(
                                     PxmlErrorKind::UnknownChild {
                                         parent: element.to_string(),
-                                        child: name,
+                                        child: name.to_string(),
                                     },
                                     self.pos(child),
                                 ));

@@ -303,7 +303,7 @@ fn fill(
     let doc = &template.doc;
     // attributes, with text holes substituted
     for attr in doc.attributes(src).unwrap_or(&[]) {
-        if attr.name == "xmlns" || attr.name.starts_with("xmlns:") {
+        if &*attr.name == "xmlns" || attr.name.starts_with("xmlns:") {
             continue;
         }
         let parts =

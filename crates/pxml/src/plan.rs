@@ -259,14 +259,14 @@ impl Lowerer<'_> {
             TypeRef::Builtin(_) => None,
         };
         for attr in doc.attributes(node).unwrap_or(&[]) {
-            if attr.name == "xmlns" || attr.name.starts_with("xmlns:") {
+            if &*attr.name == "xmlns" || attr.name.starts_with("xmlns:") {
                 continue;
             }
             let decl = declared
                 .as_deref()
                 .unwrap_or(&[])
                 .iter()
-                .find(|d| d.name == attr.name)
+                .find(|d| *d.name == *attr.name)
                 .expect("check passed, so every template attribute is declared");
             let parts: Vec<TextPart> = split_holes_ref(&attr.value)
                 .expect("check passed, so hole syntax is valid")
@@ -287,7 +287,7 @@ impl Lowerer<'_> {
                     .count();
                 self.ops.push(Op::Attr {
                     element: tag.to_string(),
-                    attribute: attr.name.clone(),
+                    attribute: attr.name.to_string(),
                     parts,
                     check: self.compiled.simple_plan(&decl.type_ref),
                     fixed: decl.fixed.clone(),
@@ -315,7 +315,7 @@ impl Lowerer<'_> {
                 } else {
                     self.ops.push(Op::Attr {
                         element: tag.to_string(),
-                        attribute: attr.name.clone(),
+                        attribute: attr.name.to_string(),
                         parts: vec![TextPart::Lit(value)],
                         check: self.compiled.simple_plan(&decl.type_ref),
                         fixed: decl.fixed.clone(),
@@ -336,7 +336,7 @@ impl Lowerer<'_> {
         for &child in doc.child_slice(node).unwrap_or(&[]) {
             match doc.kind(child) {
                 Ok(NodeKind::Element { name, .. }) => {
-                    items.push(Item::Elem(child, name.clone()));
+                    items.push(Item::Elem(child, name.to_string()));
                 }
                 Ok(NodeKind::Text(t)) => {
                     let parts = split_holes_ref(t).expect("check passed, so hole syntax is valid");
@@ -963,7 +963,7 @@ pub(crate) fn write_filtered(
     out.push(b'<');
     out.extend_from_slice(tag.as_bytes());
     for attr in doc.attributes(node)? {
-        if attr.name == "xmlns" || attr.name.starts_with("xmlns:") {
+        if &*attr.name == "xmlns" || attr.name.starts_with("xmlns:") {
             continue;
         }
         out.push(b' ');

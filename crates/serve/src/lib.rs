@@ -64,6 +64,7 @@ pub mod json;
 pub mod session;
 pub mod tenants;
 
+use std::io::BufRead;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
@@ -671,14 +672,21 @@ pub(crate) fn read_small_body(
     if matches!(framing, Framing::Length(n) if n > cap as u64) {
         return Err(too_large());
     }
+    // a declared length is at most `cap` here, so it is reserved whole
+    let mut out = match framing {
+        Framing::Length(n) => Vec::with_capacity(n as usize),
+        _ => Vec::new(),
+    };
     let mut body = Body::new(conn, framing, deadline);
-    let mut out = Vec::new();
-    let mut buf = [0u8; 8 << 10];
     let read = loop {
-        match std::io::Read::read(&mut body, &mut buf) {
-            Ok(0) => break Ok(out),
-            Ok(n) if out.len() + n > cap => break Err(too_large()),
-            Ok(n) => out.extend_from_slice(&buf[..n]),
+        match body.fill_buf() {
+            Ok([]) => break Ok(out),
+            Ok(chunk) if out.len() + chunk.len() > cap => break Err(too_large()),
+            Ok(chunk) => {
+                let n = chunk.len();
+                out.extend_from_slice(chunk);
+                body.consume(n);
+            }
             Err(e) => break Err(body_io_error(&e)),
         }
     };

@@ -462,6 +462,28 @@ impl IncrementalValidator {
         })
     }
 
+    /// Parses `src` under `limits` and proves it valid: the text-input
+    /// entry, [`new`](Self::new) on the tree
+    /// [`xmlparse::parse_document_with_limits`] builds. A parse failure
+    /// comes back alone, as one [`ValidationErrorKind::NotWellFormed`]
+    /// entry (a typed [`ValidationErrorKind::Resource`] for a parse-side
+    /// budget trip) without a position; otherwise the list is
+    /// [`validate_document_with_limits`]'s.
+    pub fn open(
+        compiled: CompiledSchema,
+        src: &str,
+        limits: Limits,
+    ) -> Result<Self, Vec<ValidationError>> {
+        let doc = xmlparse::parse_document_with_limits(src, &limits).map_err(|e| {
+            let kind = match e.kind {
+                xmlparse::ParseErrorKind::Resource(kind) => ValidationErrorKind::Resource(kind),
+                _ => ValidationErrorKind::NotWellFormed(e.to_string()),
+            };
+            vec![ValidationError { kind, span: None }]
+        })?;
+        Self::new(compiled, doc, limits)
+    }
+
     /// The held document — always valid.
     pub fn document(&self) -> &Document {
         &self.doc
@@ -785,7 +807,7 @@ impl IncrementalValidator {
                     limits::record_trip(&kind);
                     return Err(PatchError::Resource(kind));
                 }
-                let adds_new = !saved.iter().any(|a| a.name == name);
+                let adds_new = !saved.iter().any(|a| &*a.name == name);
                 if adds_new && saved.len() + 1 > self.limits.max_attributes {
                     let kind = ResourceErrorKind::TooManyAttributes {
                         limit: self.limits.max_attributes,
@@ -1069,7 +1091,7 @@ impl IncrementalValidator {
                             errors.push(ValidationError::at_opt(
                                 ValidationErrorKind::UnexpectedChild {
                                     parent: parent_name.clone(),
-                                    child: name.clone(),
+                                    child: name.to_string(),
                                     expected: e.expected,
                                 },
                                 node_span(&self.doc, child),

@@ -59,28 +59,15 @@ pub struct DocSession {
 impl DocSession {
     /// Opens a session directly over a compiled schema (the registry
     /// entry point [`SchemaRegistry::open_session`] resolves the name
-    /// first). The initial full pass runs under `limits`.
+    /// first): [`IncrementalValidator::open`] parses and validates it
+    /// under `limits`.
     pub fn open(
         schema_name: &str,
         compiled: CompiledSchema,
         document: &str,
         limits: Limits,
     ) -> Result<DocSession, Vec<ValidationError>> {
-        let doc = match xmlparse::parse_document_with_limits(document, &limits) {
-            Ok(doc) => doc,
-            Err(e) => {
-                // mirror the streaming validator's shape: parse failures
-                // are a typed error list, not a separate channel
-                let kind = match e.kind {
-                    xmlparse::ParseErrorKind::Resource(kind) => {
-                        validator::ValidationErrorKind::Resource(kind)
-                    }
-                    _ => validator::ValidationErrorKind::NotWellFormed(e.to_string()),
-                };
-                return Err(vec![ValidationError { kind, span: None }]);
-            }
-        };
-        let inner = IncrementalValidator::new(compiled, doc, limits)?;
+        let inner = IncrementalValidator::open(compiled, document, limits)?;
         Ok(DocSession {
             schema_name: schema_name.to_string(),
             inner,

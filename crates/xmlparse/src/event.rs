@@ -6,7 +6,8 @@
 //! Every consumer — the tree builder, the streaming validator, the
 //! chunked [`crate::FeedReader`] — reads this one stream; a consumer
 //! that keeps data past the next event copies what it keeps (the tree
-//! builder copies each name and value once, into the tree).
+//! builder copies each text and value once, into the tree, and each
+//! distinct name once per parse).
 
 use std::borrow::Cow;
 

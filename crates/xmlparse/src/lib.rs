@@ -26,4 +26,5 @@ pub use feed::FeedReader;
 pub use reader::{Reader, ReaderStats};
 pub use tree::{
     parse_document, parse_document_with_limits, parse_fragment, parse_fragment_with_limits,
+    TreeBuilder,
 };

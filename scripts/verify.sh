@@ -16,9 +16,26 @@ echo "==> zero-copy pipeline gates (allocation smoke + differential props)"
 # hold the reader's borrowed event stream equal to the tree
 # parse_document builds (re-walked as events) and streaming ≡ tree
 # validation across the corpora; simple_values pins every simple-value
-# error's text across streaming, tree and patch validation.
+# error's text across streaming, tree and patch validation. alloc_smoke
+# also caps parse_document's allocations on a 400-item order (no
+# allocation per name), and open_from_text holds the session open from
+# text equal to parse-then-validate, error for error, and the tree
+# builder linear in the number of distinct names.
 cargo test -q -p integration-tests --test alloc_smoke --test zero_copy_prop \
-  --test simple_values --test xml_whitespace
+  --test simple_values --test xml_whitespace --test open_from_text
+
+echo "==> one tree builder, one session open"
+# xmlparse's TreeBuilder grows trees through Document::append_new, and a
+# session opens from text only through IncrementalValidator::open: the
+# non-test code of tree.rs makes no checked append_child/set_attribute
+# calls, and webgen's session layer never parses a tree itself.
+tree_src="$(sed '/^#\[cfg(test)\]/,$d' crates/xmlparse/src/tree.rs)"
+session_src="$(sed '/^#\[cfg(test)\]/,$d' crates/webgen/src/session.rs)"
+if grep -nE 'append_child\(|set_attribute\(' <<<"$tree_src" \
+    || grep -nE 'parse_document' <<<"$session_src"; then
+  echo "a second tree-building path or a two-pass session open is back (see above)" >&2
+  exit 1
+fi
 
 echo "==> simple types compiled once, no global symbol lookups in the validator"
 # The validator resolves element names through the schema's frozen

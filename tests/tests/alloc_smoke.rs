@@ -194,3 +194,35 @@ fn borrowed_event_stream_allocates_zero_per_event() {
          allocs for {events_small} events vs {cost_large} for {events_large}"
     );
 }
+
+/// Allocations the tree parse of a 400-item purchase order may make:
+/// one per text, attribute value and child list, none per name.
+const TREE_PARSE_BUDGET: u64 = 4_000;
+
+#[test]
+fn tree_parse_allocates_no_names_per_node() {
+    // the tree builder shares one `Arc<str>` per distinct name, so the
+    // allocations left are the tree's own: texts, attribute values,
+    // child lists and the arena's growth
+    let order = |items| webgen::render_order_string(&webgen::generate_order(7, items));
+    let (small, large) = (order(400), order(4_000));
+    let parse = |src: &str| {
+        let before = allocations();
+        let doc = xmlparse::parse_document(src).expect("generated orders parse");
+        let cost = allocations() - before;
+        (cost, doc.len())
+    };
+    parse(&small);
+    let (cost_small, nodes) = parse(&small);
+    let (cost_large, _) = parse(&large);
+    assert!(
+        cost_small <= TREE_PARSE_BUDGET,
+        "parse_document made {cost_small} allocations for {nodes} nodes"
+    );
+    // ten times the items within ten times the allocations plus a
+    // constant: no per-node cost beyond the small document's share
+    assert!(
+        cost_large <= 10 * cost_small + 64,
+        "{cost_small} allocations for 400 items but {cost_large} for 4000"
+    );
+}

@@ -101,7 +101,7 @@ fn tree_stream(src: &str) -> Result<Vec<String>, String> {
             NodeKind::Element { name, attributes } => {
                 let attributes: Vec<(&str, &str)> = attributes
                     .iter()
-                    .map(|a| (a.name.as_str(), a.value.as_str()))
+                    .map(|a| (&*a.name, a.value.as_str()))
                     .collect();
                 out.push(start_token(name, &attributes, span));
                 stack.push((node, true));
