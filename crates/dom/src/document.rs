@@ -24,6 +24,18 @@ impl NodeId {
     }
 }
 
+/// One node read with a single lookup: its payload, source span and
+/// children together, for walks that need all three per node.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeView<'a> {
+    /// The node's payload.
+    pub kind: &'a NodeKind,
+    /// The source span recorded by the parser (default span otherwise).
+    pub span: Span,
+    /// The children in document order.
+    pub children: &'a [NodeId],
+}
+
 /// An XML document: an arena of nodes rooted at a document node.
 #[derive(Debug, Clone)]
 pub struct Document {
@@ -179,6 +191,17 @@ impl Document {
     /// The payload of `id`.
     pub fn kind(&self, id: NodeId) -> Result<&NodeKind, DomError> {
         Ok(&self.get(id)?.kind)
+    }
+
+    /// The kind, span and children of `id` behind one bounds, liveness
+    /// and generation check (see [`NodeView`]).
+    pub fn view(&self, id: NodeId) -> Result<NodeView<'_>, DomError> {
+        let data = self.get(id)?;
+        Ok(NodeView {
+            kind: &data.kind,
+            span: data.span,
+            children: data.children.as_slice(),
+        })
     }
 
     /// The parent of `id`, `None` for the document node or detached nodes.

@@ -24,7 +24,7 @@ pub mod node;
 pub mod serialize;
 pub mod traversal;
 
-pub use document::{Document, NodeId};
+pub use document::{Document, NodeId, NodeView};
 pub use dump::dump_tree;
 pub use error::DomError;
 pub use node::{Attribute, NodeKind};

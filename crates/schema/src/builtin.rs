@@ -5,7 +5,7 @@
 use xmlchars::chars::{is_name, is_nmtoken};
 use xmlchars::WhiteSpaceMode;
 
-use crate::value::{Date, Decimal};
+use crate::value::{Date, DecimalBound, DecimalValue};
 
 /// A built-in simple type.
 ///
@@ -172,13 +172,28 @@ impl BuiltinType {
         }
     }
 
+    /// Whether every string is a valid value of this type (the string
+    /// family up to `token`, and `anySimpleType`).
+    pub fn accepts_every_string(self) -> bool {
+        use BuiltinType::*;
+        matches!(self, AnySimpleType | String | NormalizedString | Token)
+    }
+
     /// Validates a whitespace-normalized lexical value against this
     /// type's lexical and value space. Returns a description of the
     /// expected form on failure.
     pub fn validate(self, value: &str) -> Result<(), &'static str> {
+        self.parse(value).map(|_| ())
+    }
+
+    /// Parses a whitespace-normalized lexical value once, checking it
+    /// against this type's lexical and value space, and keeps what the
+    /// range and digit facets compare. Returns a description of the
+    /// expected form on failure.
+    pub(crate) fn parse(self, value: &str) -> Result<Parsed<'_>, &'static str> {
         use BuiltinType::*;
         match self {
-            AnySimpleType | String | NormalizedString | Token => Ok(()),
+            AnySimpleType | String | NormalizedString | Token => Ok(Parsed::Other),
             Language => {
                 // RFC 3066-ish: subtags of 1-8 alphanumerics separated by '-'
                 let ok = !value.is_empty()
@@ -190,13 +205,13 @@ impl BuiltinType {
                         .split('-')
                         .next()
                         .is_some_and(|p| p.bytes().all(|b| b.is_ascii_alphabetic()));
-                ok.then_some(()).ok_or("language tag")
+                ok.then_some(Parsed::Other).ok_or("language tag")
             }
-            Name => is_name(value).then_some(()).ok_or("XML Name"),
+            Name => is_name(value).then_some(Parsed::Other).ok_or("XML Name"),
             NCName => (is_name(value) && !value.contains(':'))
-                .then_some(())
+                .then_some(Parsed::Other)
                 .ok_or("NCName"),
-            NmToken => is_nmtoken(value).then_some(()).ok_or("NMTOKEN"),
+            NmToken => is_nmtoken(value).then_some(Parsed::Other).ok_or("NMTOKEN"),
             AnyUri => {
                 // per the spec nearly everything is a valid anyURI; reject
                 // only whitespace (already collapsed) and unpaired '%'
@@ -205,88 +220,115 @@ impl BuiltinType {
                 }) || value.ends_with('%')
                     || (value.len() >= 2 && value.as_bytes()[value.len() - 2] == b'%');
                 (!value.contains(' ') && !bad_escape)
-                    .then_some(())
+                    .then_some(Parsed::Other)
                     .ok_or("anyURI")
             }
             Boolean => matches!(value, "true" | "false" | "1" | "0")
-                .then_some(())
+                .then_some(Parsed::Other)
                 .ok_or("boolean (true/false/1/0)"),
-            Decimal => crate::value::Decimal::parse(value)
-                .map(|_| ())
-                .map_err(|_| "decimal"),
+            Decimal => DecimalValue::parse(value)
+                .map(Parsed::Decimal)
+                .ok_or("decimal"),
             Integer | NonPositiveInteger | NegativeInteger | NonNegativeInteger
             | PositiveInteger | Long | Int | Short | Byte | UnsignedLong | UnsignedInt
-            | UnsignedShort | UnsignedByte => self.validate_integer(value),
-            Float | Double => {
-                if matches!(value, "NaN" | "INF" | "-INF") {
-                    return Ok(());
-                }
-                value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|_| !value.contains(char::is_whitespace))
-                    .map(|_| ())
-                    .ok_or("floating-point number")
-            }
-            Date => crate::value::Date::parse(value)
-                .map(|_| ())
-                .map_err(|_| "date"),
+            | UnsignedShort | UnsignedByte => self.parse_integer(value).map(Parsed::Decimal),
+            // Rust's float syntax takes no whitespace and spells the
+            // infinities and NaN case-insensitively, so `INF` parses too
+            Float | Double => value
+                .parse::<f64>()
+                .map(Parsed::Double)
+                .map_err(|_| "floating-point number"),
+            Date => crate::value::Date::scan(value)
+                .map(Parsed::Date)
+                .ok_or("date"),
             DateTime => {
                 let (date_part, time_part) =
                     value.split_once('T').ok_or("dateTime (date 'T' time)")?;
-                crate::value::Date::parse(date_part).map_err(|_| "dateTime (bad date part)")?;
+                crate::value::Date::scan(date_part).ok_or("dateTime (bad date part)")?;
                 validate_time(time_part)
-                    .then_some(())
+                    .then_some(Parsed::Other)
                     .ok_or("dateTime (bad time part)")
             }
-            Time => validate_time(value).then_some(()).ok_or("time (hh:mm:ss)"),
+            Time => validate_time(value)
+                .then_some(Parsed::Other)
+                .ok_or("time (hh:mm:ss)"),
             GYear => {
                 let body = value.strip_prefix('-').unwrap_or(value);
                 (body.len() >= 4 && body.bytes().all(|b| b.is_ascii_digit()))
-                    .then_some(())
+                    .then_some(Parsed::Other)
                     .ok_or("gYear")
             }
         }
     }
 
-    fn validate_integer(self, value: &str) -> Result<(), &'static str> {
+    /// An integer-family value: a decimal without a point, inside the
+    /// type's range.
+    fn parse_integer(self, value: &str) -> Result<DecimalValue<'_>, &'static str> {
         use BuiltinType::*;
-        let d = crate::value::Decimal::parse(value).map_err(|_| "integer")?;
-        if !d.is_integer() || value.contains('.') {
+        let Some(v) = DecimalValue::parse(value) else {
+            return Err("integer");
+        };
+        if v.point {
             return Err("integer (no fraction part)");
         }
-        let in_i = |lo: i128, hi: i128| -> bool {
-            value
-                .trim_start_matches('+')
-                .parse::<i128>()
-                .map(|v| v >= lo && v <= hi)
-                .unwrap_or(false)
+        let (lo, hi) = self.integer_range();
+        let below = lo.is_some_and(|lo| v.cmp_bound(lo).is_lt());
+        let above = hi.is_some_and(|hi| v.cmp_bound(hi).is_gt());
+        if below || above {
+            return Err(match self {
+                NonPositiveInteger => "nonPositiveInteger (≤ 0)",
+                NegativeInteger => "negativeInteger (< 0)",
+                NonNegativeInteger => "nonNegativeInteger (≥ 0)",
+                PositiveInteger => "positiveInteger (> 0)",
+                _ => "integer within the type's range",
+            });
+        }
+        Ok(v)
+    }
+
+    /// The inclusive value range of an integer type, as bounds of the
+    /// kind range facets compare against (`None`: unbounded that side).
+    fn integer_range(self) -> (Option<&'static DecimalBound>, Option<&'static DecimalBound>) {
+        use BuiltinType::*;
+        static ZERO: DecimalBound = DecimalBound::int(0, "");
+        static ONE: DecimalBound = DecimalBound::int(1, "1");
+        static MINUS_ONE: DecimalBound = DecimalBound::int(-1, "1");
+        static LONG: [DecimalBound; 2] = [
+            DecimalBound::int(i64::MIN, "9223372036854775808"),
+            DecimalBound::int(i64::MAX, "9223372036854775807"),
+        ];
+        static INT: [DecimalBound; 2] = [
+            DecimalBound::int(i32::MIN as i64, "2147483648"),
+            DecimalBound::int(i32::MAX as i64, "2147483647"),
+        ];
+        static SHORT: [DecimalBound; 2] = [
+            DecimalBound::int(i16::MIN as i64, "32768"),
+            DecimalBound::int(i16::MAX as i64, "32767"),
+        ];
+        static BYTE: [DecimalBound; 2] = [
+            DecimalBound::int(i8::MIN as i64, "128"),
+            DecimalBound::int(i8::MAX as i64, "127"),
+        ];
+        static U64_MAX: DecimalBound = DecimalBound::U64_MAX;
+        static U32_MAX: DecimalBound = DecimalBound::int(u32::MAX as i64, "4294967295");
+        static U16_MAX: DecimalBound = DecimalBound::int(u16::MAX as i64, "65535");
+        static U8_MAX: DecimalBound = DecimalBound::int(u8::MAX as i64, "255");
+        let [lo, hi] = match self {
+            Long => &LONG,
+            Int => &INT,
+            Short => &SHORT,
+            Byte => &BYTE,
+            NonPositiveInteger => return (None, Some(&ZERO)),
+            NegativeInteger => return (None, Some(&MINUS_ONE)),
+            NonNegativeInteger => return (Some(&ZERO), None),
+            PositiveInteger => return (Some(&ONE), None),
+            UnsignedLong => return (Some(&ZERO), Some(&U64_MAX)),
+            UnsignedInt => return (Some(&ZERO), Some(&U32_MAX)),
+            UnsignedShort => return (Some(&ZERO), Some(&U16_MAX)),
+            UnsignedByte => return (Some(&ZERO), Some(&U8_MAX)),
+            _ => return (None, None),
         };
-        let ok = match self {
-            Integer => true,
-            NonPositiveInteger => !d.is_positive(),
-            NegativeInteger => d.is_negative(),
-            NonNegativeInteger => !d.is_negative(),
-            PositiveInteger => d.is_positive(),
-            Long => in_i(i64::MIN as i128, i64::MAX as i128),
-            Int => in_i(i32::MIN as i128, i32::MAX as i128),
-            Short => in_i(i16::MIN as i128, i16::MAX as i128),
-            Byte => in_i(i8::MIN as i128, i8::MAX as i128),
-            UnsignedLong => in_i(0, u64::MAX as i128),
-            UnsignedInt => in_i(0, u32::MAX as i128),
-            UnsignedShort => in_i(0, u16::MAX as i128),
-            UnsignedByte => in_i(0, u8::MAX as i128),
-            _ => unreachable!("validate_integer called for integer family only"),
-        };
-        ok.then_some(()).ok_or(match self {
-            NonPositiveInteger => "nonPositiveInteger (≤ 0)",
-            NegativeInteger => "negativeInteger (< 0)",
-            NonNegativeInteger => "nonNegativeInteger (≥ 0)",
-            PositiveInteger => "positiveInteger (> 0)",
-            Long | Int | Short | Byte | UnsignedLong | UnsignedInt | UnsignedShort
-            | UnsignedByte => "integer within the type's range",
-            _ => "integer",
-        })
+        (Some(lo), Some(hi))
     }
 
     /// Whether values of this type support ordered range facets.
@@ -295,36 +337,21 @@ impl BuiltinType {
         self.derives_from(Decimal)
             || matches!(self, Float | Double | Date | DateTime | Time | GYear)
     }
-
-    /// Parses the value for ordered comparison; `None` when unordered or
-    /// the lexical value is invalid.
-    pub fn ordered_value(self, value: &str) -> Option<OrderedValue<'_>> {
-        use BuiltinType::*;
-        if self.derives_from(Decimal) {
-            return crate::value::Decimal::parse(value)
-                .ok()
-                .map(OrderedValue::Decimal);
-        }
-        match self {
-            Float | Double => value.parse::<f64>().ok().map(OrderedValue::Double),
-            Date => crate::value::Date::parse(value)
-                .ok()
-                .map(OrderedValue::Date),
-            _ => None,
-        }
-    }
 }
 
-/// A parsed value usable in range-facet comparisons.
-#[derive(Debug, Clone, PartialEq, PartialOrd)]
-pub enum OrderedValue<'a> {
-    /// Exact decimal (decimal + integer family), borrowing the lexical
-    /// value's digits.
-    Decimal(Decimal<'a>),
+/// A value as its built-in parsed it: what range facets compare, or
+/// nothing for types they cannot order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Parsed<'a> {
+    /// Exact decimal (decimal and the integer family), borrowing the
+    /// lexical value's digits.
+    Decimal(DecimalValue<'a>),
     /// IEEE double (float/double).
     Double(f64),
     /// Calendar date.
     Date(Date),
+    /// Any other type: valid, with nothing kept.
+    Other,
 }
 
 fn validate_time(value: &str) -> bool {
@@ -333,9 +360,12 @@ fn validate_time(value: &str) -> bool {
     if let Some(rest) = s.strip_suffix('Z') {
         s = rest;
     } else if s.len() > 6 {
-        let tail = &s[s.len() - 6..];
-        if (tail.starts_with('+') || tail.starts_with('-')) && tail.as_bytes()[3] == b':' {
-            s = &s[..s.len() - 6];
+        // s.get(): the offset may split a multi-byte char, which is
+        // merely not-a-timezone
+        if let Some(tail) = s.get(s.len() - 6..) {
+            if (tail.starts_with('+') || tail.starts_with('-')) && tail.as_bytes()[3] == b':' {
+                s = &s[..s.len() - 6];
+            }
         }
     }
     let (hms, frac) = match s.split_once('.') {
@@ -465,12 +495,47 @@ mod tests {
     #[test]
     fn ordered_values_compare() {
         use BuiltinType::*;
-        let a = Decimal.ordered_value("39.98").unwrap();
-        let b = Decimal.ordered_value("148.95").unwrap();
-        assert!(a < b);
-        let x = Date.ordered_value("1999-05-21").unwrap();
-        let y = Date.ordered_value("1999-10-20").unwrap();
+        let (Ok(Parsed::Decimal(a)), Some(b)) =
+            (Decimal.parse("39.98"), DecimalBound::parse("148.95"))
+        else {
+            panic!("decimals parse");
+        };
+        assert!(a.cmp_bound(&b).is_lt());
+        let (Ok(Parsed::Date(x)), Ok(Parsed::Date(y))) =
+            (Date.parse("1999-05-21"), Date.parse("1999-10-20"))
+        else {
+            panic!("dates parse");
+        };
         assert!(x < y);
-        assert!(String.ordered_value("a").is_none());
+        assert!(matches!(String.parse("a"), Ok(Parsed::Other)));
+        assert!(!String.is_ordered() && Double.is_ordered());
+    }
+
+    #[test]
+    fn integers_compare_as_i64_or_exactly() {
+        use BuiltinType::*;
+        let value = |s| match Integer.parse(s) {
+            Ok(Parsed::Decimal(v)) => v,
+            other => panic!("{s}: {other:?}"),
+        };
+        assert_eq!(value("-9223372036854775808").small, Some(i64::MIN));
+        assert_eq!(value("+0009223372036854775807").small, Some(i64::MAX));
+        assert_eq!(value("9223372036854775808").small, None);
+        assert_eq!(value("-0").small, Some(0));
+        let bound = DecimalBound::parse("18446744073709551616").unwrap();
+        assert!(value("18446744073709551615").cmp_bound(&bound).is_lt());
+        assert!(value("-18446744073709551617").cmp_bound(&bound).is_lt());
+        assert!(value("18446744073709551616").cmp_bound(&bound).is_eq());
+        assert!(value("7")
+            .cmp_bound(&DecimalBound::parse("6.5").unwrap())
+            .is_gt());
+    }
+
+    #[test]
+    fn time_offsets_inside_multibyte_chars_reject() {
+        use BuiltinType::*;
+        // the would-be timezone offset lands inside 'é'
+        assert!(Time.validate("1:00:00é00000").is_err());
+        assert!(DateTime.validate("1999-05-21T1:00:00é00000").is_err());
     }
 }

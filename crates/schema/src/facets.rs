@@ -1,6 +1,12 @@
 //! Constraining facets for simple-type restrictions (XML Schema Part 2,
 //! §4.3), and the checking machinery applied after whitespace
 //! normalization.
+//!
+//! The schema reader keeps each facet as written ([`Facet`]). A
+//! [`SimplePlan`](crate::SimplePlan) compiles its facets against the
+//! built-in at the bottom of its restriction chain once, parsing every
+//! range bound into that built-in's value space; checking a value then
+//! compares the value its built-in already parsed with those bounds.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -9,7 +15,8 @@ use std::sync::Arc;
 use xmlchars::WhiteSpaceMode;
 use xsdregex::{Dfa, Regex};
 
-use crate::builtin::BuiltinType;
+use crate::builtin::{BuiltinType, Parsed};
+use crate::value::{Date, Decimal, DecimalBound};
 
 /// One constraining facet.
 #[derive(Debug, Clone)]
@@ -110,77 +117,159 @@ impl Facet {
             Facet::FractionDigits(_) => "fractionDigits",
         }
     }
+}
 
-    /// Checks a normalized value against this facet, in the context of
-    /// the primitive `base` type (needed to interpret range bounds).
-    pub fn check(&self, value: &str, base: BuiltinType) -> Result<(), FacetViolation> {
-        let fail = |constraint: String| FacetViolation {
-            facet: self.name(),
-            constraint,
-            value: value.to_string(),
+/// A facet compiled for one plan: range bounds parsed in the plan's
+/// built-in value space, everything else as read.
+#[derive(Debug, Clone)]
+pub(crate) enum FacetCheck {
+    /// Exact length in characters.
+    Length(u64),
+    /// Minimum length in characters.
+    MinLength(u64),
+    /// Maximum length in characters.
+    MaxLength(u64),
+    /// Anchored match.
+    Pattern(CompiledPattern),
+    /// One of these lexical values.
+    Enumeration(Box<[String]>),
+    /// Applied before any facet; checking it passes.
+    WhiteSpace,
+    /// `value <op> bound`, `op` given by `passes`.
+    Range {
+        /// The facet's XSD name.
+        facet: &'static str,
+        /// The bound as written, for messages.
+        text: String,
+        /// The bound in the built-in's value space.
+        bound: Bound,
+        /// Whether a value less than, equal to or greater than `bound`
+        /// passes, in that order.
+        passes: [bool; 3],
+    },
+    /// Maximum number of significant digits.
+    TotalDigits(u64),
+    /// Maximum number of fraction digits.
+    FractionDigits(u64),
+}
+
+/// A range bound in its built-in's value space.
+#[derive(Debug, Clone)]
+pub(crate) enum Bound {
+    /// Decimal and the integer family.
+    Decimal(DecimalBound),
+    /// Float and double.
+    Double(f64),
+    /// Date.
+    Date(Date),
+    /// The bound does not parse in the built-in, or the built-in has no
+    /// comparable values: every value fails the facet.
+    Never,
+}
+
+impl Bound {
+    /// Parses `text` in `base`'s value space.
+    fn parse(text: &str, base: BuiltinType) -> Bound {
+        let parsed = if base.derives_from(BuiltinType::Decimal) {
+            DecimalBound::parse(text).map(Bound::Decimal)
+        } else {
+            match base {
+                BuiltinType::Float | BuiltinType::Double => text.parse().ok().map(Bound::Double),
+                BuiltinType::Date => Date::scan(text).map(Bound::Date),
+                _ => None,
+            }
         };
-        let char_len = || value.chars().count() as u64;
-        match self {
-            Facet::Length(n) => (char_len() == *n)
-                .then_some(())
-                .ok_or_else(|| fail(n.to_string())),
-            Facet::MinLength(n) => (char_len() >= *n)
-                .then_some(())
-                .ok_or_else(|| fail(n.to_string())),
-            Facet::MaxLength(n) => (char_len() <= *n)
-                .then_some(())
-                .ok_or_else(|| fail(n.to_string())),
-            Facet::Pattern(p) => p
-                .is_match(value)
-                .then_some(())
-                .ok_or_else(|| fail(p.pattern().to_string())),
-            Facet::Enumeration(allowed) => allowed
-                .iter()
-                .any(|a| a == value)
-                .then_some(())
-                .ok_or_else(|| fail(allowed.join(" | "))),
-            Facet::WhiteSpace(_) => Ok(()), // handled during normalization
-            Facet::MaxInclusive(bound) => {
-                check_range(value, bound, base, Ordering::is_le).map_err(|()| fail(bound.clone()))
-            }
-            Facet::MaxExclusive(bound) => {
-                check_range(value, bound, base, Ordering::is_lt).map_err(|()| fail(bound.clone()))
-            }
-            Facet::MinInclusive(bound) => {
-                check_range(value, bound, base, Ordering::is_ge).map_err(|()| fail(bound.clone()))
-            }
-            Facet::MinExclusive(bound) => {
-                check_range(value, bound, base, Ordering::is_gt).map_err(|()| fail(bound.clone()))
-            }
-            Facet::TotalDigits(n) => {
-                let d = crate::value::Decimal::parse(value).map_err(|_| fail(n.to_string()))?;
-                (d.total_digits() as u64 <= *n)
-                    .then_some(())
-                    .ok_or_else(|| fail(n.to_string()))
-            }
-            Facet::FractionDigits(n) => {
-                let d = crate::value::Decimal::parse(value).map_err(|_| fail(n.to_string()))?;
-                (d.fraction_digits() as u64 <= *n)
-                    .then_some(())
-                    .ok_or_else(|| fail(n.to_string()))
-            }
+        parsed.unwrap_or(Bound::Never)
+    }
+
+    /// How `value` orders against this bound; `None` when they do not
+    /// compare (a `NaN`, or a bound that never passes).
+    fn compare(&self, value: &Parsed<'_>) -> Option<Ordering> {
+        match (value, self) {
+            (Parsed::Decimal(v), Bound::Decimal(b)) => Some(v.cmp_bound(b)),
+            (Parsed::Double(v), Bound::Double(b)) => v.partial_cmp(b),
+            (Parsed::Date(v), Bound::Date(b)) => Some(v.cmp(b)),
+            _ => None,
         }
     }
 }
 
-/// Compares `value` with `bound` in `base`'s value space; both parse as
-/// borrowed views, so a range check allocates nothing.
-fn check_range(
-    value: &str,
-    bound: &str,
-    base: BuiltinType,
-    accept: impl Fn(Ordering) -> bool,
-) -> Result<(), ()> {
-    let v = base.ordered_value(value).ok_or(())?;
-    let b = base.ordered_value(bound).ok_or(())?;
-    match v.partial_cmp(&b) {
-        Some(ord) if accept(ord) => Ok(()),
-        _ => Err(()),
+impl FacetCheck {
+    /// Compiles `facet` for values of the built-in `base`.
+    pub(crate) fn compile(facet: &Facet, base: BuiltinType) -> FacetCheck {
+        let range = |text: &String, passes| FacetCheck::Range {
+            facet: facet.name(),
+            text: text.clone(),
+            bound: Bound::parse(text, base),
+            passes,
+        };
+        match facet {
+            Facet::Length(n) => FacetCheck::Length(*n),
+            Facet::MinLength(n) => FacetCheck::MinLength(*n),
+            Facet::MaxLength(n) => FacetCheck::MaxLength(*n),
+            Facet::Pattern(p) => FacetCheck::Pattern(p.clone()),
+            Facet::Enumeration(allowed) => FacetCheck::Enumeration(allowed.clone().into()),
+            Facet::WhiteSpace(_) => FacetCheck::WhiteSpace,
+            Facet::MaxInclusive(text) => range(text, [true, true, false]),
+            Facet::MaxExclusive(text) => range(text, [true, false, false]),
+            Facet::MinInclusive(text) => range(text, [false, true, true]),
+            Facet::MinExclusive(text) => range(text, [false, false, true]),
+            Facet::TotalDigits(n) => FacetCheck::TotalDigits(*n),
+            Facet::FractionDigits(n) => FacetCheck::FractionDigits(*n),
+        }
+    }
+
+    /// Checks a normalized `value`, which its built-in parsed as
+    /// `parsed`. The digit facets read the decimal the built-in parsed,
+    /// or parse one for any other built-in (a value that is not a decimal
+    /// fails them).
+    pub(crate) fn check(&self, value: &str, parsed: &Parsed<'_>) -> Result<(), FacetViolation> {
+        let char_len = || value.chars().count() as u64;
+        let decimal = || match parsed {
+            Parsed::Decimal(v) => Some(v.exact),
+            _ => Decimal::parse(value).ok(),
+        };
+        let ok = match self {
+            FacetCheck::Length(n) => char_len() == *n,
+            FacetCheck::MinLength(n) => char_len() >= *n,
+            FacetCheck::MaxLength(n) => char_len() <= *n,
+            FacetCheck::Pattern(p) => p.is_match(value),
+            FacetCheck::Enumeration(allowed) => allowed.iter().any(|a| a == value),
+            FacetCheck::WhiteSpace => true,
+            FacetCheck::Range { bound, passes, .. } => bound
+                .compare(parsed)
+                .is_some_and(|ord| passes[(ord as i8 + 1) as usize]),
+            FacetCheck::TotalDigits(n) => decimal().is_some_and(|d| d.total_digits() as u64 <= *n),
+            FacetCheck::FractionDigits(n) => {
+                decimal().is_some_and(|d| d.fraction_digits() as u64 <= *n)
+            }
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(self.violation(value))
+        }
+    }
+
+    /// The violation this facet reports for `value`.
+    #[cold]
+    fn violation(&self, value: &str) -> FacetViolation {
+        let (facet, constraint) = match self {
+            FacetCheck::Length(n) => ("length", n.to_string()),
+            FacetCheck::MinLength(n) => ("minLength", n.to_string()),
+            FacetCheck::MaxLength(n) => ("maxLength", n.to_string()),
+            FacetCheck::Pattern(p) => ("pattern", p.pattern().to_string()),
+            FacetCheck::Enumeration(allowed) => ("enumeration", allowed.join(" | ")),
+            FacetCheck::WhiteSpace => ("whiteSpace", String::new()),
+            FacetCheck::Range { facet, text, .. } => (*facet, text.clone()),
+            FacetCheck::TotalDigits(n) => ("totalDigits", n.to_string()),
+            FacetCheck::FractionDigits(n) => ("fractionDigits", n.to_string()),
+        };
+        FacetViolation {
+            facet,
+            constraint,
+            value: value.to_string(),
+        }
     }
 }
 
@@ -188,83 +277,77 @@ fn check_range(
 mod tests {
     use super::*;
 
+    /// Compiles `facet` for `base` and checks a value `base` accepts.
+    fn check(facet: Facet, value: &str, base: BuiltinType) -> Result<(), FacetViolation> {
+        let parsed = base.parse(value).expect("a value of the base type");
+        FacetCheck::compile(&facet, base).check(value, &parsed)
+    }
+
     #[test]
     fn length_facets_count_chars_not_bytes() {
-        let f = Facet::Length(3);
-        assert!(f.check("abc", BuiltinType::String).is_ok());
-        assert!(f.check("äöü", BuiltinType::String).is_ok());
-        assert!(f.check("ab", BuiltinType::String).is_err());
-        assert!(Facet::MinLength(2).check("ab", BuiltinType::String).is_ok());
-        assert!(Facet::MinLength(2).check("a", BuiltinType::String).is_err());
-        assert!(Facet::MaxLength(2).check("ab", BuiltinType::String).is_ok());
-        assert!(Facet::MaxLength(2)
-            .check("abc", BuiltinType::String)
-            .is_err());
+        let len3 = |v| check(Facet::Length(3), v, BuiltinType::String);
+        assert!(len3("abc").is_ok());
+        assert!(len3("äöü").is_ok());
+        assert!(len3("ab").is_err());
+        assert!(check(Facet::MinLength(2), "ab", BuiltinType::String).is_ok());
+        assert!(check(Facet::MinLength(2), "a", BuiltinType::String).is_err());
+        assert!(check(Facet::MaxLength(2), "ab", BuiltinType::String).is_ok());
+        assert!(check(Facet::MaxLength(2), "abc", BuiltinType::String).is_err());
     }
 
     #[test]
     fn pattern_facet_sku() {
-        let f = Facet::Pattern(CompiledPattern::new(r"\d{3}-[A-Z]{2}").unwrap());
-        assert!(f.check("926-AA", BuiltinType::String).is_ok());
-        let err = f.check("926-aa", BuiltinType::String).unwrap_err();
+        let sku = || Facet::Pattern(CompiledPattern::new(r"\d{3}-[A-Z]{2}").unwrap());
+        assert!(check(sku(), "926-AA", BuiltinType::String).is_ok());
+        let err = check(sku(), "926-aa", BuiltinType::String).unwrap_err();
         assert_eq!(err.facet, "pattern");
         assert_eq!(err.constraint, r"\d{3}-[A-Z]{2}");
     }
 
     #[test]
     fn enumeration_facet() {
-        let f = Facet::Enumeration(vec!["US".into(), "DE".into()]);
-        assert!(f.check("US", BuiltinType::NmToken).is_ok());
-        assert!(f.check("FR", BuiltinType::NmToken).is_err());
+        let f = || Facet::Enumeration(vec!["US".into(), "DE".into()]);
+        assert!(check(f(), "US", BuiltinType::NmToken).is_ok());
+        assert!(check(f(), "FR", BuiltinType::NmToken).is_err());
     }
 
     #[test]
     fn quantity_from_the_paper() {
         // positiveInteger with maxExclusive 100 (Fig. 3, quantity)
-        let f = Facet::MaxExclusive("100".into());
-        assert!(f.check("1", BuiltinType::PositiveInteger).is_ok());
-        assert!(f.check("99", BuiltinType::PositiveInteger).is_ok());
-        assert!(f.check("100", BuiltinType::PositiveInteger).is_err());
-        assert!(f.check("150", BuiltinType::PositiveInteger).is_err());
+        let q = |v| {
+            check(
+                Facet::MaxExclusive("100".into()),
+                v,
+                BuiltinType::PositiveInteger,
+            )
+        };
+        assert!(q("1").is_ok());
+        assert!(q("99").is_ok());
+        assert!(q("100").is_err());
+        assert!(q("150").is_err());
     }
 
     #[test]
     fn range_facets_on_decimals_and_dates() {
-        assert!(Facet::MinInclusive("0".into())
-            .check("0", BuiltinType::Decimal)
-            .is_ok());
-        assert!(Facet::MinExclusive("0".into())
-            .check("0", BuiltinType::Decimal)
-            .is_err());
-        assert!(Facet::MaxInclusive("1999-12-31".into())
-            .check("1999-05-21", BuiltinType::Date)
-            .is_ok());
-        assert!(Facet::MaxInclusive("1999-12-31".into())
-            .check("2000-01-01", BuiltinType::Date)
-            .is_err());
+        assert!(check(Facet::MinInclusive("0".into()), "0", BuiltinType::Decimal).is_ok());
+        assert!(check(Facet::MinExclusive("0".into()), "0", BuiltinType::Decimal).is_err());
+        let before_2000 = || Facet::MaxInclusive("1999-12-31".into());
+        assert!(check(before_2000(), "1999-05-21", BuiltinType::Date).is_ok());
+        assert!(check(before_2000(), "2000-01-01", BuiltinType::Date).is_err());
     }
 
     #[test]
     fn digit_facets() {
-        assert!(Facet::TotalDigits(5)
-            .check("123.45", BuiltinType::Decimal)
-            .is_ok());
-        assert!(Facet::TotalDigits(4)
-            .check("123.45", BuiltinType::Decimal)
-            .is_err());
-        assert!(Facet::FractionDigits(2)
-            .check("1.23", BuiltinType::Decimal)
-            .is_ok());
-        assert!(Facet::FractionDigits(1)
-            .check("1.23", BuiltinType::Decimal)
-            .is_err());
+        assert!(check(Facet::TotalDigits(5), "123.45", BuiltinType::Decimal).is_ok());
+        assert!(check(Facet::TotalDigits(4), "123.45", BuiltinType::Decimal).is_err());
+        assert!(check(Facet::FractionDigits(2), "1.23", BuiltinType::Decimal).is_ok());
+        assert!(check(Facet::FractionDigits(1), "1.23", BuiltinType::Decimal).is_err());
     }
 
     #[test]
     fn range_on_unordered_type_fails_cleanly() {
-        let err = Facet::MaxInclusive("z".into())
-            .check("a", BuiltinType::String)
-            .unwrap_err();
+        let err = check(Facet::MaxInclusive("z".into()), "a", BuiltinType::String).unwrap_err();
         assert_eq!(err.facet, "maxInclusive");
+        assert_eq!(err.constraint, "z");
     }
 }

@@ -2,7 +2,6 @@
 //! content automata and effective attribute/simple-type views that the
 //! validator, V-DOM and codegen all consume.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -14,7 +13,7 @@ use automata::{ContentExpr, Glushkov};
 use crate::builtin::BuiltinType;
 use crate::components::*;
 use crate::error::{SchemaError, SchemaErrorKind};
-use crate::facets::{Facet, FacetViolation};
+use crate::facets::{Facet, FacetCheck, FacetViolation};
 
 /// An error validating a simple-typed value.
 #[derive(Debug, Clone)]
@@ -57,43 +56,53 @@ impl fmt::Display for SimpleTypeError {
 
 impl std::error::Error for SimpleTypeError {}
 
-/// A simple type resolved once: the built-in at the bottom of its
-/// restriction chain, the effective whitespace mode, and every facet of
-/// the chain flattened most-derived first. Checking a value against it
-/// looks nothing up by name, so the validator holds one per declared
-/// attribute and simple-content element (see
-/// [`SymIndex`](crate::SymIndex)) and compiled templates one per hole.
+/// A simple type resolved once into a value kernel: the built-in at the
+/// bottom of its restriction chain, the effective whitespace mode, and
+/// every facet of the chain flattened most-derived first and compiled
+/// against that built-in, range bounds already parsed into its value
+/// space. Checking a value looks nothing up by name and parses nothing
+/// but the value, so the validator holds one per declared attribute and
+/// simple-content element (see [`SymIndex`](crate::SymIndex)), compiled
+/// templates one per hole, and V-DOM one per node it constructs.
 #[derive(Debug, Clone)]
 pub struct SimplePlan {
     builtin: BuiltinType,
     whitespace: WhiteSpaceMode,
-    facets: Box<[Facet]>,
+    facets: Box<[FacetCheck]>,
+    /// The built-in takes every string and no facet constrains it (plain
+    /// `xsd:string`, `token`, …): every value passes unread.
+    passes_all: bool,
 }
 
 impl SimplePlan {
-    /// Checks a raw lexical value: whitespace normalization, the
-    /// built-in's lexical check, then every facet from most derived to
-    /// base. On success (the hot path for valid documents) nothing is
-    /// allocated: normalization borrows whenever the value is already
-    /// normal, and the checks read it in place.
+    /// Checks a raw lexical value in one pass per stage: whitespace
+    /// normalization in one byte scan, one parse by the built-in (which
+    /// also checks an integer type's range), then every facet from most
+    /// derived to base against the parsed value. The first failure is
+    /// the error. On success (the hot path for valid documents) nothing
+    /// is allocated: normalization borrows whenever the value is already
+    /// normal, and the checks read it in place. A plan that constrains
+    /// nothing reads nothing.
     pub fn check(&self, raw: &str) -> Result<(), SimpleTypeError> {
-        self.normalized(raw).map(|_| ())
+        if self.passes_all {
+            return Ok(());
+        }
+        self.check_normalized(&self.whitespace.apply(raw))
     }
 
     /// [`check`](Self::check), returning the normalized value.
     pub fn validate(&self, raw: &str) -> Result<String, SimpleTypeError> {
-        self.normalized(raw).map(Cow::into_owned)
+        let value = self.whitespace.apply(raw);
+        self.check_normalized(&value)?;
+        Ok(value.into_owned())
     }
 
-    fn normalized<'v>(&self, raw: &'v str) -> Result<Cow<'v, str>, SimpleTypeError> {
-        let value = self.whitespace.apply(raw);
-        self.builtin
-            .validate(&value)
-            .map_err(|expected| SimpleTypeError::Lexical {
-                builtin: self.builtin,
-                expected,
-                value: value.clone().into_owned(),
-            })?;
+    /// The built-in's parse, then the facets, on a normalized value.
+    fn check_normalized(&self, value: &str) -> Result<(), SimpleTypeError> {
+        let parsed = match self.builtin.parse(value) {
+            Ok(parsed) => parsed,
+            Err(expected) => return Err(self.lexical_error(value, expected)),
+        };
         // One registry lookup per value (not per facet) when observability
         // is on; a single atomic load when it is off.
         let facet_counter = obs::enabled().then(|| {
@@ -107,10 +116,19 @@ impl SimplePlan {
                 counter.inc();
             }
             facet
-                .check(&value, self.builtin)
+                .check(value, &parsed)
                 .map_err(SimpleTypeError::Facet)?;
         }
-        Ok(value)
+        Ok(())
+    }
+
+    #[cold]
+    fn lexical_error(&self, value: &str, expected: &'static str) -> SimpleTypeError {
+        SimpleTypeError::Lexical {
+            builtin: self.builtin,
+            expected,
+            value: value.to_string(),
+        }
     }
 }
 
@@ -500,7 +518,11 @@ impl Schema {
         Ok(SimplePlan {
             builtin,
             whitespace,
-            facets: facets.into(),
+            passes_all: facets.is_empty() && builtin.accepts_every_string(),
+            facets: facets
+                .iter()
+                .map(|facet| FacetCheck::compile(facet, builtin))
+                .collect(),
         })
     }
 

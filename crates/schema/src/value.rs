@@ -1,7 +1,13 @@
 //! Typed values for the simple-type system: an exact decimal, a date, and
 //! helpers for the integer family. Range facets (`minInclusive` …) compare
 //! *values*, not lexical strings, so these types implement total orders.
+//!
+//! Values are parsed in one pass over their bytes. A range bound is parsed
+//! once, when its simple type's plan is built, into a [`DecimalBound`] (or
+//! a [`Date`], or an `f64`); a value then costs one parse and one
+//! comparison per bound, and integers that fit an `i64` compare as one.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -42,37 +48,12 @@ impl<'a> Decimal<'a> {
     /// Parses an `xsd:decimal` lexical value: optional sign, digits,
     /// optional fraction. At least one digit must be present.
     pub fn parse(lexical: &'a str) -> Result<Decimal<'a>, LexicalError> {
-        let err = || LexicalError {
-            lexical: lexical.to_string(),
-            expected: "decimal",
-        };
-        let mut s = lexical;
-        let negative = if let Some(rest) = s.strip_prefix('-') {
-            s = rest;
-            true
-        } else if let Some(rest) = s.strip_prefix('+') {
-            s = rest;
-            false
-        } else {
-            false
-        };
-        let (int_part, frac_part) = s.split_once('.').unwrap_or((s, ""));
-        if int_part.is_empty() && frac_part.is_empty() {
-            return Err(err());
-        }
-        if !int_part.bytes().all(|b| b.is_ascii_digit())
-            || !frac_part.bytes().all(|b| b.is_ascii_digit())
-        {
-            return Err(err());
-        }
-        let int_digits = int_part.trim_start_matches('0');
-        let frac_digits = frac_part.trim_end_matches('0');
-        let is_zero = int_digits.is_empty() && frac_digits.is_empty();
-        Ok(Decimal {
-            negative: negative && !is_zero,
-            int_digits,
-            frac_digits,
-        })
+        DecimalValue::parse(lexical)
+            .map(|v| v.exact)
+            .ok_or_else(|| LexicalError {
+                lexical: lexical.to_string(),
+                expected: "decimal",
+            })
     }
 
     /// Whether the value is an integer (empty fraction).
@@ -162,6 +143,140 @@ impl Decimal<'_> {
     }
 }
 
+/// A decimal as its built-in parses it, in one pass: the exact view,
+/// whether a decimal point was written (an integer type rejects one even
+/// in `5.` or `5.0`), and the value as an `i64` when it is a whole number
+/// that fits one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DecimalValue<'a> {
+    pub(crate) exact: Decimal<'a>,
+    pub(crate) point: bool,
+    pub(crate) small: Option<i64>,
+}
+
+impl<'a> DecimalValue<'a> {
+    /// Parses an `xsd:decimal` lexical value; `None` when it is not one.
+    #[inline]
+    pub(crate) fn parse(lexical: &'a str) -> Option<DecimalValue<'a>> {
+        let b = lexical.as_bytes();
+        let (negative, start) = match b.first() {
+            Some(b'-') => (true, 1),
+            Some(b'+') => (false, 1),
+            _ => (false, 0),
+        };
+        let mut at = start;
+        while at < b.len() && b[at] == b'0' {
+            at += 1;
+        }
+        let int_start = at;
+        // the integer part's magnitude; exact while at most 19 significant
+        // digits (below 10^19 < 2^64), which the count checks below
+        let mut magnitude = 0u64;
+        while at < b.len() && b[at].is_ascii_digit() {
+            magnitude = magnitude
+                .wrapping_mul(10)
+                .wrapping_add(u64::from(b[at] - b'0'));
+            at += 1;
+        }
+        let int_end = at;
+        let point = at < b.len() && b[at] == b'.';
+        let frac_start = at + usize::from(point);
+        let mut frac_end = frac_start;
+        if point {
+            at += 1;
+            while at < b.len() && b[at].is_ascii_digit() {
+                at += 1;
+                if b[at - 1] != b'0' {
+                    frac_end = at;
+                }
+            }
+        }
+        // a stray byte, or no digit on either side of the point
+        if at != b.len() || (int_end == start && at == frac_start) {
+            return None;
+        }
+        // every byte is ASCII, so these split no character
+        let int_digits = &lexical[int_start..int_end];
+        let frac_digits = &lexical[frac_start..frac_end];
+        let zero = int_end == int_start && frac_end == frac_start;
+        let small = if frac_end != frac_start || int_end - int_start > 19 {
+            None
+        } else if negative {
+            // -2^63 is the one magnitude i64 holds only negated
+            (magnitude <= 1 << 63).then(|| (magnitude as i64).wrapping_neg())
+        } else {
+            i64::try_from(magnitude).ok()
+        };
+        Some(DecimalValue {
+            exact: Decimal {
+                negative: negative && !zero,
+                int_digits,
+                frac_digits,
+            },
+            point,
+            small,
+        })
+    }
+
+    /// Compares with a bound: as `i64`s when both fit, exactly otherwise.
+    pub(crate) fn cmp_bound(&self, bound: &DecimalBound) -> Ordering {
+        match (self.small, bound.small) {
+            (Some(v), Some(b)) => v.cmp(&b),
+            _ => self.exact.cmp(&bound.exact()),
+        }
+    }
+}
+
+/// A decimal range bound, parsed once: its exact digits (borrowed for the
+/// built-in integer ranges, owned for a facet's bound) and its `i64`
+/// form when it is a whole number that fits one.
+#[derive(Debug, Clone)]
+pub(crate) struct DecimalBound {
+    negative: bool,
+    int_digits: Cow<'static, str>,
+    frac_digits: Cow<'static, str>,
+    small: Option<i64>,
+}
+
+impl DecimalBound {
+    /// The whole number `small`, spelled `digits` without its sign.
+    pub(crate) const fn int(small: i64, digits: &'static str) -> DecimalBound {
+        DecimalBound {
+            negative: small < 0,
+            int_digits: Cow::Borrowed(digits),
+            frac_digits: Cow::Borrowed(""),
+            small: Some(small),
+        }
+    }
+
+    /// `u64::MAX`, the one built-in range end beyond `i64`.
+    pub(crate) const U64_MAX: DecimalBound = DecimalBound {
+        negative: false,
+        int_digits: Cow::Borrowed("18446744073709551615"),
+        frac_digits: Cow::Borrowed(""),
+        small: None,
+    };
+
+    /// Parses a facet's bound; `None` when it is not a decimal.
+    pub(crate) fn parse(lexical: &str) -> Option<DecimalBound> {
+        let v = DecimalValue::parse(lexical)?;
+        Some(DecimalBound {
+            negative: v.exact.negative,
+            int_digits: Cow::Owned(v.exact.int_digits.to_string()),
+            frac_digits: Cow::Owned(v.exact.frac_digits.to_string()),
+            small: v.small,
+        })
+    }
+
+    fn exact(&self) -> Decimal<'_> {
+        Decimal {
+            negative: self.negative,
+            int_digits: &self.int_digits,
+            frac_digits: &self.frac_digits,
+        }
+    }
+}
+
 /// An `xsd:date` value: proleptic Gregorian year/month/day (timezones are
 /// accepted lexically and ignored for ordering, which suffices for the
 /// schema corpus in this reproduction).
@@ -178,64 +293,52 @@ pub struct Date {
 impl Date {
     /// Parses `[-]CCYY-MM-DD` with optional `Z`/`±hh:mm` timezone.
     pub fn parse(lexical: &str) -> Result<Date, LexicalError> {
-        let err = || LexicalError {
+        Date::scan(lexical).ok_or_else(|| LexicalError {
             lexical: lexical.to_string(),
             expected: "date (CCYY-MM-DD)",
+        })
+    }
+
+    /// [`parse`](Self::parse) in one pass over the bytes; `None` when the
+    /// value is not a date.
+    pub(crate) fn scan(lexical: &str) -> Option<Date> {
+        let mut b = lexical.as_bytes();
+        // strip a timezone suffix only when it is lexically valid, so
+        // digit garbage after the day fails the date instead of vanishing
+        if let Some(rest) = b.strip_suffix(b"Z") {
+            b = rest;
+        } else if b.len() > 6 && valid_tz(&b[b.len() - 6..]) {
+            b = &b[..b.len() - 6];
+        }
+        let (negative_year, b) = match b.strip_prefix(b"-") {
+            Some(rest) => (true, rest),
+            None => (false, b),
         };
-        let mut s = lexical;
-        // strip timezone suffix — only when it is lexically valid, so
-        // digit garbage after the day fails the date parse instead of
-        // vanishing silently
-        if let Some(rest) = s.strip_suffix('Z') {
-            s = rest;
-        } else if s.len() > 6 {
-            // s.get(): the offset may split a multi-byte char in mangled
-            // input, which is merely not-a-timezone, not a panic
-            if let Some(tail) = s.get(s.len() - 6..) {
-                if valid_tz(tail) {
-                    s = &s[..s.len() - 6];
-                }
-            }
-        }
-        let negative_year = s.starts_with('-');
-        let body = if negative_year { &s[1..] } else { s };
-        let mut parts = body.split('-');
-        let (Some(y), Some(m), Some(d), None) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        else {
-            return Err(err());
+        // CCYY+ '-' MM '-' DD, digits only: no sign inside a field
+        let year_len = b.iter().position(|&c| c == b'-')?;
+        let (y, md) = b.split_at(year_len);
+        let [b'-', m1, m2, b'-', d1, d2] = *md else {
+            return None;
         };
-        if y.len() < 4 || m.len() != 2 || d.len() != 2 {
-            return Err(err());
+        let digits = [m1, m2, d1, d2];
+        if y.len() < 4 || !y.iter().chain(&digits).all(u8::is_ascii_digit) {
+            return None;
         }
-        // digits only: `str::parse` alone would admit an embedded sign
-        // ("+2024-01-01", "2024-+1-01")
-        if ![y, m, d]
-            .iter()
-            .all(|part| part.bytes().all(|b| b.is_ascii_digit()))
-        {
-            return Err(err());
+        // 5+-digit years carry no leading zero, so more than ten digits
+        // exceed i32 (and a zero-padded long year fails either way)
+        if (y.len() > 4 && y[0] == b'0') || y.len() > 10 {
+            return None;
         }
-        let year: i32 = y.parse().map_err(|_| err())?;
-        if year == 0 {
-            // year 0000 is not a valid XSD 1.0 year, however many digits
-            // it is written with
-            return Err(err());
-        }
-        if y.len() > 4 && y.starts_with('0') {
-            // 5+-digit years must not carry leading zeros
-            return Err(err());
-        }
+        let year = y.iter().fold(0i64, |n, &c| n * 10 + i64::from(c - b'0'));
+        // year 0000 is not a valid XSD 1.0 year
+        let year = i32::try_from(year).ok().filter(|&y| y != 0)?;
         let year = if negative_year { -year } else { year };
-        let month: u8 = m.parse().map_err(|_| err())?;
-        let day: u8 = d.parse().map_err(|_| err())?;
-        if !(1..=12).contains(&month) {
-            return Err(err());
+        let month = (m1 - b'0') * 10 + (m2 - b'0');
+        let day = (d1 - b'0') * 10 + (d2 - b'0');
+        if !(1..=12).contains(&month) || day < 1 || day > days_in_month(year, month) {
+            return None;
         }
-        if day < 1 || day > days_in_month(year, month) {
-            return Err(err());
-        }
-        Ok(Date { year, month, day })
+        Some(Date { year, month, day })
     }
 }
 
@@ -248,8 +351,7 @@ impl fmt::Display for Date {
 /// A lexically valid `±hh:mm` timezone suffix: sign, two digits, colon,
 /// two digits, with the offset in range (`hh ≤ 13` with any minutes, or
 /// exactly `14:00` — the XSD extreme).
-fn valid_tz(tail: &str) -> bool {
-    let b = tail.as_bytes();
+fn valid_tz(b: &[u8]) -> bool {
     if b.len() != 6 || !(b[0] == b'+' || b[0] == b'-') || b[3] != b':' {
         return false;
     }

@@ -56,7 +56,13 @@ pub use stream::{
 /// reported as position-free (`None`) instead of pretending the violation
 /// sits at line 1, column 1.
 pub(crate) fn node_span(doc: &Document, node: NodeId) -> Option<Span> {
-    doc.span(node).ok().filter(|s| *s != Span::default())
+    doc.span(node).ok().and_then(parsed_span)
+}
+
+/// A node's recorded span as [`node_span`] reports it: `None` for the
+/// default span of a programmatically built node.
+pub(crate) fn parsed_span(span: Span) -> Option<Span> {
+    (span != Span::default()).then_some(span)
 }
 
 /// Records a finished validation pass's error population, labeled by

@@ -44,7 +44,7 @@ use symbols::Sym;
 use xmlchars::is_xml_whitespace;
 
 use crate::error::{ValidationError, ValidationErrorKind};
-use crate::stream::check_subtree;
+use crate::stream::{check_subtree, parse_failure};
 use crate::validate_document_with_limits;
 use crate::{cap_errors, check_attributes_declared, check_simple_text, node_span, record_errors};
 
@@ -465,22 +465,18 @@ impl IncrementalValidator {
     /// Parses `src` under `limits` and proves it valid: the text-input
     /// entry, [`new`](Self::new) on the tree
     /// [`xmlparse::parse_document_with_limits`] builds. A parse failure
-    /// comes back alone, as one [`ValidationErrorKind::NotWellFormed`]
-    /// entry (a typed [`ValidationErrorKind::Resource`] for a parse-side
-    /// budget trip) without a position; otherwise the list is
+    /// comes back alone, as the one entry streaming validation ends with:
+    /// [`ValidationErrorKind::NotWellFormed`] with the failure's kind (a
+    /// typed [`ValidationErrorKind::Resource`] for a parse-side budget
+    /// trip) at the failure's position; otherwise the list is
     /// [`validate_document_with_limits`]'s.
     pub fn open(
         compiled: CompiledSchema,
         src: &str,
         limits: Limits,
     ) -> Result<Self, Vec<ValidationError>> {
-        let doc = xmlparse::parse_document_with_limits(src, &limits).map_err(|e| {
-            let kind = match e.kind {
-                xmlparse::ParseErrorKind::Resource(kind) => ValidationErrorKind::Resource(kind),
-                _ => ValidationErrorKind::NotWellFormed(e.to_string()),
-            };
-            vec![ValidationError { kind, span: None }]
-        })?;
+        let doc = xmlparse::parse_document_with_limits(src, &limits)
+            .map_err(|e| vec![parse_failure(e)])?;
         Self::new(compiled, doc, limits)
     }
 

@@ -48,7 +48,7 @@
 use std::borrow::Cow;
 
 use automata::{DfaMatcher, Matcher};
-use dom::{Document, NodeId, NodeKind};
+use dom::{Document, NodeId, NodeKind, NodeView};
 use limits::Limits;
 use schema::{CompiledSchema, ContentPlan, ElemPlan, RootPlan, SimpleCheck, SymIndex};
 use symbols::Sym;
@@ -56,7 +56,7 @@ use xmlchars::{is_xml_whitespace, Span};
 use xmlparse::{BorrowedEvent, FeedReader, ParseError, ParseErrorKind, Reader};
 
 use crate::error::{ValidationError, ValidationErrorKind};
-use crate::{check_attributes_declared, check_simple_text, node_span, AttrView};
+use crate::{check_attributes_declared, check_simple_text, parsed_span, AttrView};
 
 /// Buffered character data of a simple-content frame. Starts borrowing
 /// the source; promotes to an owned buffer only when a second text run
@@ -258,20 +258,30 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
     /// Walks the subtrees rooted at `nodes`, in order, as events: a start
     /// per element, a text event per text node (the text borrowed from
     /// `doc`), an end per element. Comments and PIs are skipped, as in
-    /// the parsed stream; spans follow [`node_span`]. Iterative: the
-    /// `open` stack holds one sibling cursor per open element.
+    /// the parsed stream; spans follow [`node_span`](crate::node_span),
+    /// read with the kind and children in one lookup per node. Iterative:
+    /// the `open` stack holds one sibling cursor per open element.
     pub(crate) fn walk(&mut self, doc: &'src Document, nodes: &[NodeId]) {
         let mut open = vec![nodes.iter()];
         while let Some(siblings) = open.last_mut() {
             match siblings.next() {
-                Some(&node) => match doc.kind(node) {
-                    Ok(NodeKind::Element { name, attributes }) => {
-                        let span = node_span(doc, node);
+                // one lookup per node: kind, span and children together
+                Some(&node) => match doc.view(node) {
+                    Ok(NodeView {
+                        kind: NodeKind::Element { name, attributes },
+                        span,
+                        children,
+                    }) => {
+                        let span = parsed_span(span);
                         self.step(span, |v| v.on_start(name, attributes, span));
-                        open.push(doc.child_slice(node).unwrap_or_default().iter());
+                        open.push(children.iter());
                     }
-                    Ok(NodeKind::Text(text)) => {
-                        let span = node_span(doc, node);
+                    Ok(NodeView {
+                        kind: NodeKind::Text(text),
+                        span,
+                        ..
+                    }) => {
+                        let span = parsed_span(span);
                         self.step(span, |v| {
                             v.on_text(TextRun::Zero(Cow::Borrowed(text.as_str())), span)
                         });
@@ -656,13 +666,18 @@ pub(crate) fn check_subtree(
         v.walk(doc, std::slice::from_ref(&node));
         return v.errors;
     };
-    if let Ok(NodeKind::Element { name, attributes }) = doc.kind(node) {
+    if let Ok(NodeView {
+        kind: NodeKind::Element { name, attributes },
+        span,
+        children,
+    }) = doc.view(node)
+    {
         let sym = v
             .index
             .sym(name)
             .expect("an element with a plan has an indexed name");
-        v.open(sym, plan, attributes, node_span(doc, node));
-        v.walk(doc, doc.child_slice(node).unwrap_or_default());
+        v.open(sym, plan, attributes, parsed_span(span));
+        v.walk(doc, children);
         v.on_end();
     }
     v.errors
@@ -744,31 +759,36 @@ fn validate_str_streaming_inner(
 }
 
 /// Ends a streaming run on a fatal parse error: appends the terminal
-/// error — typed, for resource trips; `NotWellFormed` otherwise — to
-/// whatever violations the valid prefix already produced.
-/// `into_errors()` has already flushed the validator's own tallies; the
-/// synthesized terminal error must be recorded separately or it would go
-/// unmetered.
+/// error ([`parse_failure`]) to whatever violations the valid prefix
+/// already produced. `into_errors()` has already flushed the validator's
+/// own tallies; the synthesized terminal error must be recorded
+/// separately or it would go unmetered.
 fn terminal_parse_error(
     validator: StreamingValidator<'_, '_>,
     e: ParseError,
 ) -> Vec<ValidationError> {
     let mut errors = validator.into_errors();
+    let terminal = parse_failure(e);
+    crate::record_errors("streaming", std::slice::from_ref(&terminal));
+    errors.push(terminal);
+    errors
+}
+
+/// The error a fatal parse failure reports, whichever way the text came
+/// in (streamed, or parsed into a tree for a session): a typed
+/// `Resource` for a parse-side budget trip — the reader already counted
+/// it — and `NotWellFormed` with the failure's kind otherwise, both at
+/// the failure's position as a point span.
+pub(crate) fn parse_failure(e: ParseError) -> ValidationError {
     let span = Span {
         start: e.position,
         end: e.position,
     };
-    let terminal = match e.kind {
-        // the reader already counted the trip; surface it typed rather
-        // than as a well-formedness failure
-        ParseErrorKind::Resource(kind) => {
-            ValidationError::at(ValidationErrorKind::Resource(kind), span)
-        }
-        kind => ValidationError::at(ValidationErrorKind::NotWellFormed(kind.to_string()), span),
+    let kind = match e.kind {
+        ParseErrorKind::Resource(kind) => ValidationErrorKind::Resource(kind),
+        kind => ValidationErrorKind::NotWellFormed(kind.to_string()),
     };
-    crate::record_errors("streaming", std::slice::from_ref(&terminal));
-    errors.push(terminal);
-    errors
+    ValidationError::at(kind, span)
 }
 
 /// Validates input arriving as byte chunks — same checks, same error
@@ -934,7 +954,7 @@ fn record_stream_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate_document;
+    use crate::{node_span, validate_document};
     use limits::{CancelToken, ResourceErrorKind};
     use schema::corpus::{PURCHASE_ORDER_XML, PURCHASE_ORDER_XSD, WML_XSD};
     use std::time::{Duration, Instant};

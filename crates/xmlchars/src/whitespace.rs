@@ -21,6 +21,7 @@ pub enum WhiteSpaceMode {
 
 impl WhiteSpaceMode {
     /// Applies this mode to `value`.
+    #[inline]
     pub fn apply<'a>(self, value: &'a str) -> Cow<'a, str> {
         match self {
             WhiteSpaceMode::Preserve => Cow::Borrowed(value),
@@ -30,49 +31,76 @@ impl WhiteSpaceMode {
     }
 }
 
+/// The three whitespace characters `replace` and `collapse` rewrite
+/// besides the space itself. All are ASCII, so no UTF-8 sequence holds
+/// one of their bytes and the passes below can work byte by byte.
+fn is_tab_or_eol(b: u8) -> bool {
+    matches!(b, b'\t' | b'\n' | b'\r')
+}
+
+/// Whether any byte of `bytes` is at or below the space (0x20): each
+/// eight-byte word is tested at once, with the borrow trick that flags a
+/// byte below 0x21 (bytes of 0x80 and up never trip it).
+fn has_space_or_control(bytes: &[u8]) -> bool {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let low_word = words.by_ref().any(|word| {
+        let x = u64::from_ne_bytes(word.try_into().expect("eight bytes"));
+        x.wrapping_sub(ONES * 0x21) & !x & HIGHS != 0
+    });
+    low_word || words.remainder().iter().any(|&b| b <= b' ')
+}
+
 /// `replace` normalization: each `#x9 | #xA | #xD` becomes a space.
+/// One byte pass; the value is borrowed when it holds none of them.
 pub fn replace(value: &str) -> Cow<'_, str> {
-    if !value.contains(['\t', '\n', '\r']) {
+    if !value.bytes().any(is_tab_or_eol) {
         return Cow::Borrowed(value);
     }
-    Cow::Owned(
-        value
-            .chars()
-            .map(|c| {
-                if matches!(c, '\t' | '\n' | '\r') {
-                    ' '
-                } else {
-                    c
-                }
-            })
-            .collect(),
-    )
+    Cow::Owned(value.replace(['\t', '\n', '\r'], " "))
 }
 
 /// `collapse` normalization: `replace`, then collapse space runs and trim.
+/// One byte pass decides whether the value is already collapsed (no tab,
+/// CR or LF, no leading, trailing or doubled space) and borrows it then;
+/// a value without any byte at or below the space, the usual number,
+/// date or token, passes eight bytes per step.
 pub fn collapse(value: &str) -> Cow<'_, str> {
-    let needs_work = value.starts_with([' ', '\t', '\n', '\r'])
-        || value.ends_with([' ', '\t', '\n', '\r'])
-        || value.contains(['\t', '\n', '\r'])
-        || value.contains("  ");
-    if !needs_work {
+    if !has_space_or_control(value.as_bytes()) {
+        return Cow::Borrowed(value);
+    }
+    // a space right after the start or another space is redundant
+    let mut after_space = true;
+    let mut normal = true;
+    for b in value.bytes() {
+        if b == b' ' {
+            if after_space {
+                normal = false;
+                break;
+            }
+            after_space = true;
+        } else if is_tab_or_eol(b) {
+            normal = false;
+            break;
+        } else {
+            after_space = false;
+        }
+    }
+    // a trailing space is redundant too (the value is not empty: it
+    // holds a low byte)
+    if normal && !after_space {
         return Cow::Borrowed(value);
     }
     let mut out = String::with_capacity(value.len());
-    let mut in_space = true; // leading whitespace is dropped
-    for c in value.chars() {
-        if matches!(c, ' ' | '\t' | '\n' | '\r') {
-            if !in_space {
-                out.push(' ');
-                in_space = true;
-            }
-        } else {
-            out.push(c);
-            in_space = false;
+    for word in value
+        .split([' ', '\t', '\n', '\r'])
+        .filter(|word| !word.is_empty())
+    {
+        if !out.is_empty() {
+            out.push(' ');
         }
-    }
-    if out.ends_with(' ') {
-        out.pop();
+        out.push_str(word);
     }
     Cow::Owned(out)
 }
@@ -107,5 +135,35 @@ mod tests {
     fn collapse_handles_single_char() {
         assert_eq!(collapse(" x"), "x");
         assert_eq!(collapse("x "), "x");
+        assert_eq!(collapse(" "), "");
+        assert!(matches!(collapse("x"), Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn low_bytes_are_found_in_every_lane() {
+        for len in 0..20 {
+            let clean = "x".repeat(len);
+            assert!(!has_space_or_control(clean.as_bytes()));
+            assert!(!has_space_or_control(
+                "é!~\u{7F}\u{A0}".repeat(len).as_bytes()
+            ));
+            for at in 0..len {
+                for low in [b' ', b'\t', 0u8, 0x1F] {
+                    let mut bytes = clean.clone().into_bytes();
+                    bytes[at] = low;
+                    assert!(has_space_or_control(&bytes), "{len} {at} {low}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_tab_cr_lf_and_space_are_whitespace() {
+        // U+00A0 and U+2003 are Unicode spaces, not XML whitespace
+        assert!(matches!(collapse("a\u{A0}b"), Cow::Borrowed(_)));
+        assert_eq!(collapse(" \u{A0} a\u{2003}\r\nb "), "\u{A0} a\u{2003} b");
+        assert_eq!(replace("\u{A0}\t\u{A0}"), "\u{A0} \u{A0}");
+        assert!(matches!(collapse("é è"), Cow::Borrowed(_)));
+        assert!(matches!(replace("é  è "), Cow::Borrowed(_)));
     }
 }

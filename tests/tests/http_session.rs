@@ -223,10 +223,20 @@ fn session_create_failures_are_typed() {
         serve::json::verdict_json("purchase-order", &expected_errors)
     );
 
-    // malformed XML
+    // malformed XML: the verdict POST /v1/validate gives the same text
     let (status, body) = post(addr, "/v1/session/purchase-order", "<purchaseOrder>");
     assert_eq!(status, 422, "{body}");
     assert!(body.contains("NotWellFormed"), "{body}");
+    let expected_errors = registry
+        .validate_streaming("purchase-order", "<purchaseOrder>")
+        .unwrap();
+    assert_eq!(
+        body,
+        serve::json::verdict_json("purchase-order", &expected_errors)
+    );
+    // a refused open is 422; an invalid verdict from /v1/validate is 200
+    let (status, validated) = post(addr, "/v1/validate/purchase-order", "<purchaseOrder>");
+    assert_eq!((status, validated), (200, body));
 
     // wrong method on the session routes is 405
     let (status, _) = get(addr, "/v1/session");

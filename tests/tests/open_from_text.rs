@@ -3,9 +3,10 @@
 //! give exactly the verdict of `xmlparse::parse_document_with_limits`
 //! followed by `validator::validate_document_with_limits` — error for
 //! error, kinds and spans — and, when it opens, hold the very tree the
-//! parser builds. A parse failure is one position-free entry
+//! parser builds. A parse failure is one entry at the failure's position
 //! (`NotWellFormed`, or a typed `Resource` for a parse-side budget), even
-//! after violations.
+//! after violations, and it is the entry streaming validation of the same
+//! text ends with.
 //!
 //! The rows cover valid and mutated purchase orders and WML pages,
 //! documents of the other corpus schemas, malformed input (invalid then
@@ -25,8 +26,10 @@ use schema::corpus::{
 };
 use schema::CompiledSchema;
 use validator::{
-    validate_document_with_limits, IncrementalValidator, ValidationError, ValidationErrorKind,
+    validate_document_with_limits, validate_str_streaming, IncrementalValidator, ValidationError,
+    ValidationErrorKind,
 };
+use xmlchars::Span;
 
 fn schema(xsd: &str) -> CompiledSchema {
     CompiledSchema::parse(xsd).unwrap()
@@ -39,11 +42,18 @@ fn spelled_out(
     limits: &Limits,
 ) -> Result<Document, Vec<ValidationError>> {
     let doc = xmlparse::parse_document_with_limits(src, limits).map_err(|e| {
+        let span = Span {
+            start: e.position,
+            end: e.position,
+        };
         let kind = match e.kind {
             xmlparse::ParseErrorKind::Resource(kind) => ValidationErrorKind::Resource(kind),
-            _ => ValidationErrorKind::NotWellFormed(e.to_string()),
+            kind => ValidationErrorKind::NotWellFormed(kind.to_string()),
         };
-        vec![ValidationError { kind, span: None }]
+        vec![ValidationError {
+            kind,
+            span: Some(span),
+        }]
     })?;
     let errors = validate_document_with_limits(compiled, &doc, limits);
     if errors.is_empty() {
@@ -273,7 +283,42 @@ fn malformed_input_reports_the_parse_error_alone() {
     ] {
         let errors = agree(&po, src, &Limits::default());
         assert_eq!(labels(&errors), ["NotWellFormed"], "{src}");
-        assert_eq!(errors[0].span, None);
+        let span = errors[0].span.expect("a parse failure has a position");
+        assert_eq!(span.start, span.end, "{src}");
+    }
+}
+
+#[test]
+fn a_parse_failure_is_the_error_streaming_ends_with() {
+    let po = schema(PURCHASE_ORDER_XSD);
+    let invalid_then_malformed = PURCHASE_ORDER_XML
+        .replace("<zip>90952</zip>", "<zip>x</zip>")
+        .replace("</purchaseOrder>", "");
+    let deep = format!("{}{}", "<items>".repeat(12), "</items>".repeat(12));
+    let depth = Limits::default().with_max_depth(8);
+    let size = Limits::default().with_max_input_bytes(100);
+    // (text, budget, whether streaming finds violations before the failure)
+    for (src, limits, prefix_violations) in [
+        ("", &Limits::default(), false),
+        ("<purchaseOrder>", &Limits::default(), false),
+        ("<a><b></a>", &Limits::default(), true),
+        ("<purchaseOrder/><second/>", &Limits::default(), true),
+        ("<p a='1' a='2'/>", &Limits::default(), false),
+        (invalid_then_malformed.as_str(), &Limits::default(), true),
+        (deep.as_str(), &depth, true),
+        (PURCHASE_ORDER_XML, &size, false),
+    ] {
+        let Err(opened) = IncrementalValidator::open(po.clone(), src, limits.clone()) else {
+            panic!("opened malformed input:\n{src}");
+        };
+        let streamed = validate_str_streaming(&po, src, limits);
+        assert_eq!(opened.len(), 1, "{src}");
+        assert_eq!(streamed.last(), opened.first(), "{src}");
+        assert_eq!(
+            streamed.len() > 1,
+            prefix_violations,
+            "{src}: {streamed:#?}"
+        );
     }
 }
 
@@ -318,6 +363,7 @@ fn exhausted_clocks_reject_up_front_unless_the_parse_fails() {
         assert_eq!(errors[0].span, None);
         let errors = agree(&po, "<purchaseOrder>", &limits);
         assert_eq!(labels(&errors), ["NotWellFormed"]);
+        assert!(errors[0].span.is_some());
     }
 }
 
