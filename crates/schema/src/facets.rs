@@ -119,43 +119,19 @@ impl Facet {
     }
 }
 
-/// A facet compiled for one plan: range bounds parsed in the plan's
-/// built-in value space, everything else as read.
+/// A facet compiled for one plan: the facet as read, with a range
+/// facet's bound parsed in the plan's built-in value space.
 #[derive(Debug, Clone)]
-pub(crate) enum FacetCheck {
-    /// Exact length in characters.
-    Length(u64),
-    /// Minimum length in characters.
-    MinLength(u64),
-    /// Maximum length in characters.
-    MaxLength(u64),
-    /// Anchored match.
-    Pattern(CompiledPattern),
-    /// One of these lexical values.
-    Enumeration(Box<[String]>),
-    /// Applied before any facet; checking it passes.
-    WhiteSpace,
-    /// `value <op> bound`, `op` given by `passes`.
-    Range {
-        /// The facet's XSD name.
-        facet: &'static str,
-        /// The bound as written, for messages.
-        text: String,
-        /// The bound in the built-in's value space.
-        bound: Bound,
-        /// Whether a value less than, equal to or greater than `bound`
-        /// passes, in that order.
-        passes: [bool; 3],
-    },
-    /// Maximum number of significant digits.
-    TotalDigits(u64),
-    /// Maximum number of fraction digits.
-    FractionDigits(u64),
+pub(crate) struct FacetCheck {
+    facet: Facet,
+    /// The range bound; [`Bound::Never`] for the other facets, which
+    /// never read it.
+    bound: Bound,
 }
 
 /// A range bound in its built-in's value space.
 #[derive(Debug, Clone)]
-pub(crate) enum Bound {
+enum Bound {
     /// Decimal and the integer family.
     Decimal(DecimalBound),
     /// Float and double.
@@ -182,40 +158,32 @@ impl Bound {
         parsed.unwrap_or(Bound::Never)
     }
 
-    /// How `value` orders against this bound; `None` when they do not
-    /// compare (a `NaN`, or a bound that never passes).
-    fn compare(&self, value: &Parsed<'_>) -> Option<Ordering> {
-        match (value, self) {
+    /// Whether `value` orders against this bound as `accept` asks; never
+    /// when they do not compare (a `NaN`, or a bound that never passes).
+    fn admits(&self, value: &Parsed<'_>, accept: fn(Ordering) -> bool) -> bool {
+        let ordering = match (value, self) {
             (Parsed::Decimal(v), Bound::Decimal(b)) => Some(v.cmp_bound(b)),
             (Parsed::Double(v), Bound::Double(b)) => v.partial_cmp(b),
             (Parsed::Date(v), Bound::Date(b)) => Some(v.cmp(b)),
             _ => None,
-        }
+        };
+        ordering.is_some_and(accept)
     }
 }
 
 impl FacetCheck {
     /// Compiles `facet` for values of the built-in `base`.
     pub(crate) fn compile(facet: &Facet, base: BuiltinType) -> FacetCheck {
-        let range = |text: &String, passes| FacetCheck::Range {
-            facet: facet.name(),
-            text: text.clone(),
-            bound: Bound::parse(text, base),
-            passes,
+        let bound = match facet {
+            Facet::MaxInclusive(text)
+            | Facet::MaxExclusive(text)
+            | Facet::MinInclusive(text)
+            | Facet::MinExclusive(text) => Bound::parse(text, base),
+            _ => Bound::Never,
         };
-        match facet {
-            Facet::Length(n) => FacetCheck::Length(*n),
-            Facet::MinLength(n) => FacetCheck::MinLength(*n),
-            Facet::MaxLength(n) => FacetCheck::MaxLength(*n),
-            Facet::Pattern(p) => FacetCheck::Pattern(p.clone()),
-            Facet::Enumeration(allowed) => FacetCheck::Enumeration(allowed.clone().into()),
-            Facet::WhiteSpace(_) => FacetCheck::WhiteSpace,
-            Facet::MaxInclusive(text) => range(text, [true, true, false]),
-            Facet::MaxExclusive(text) => range(text, [true, false, false]),
-            Facet::MinInclusive(text) => range(text, [false, true, true]),
-            Facet::MinExclusive(text) => range(text, [false, false, true]),
-            Facet::TotalDigits(n) => FacetCheck::TotalDigits(*n),
-            Facet::FractionDigits(n) => FacetCheck::FractionDigits(*n),
+        FacetCheck {
+            facet: facet.clone(),
+            bound,
         }
     }
 
@@ -223,26 +191,27 @@ impl FacetCheck {
     /// `parsed`. The digit facets read the decimal the built-in parsed,
     /// or parse one for any other built-in (a value that is not a decimal
     /// fails them).
+    #[inline]
     pub(crate) fn check(&self, value: &str, parsed: &Parsed<'_>) -> Result<(), FacetViolation> {
         let char_len = || value.chars().count() as u64;
         let decimal = || match parsed {
             Parsed::Decimal(v) => Some(v.exact),
             _ => Decimal::parse(value).ok(),
         };
-        let ok = match self {
-            FacetCheck::Length(n) => char_len() == *n,
-            FacetCheck::MinLength(n) => char_len() >= *n,
-            FacetCheck::MaxLength(n) => char_len() <= *n,
-            FacetCheck::Pattern(p) => p.is_match(value),
-            FacetCheck::Enumeration(allowed) => allowed.iter().any(|a| a == value),
-            FacetCheck::WhiteSpace => true,
-            FacetCheck::Range { bound, passes, .. } => bound
-                .compare(parsed)
-                .is_some_and(|ord| passes[(ord as i8 + 1) as usize]),
-            FacetCheck::TotalDigits(n) => decimal().is_some_and(|d| d.total_digits() as u64 <= *n),
-            FacetCheck::FractionDigits(n) => {
-                decimal().is_some_and(|d| d.fraction_digits() as u64 <= *n)
-            }
+        let ok = match &self.facet {
+            Facet::Length(n) => char_len() == *n,
+            Facet::MinLength(n) => char_len() >= *n,
+            Facet::MaxLength(n) => char_len() <= *n,
+            Facet::Pattern(p) => p.is_match(value),
+            Facet::Enumeration(allowed) => allowed.iter().any(|a| a == value),
+            // applied before any facet is checked
+            Facet::WhiteSpace(_) => true,
+            Facet::MaxInclusive(_) => self.bound.admits(parsed, Ordering::is_le),
+            Facet::MaxExclusive(_) => self.bound.admits(parsed, Ordering::is_lt),
+            Facet::MinInclusive(_) => self.bound.admits(parsed, Ordering::is_ge),
+            Facet::MinExclusive(_) => self.bound.admits(parsed, Ordering::is_gt),
+            Facet::TotalDigits(n) => decimal().is_some_and(|d| d.total_digits() as u64 <= *n),
+            Facet::FractionDigits(n) => decimal().is_some_and(|d| d.fraction_digits() as u64 <= *n),
         };
         if ok {
             Ok(())
@@ -254,19 +223,22 @@ impl FacetCheck {
     /// The violation this facet reports for `value`.
     #[cold]
     fn violation(&self, value: &str) -> FacetViolation {
-        let (facet, constraint) = match self {
-            FacetCheck::Length(n) => ("length", n.to_string()),
-            FacetCheck::MinLength(n) => ("minLength", n.to_string()),
-            FacetCheck::MaxLength(n) => ("maxLength", n.to_string()),
-            FacetCheck::Pattern(p) => ("pattern", p.pattern().to_string()),
-            FacetCheck::Enumeration(allowed) => ("enumeration", allowed.join(" | ")),
-            FacetCheck::WhiteSpace => ("whiteSpace", String::new()),
-            FacetCheck::Range { facet, text, .. } => (*facet, text.clone()),
-            FacetCheck::TotalDigits(n) => ("totalDigits", n.to_string()),
-            FacetCheck::FractionDigits(n) => ("fractionDigits", n.to_string()),
+        let constraint = match &self.facet {
+            Facet::Length(n)
+            | Facet::MinLength(n)
+            | Facet::MaxLength(n)
+            | Facet::TotalDigits(n)
+            | Facet::FractionDigits(n) => n.to_string(),
+            Facet::Pattern(p) => p.pattern().to_string(),
+            Facet::Enumeration(allowed) => allowed.join(" | "),
+            Facet::WhiteSpace(_) => String::new(),
+            Facet::MaxInclusive(text)
+            | Facet::MaxExclusive(text)
+            | Facet::MinInclusive(text)
+            | Facet::MinExclusive(text) => text.clone(),
         };
         FacetViolation {
-            facet,
+            facet: self.facet.name(),
             constraint,
             value: value.to_string(),
         }

@@ -3,9 +3,10 @@
 //! *values*, not lexical strings, so these types implement total orders.
 //!
 //! Values are parsed in one pass over their bytes. A range bound is parsed
-//! once, when its simple type's plan is built, into a [`DecimalBound`] (or
-//! a [`Date`], or an `f64`); a value then costs one parse and one
-//! comparison per bound, and integers that fit an `i64` compare as one.
+//! once, when its simple type's plan is built, into exact decimal digits
+//! with an `i64` form where it fits (or a [`Date`], or an `f64`); a value
+//! then costs one parse and one comparison per bound, and integers that
+//! fit an `i64` compare as one.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -156,7 +157,6 @@ pub(crate) struct DecimalValue<'a> {
 
 impl<'a> DecimalValue<'a> {
     /// Parses an `xsd:decimal` lexical value; `None` when it is not one.
-    #[inline]
     pub(crate) fn parse(lexical: &'a str) -> Option<DecimalValue<'a>> {
         let b = lexical.as_bytes();
         let (negative, start) = match b.first() {

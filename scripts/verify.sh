@@ -20,9 +20,24 @@ echo "==> zero-copy pipeline gates (allocation smoke + differential props)"
 # also caps parse_document's allocations on a 400-item order (no
 # allocation per name), and open_from_text holds the session open from
 # text equal to parse-then-validate, error for error, and the tree
-# builder linear in the number of distinct names.
+# builder linear in the number of distinct names. value_kernel pins
+# SimplePlan::check's verdict and exact error text row by row: every
+# built-in, every facet kind, bounds beyond i64, dates, NaN/INF,
+# non-ASCII patterns and each whitespace mode.
 cargo test -q -p integration-tests --test alloc_smoke --test zero_copy_prop \
   --test simple_values --test xml_whitespace --test open_from_text
+cargo test -q -p schema --test value_kernel
+
+echo "==> facet bounds parsed once, when the plan is built"
+# Range facets compare the value their built-in parsed against bounds a
+# SimplePlan parsed when it was built, so the checking code in facets.rs
+# (cut at its first column-0 #[cfg(test)]) parses no bound or value per
+# check through the built-in's ordered_value.
+facets_src="$(sed '/^#\[cfg(test)\]/,$d' crates/schema/src/facets.rs)"
+if grep -n 'ordered_value(' <<<"$facets_src"; then
+  echo "facets.rs parses range bounds per check again (see above)" >&2
+  exit 1
+fi
 
 echo "==> one tree builder, one session open"
 # xmlparse's TreeBuilder grows trees through Document::append_new, and a
