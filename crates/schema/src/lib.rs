@@ -20,6 +20,21 @@
 //! wildcards"); `list`/`union` simple types and schema composition
 //! (`import`/`include`) are rejected with explicit errors.
 //!
+//! # Simple values
+//!
+//! Every simple type a schema uses resolves once into a [`SimplePlan`],
+//! its value kernel: the built-in at the bottom of the restriction chain,
+//! the effective whitespace mode, and the chain's facets, most derived
+//! first, with each range bound already parsed into the built-in's value
+//! space (exact decimal digits with an `i64` form where it fits, a date,
+//! or an `f64`). The built-in integer ranges (`positiveInteger`, `int`,
+//! `unsignedByte`, …) are bounds of the same kind. [`check_value`] on a
+//! plan normalizes whitespace in one byte pass that borrows an already
+//! normal value, parses the value once with its built-in, and compares it
+//! with the pre-parsed bounds; the first failure is the error. The
+//! validator's stream, tree walk and patches, compiled templates and
+//! V-DOM all check values this way.
+//!
 //! # Example
 //!
 //! ```
