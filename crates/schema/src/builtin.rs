@@ -189,7 +189,9 @@ impl BuiltinType {
     /// Parses a whitespace-normalized lexical value once, checking it
     /// against this type's lexical and value space, and keeps what the
     /// range and digit facets compare. Returns a description of the
-    /// expected form on failure.
+    /// expected form on failure. Inlined into the plan's check, which
+    /// then reads the parsed value where it was built.
+    #[inline]
     pub(crate) fn parse(self, value: &str) -> Result<Parsed<'_>, &'static str> {
         use BuiltinType::*;
         match self {
@@ -262,7 +264,8 @@ impl BuiltinType {
     }
 
     /// An integer-family value: a decimal without a point, inside the
-    /// type's range.
+    /// type's range. Always inlined, like the decimal parse inside it.
+    #[inline(always)]
     fn parse_integer(self, value: &str) -> Result<DecimalValue<'_>, &'static str> {
         use BuiltinType::*;
         let Some(v) = DecimalValue::parse(value) else {
