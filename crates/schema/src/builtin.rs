@@ -174,7 +174,7 @@ impl BuiltinType {
 
     /// Whether every string is a valid value of this type (the string
     /// family up to `token`, and `anySimpleType`).
-    pub fn accepts_every_string(self) -> bool {
+    pub(crate) fn accepts_every_string(self) -> bool {
         use BuiltinType::*;
         matches!(self, AnySimpleType | String | NormalizedString | Token)
     }

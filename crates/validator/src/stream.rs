@@ -265,7 +265,6 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
         let mut open = vec![nodes.iter()];
         while let Some(siblings) = open.last_mut() {
             match siblings.next() {
-                // one lookup per node: kind, span and children together
                 Some(&node) => match doc.view(node) {
                     Ok(NodeView {
                         kind: NodeKind::Element { name, attributes },

@@ -62,36 +62,33 @@ pub fn replace(value: &str) -> Cow<'_, str> {
 }
 
 /// `collapse` normalization: `replace`, then collapse space runs and trim.
-/// One byte pass decides whether the value is already collapsed (no tab,
-/// CR or LF, no leading, trailing or doubled space) and borrows it then;
-/// a value without any byte at or below the space, the usual number,
-/// date or token, passes eight bytes per step.
+/// A value with no byte at or below the space (the usual number, date or
+/// token) is borrowed after a scan of eight bytes per step; any other
+/// value is borrowed when one byte pass finds it already collapsed (no
+/// tab, CR or LF, no leading, trailing or doubled space).
 pub fn collapse(value: &str) -> Cow<'_, str> {
     if !has_space_or_control(value.as_bytes()) {
         return Cow::Borrowed(value);
     }
-    // a space right after the start or another space is redundant
+    // a space at the start or after another space is redundant
     let mut after_space = true;
-    let mut normal = true;
     for b in value.bytes() {
-        if b == b' ' {
-            if after_space {
-                normal = false;
-                break;
-            }
-            after_space = true;
-        } else if is_tab_or_eol(b) {
-            normal = false;
-            break;
-        } else {
-            after_space = false;
+        match b {
+            b' ' if after_space => return collapsed(value),
+            b' ' => after_space = true,
+            b if is_tab_or_eol(b) => return collapsed(value),
+            _ => after_space = false,
         }
     }
-    // a trailing space is redundant too (the value is not empty: it
-    // holds a low byte)
-    if normal && !after_space {
-        return Cow::Borrowed(value);
+    // so is one at the end (the value holds a low byte: it is not empty)
+    if after_space {
+        return collapsed(value);
     }
+    Cow::Borrowed(value)
+}
+
+/// The collapsed copy of a value that is not already collapsed.
+fn collapsed(value: &str) -> Cow<'_, str> {
     let mut out = String::with_capacity(value.len());
     for word in value
         .split([' ', '\t', '\n', '\r'])

@@ -83,14 +83,43 @@ impl Dfa {
             processed += 1;
         }
 
-        let (classes, class_count, ascii) = ascii_table(&transitions);
-        Dfa {
+        let mut dfa = Dfa {
             transitions,
             accepting,
-            classes,
-            class_count,
-            ascii,
+            classes: [0; 128],
+            class_count: 0,
+            ascii: Box::default(),
+        };
+        dfa.tabulate_ascii();
+        dfa
+    }
+
+    /// Splits the ASCII bytes into classes at every label boundary below
+    /// 128 and tabulates each state's successor per class.
+    fn tabulate_ascii(&mut self) {
+        let mut starts = [false; 128];
+        starts[0] = true;
+        for (set, _) in self.transitions.iter().flatten() {
+            for &(lo, hi) in set.ranges() {
+                for bound in [lo, hi.saturating_add(1)] {
+                    if let Some(start) = starts.get_mut(bound as usize) {
+                        *start = true;
+                    }
+                }
+            }
         }
+        let mut representatives: Vec<u8> = Vec::new();
+        for (b, class) in (0u8..128).zip(self.classes.iter_mut()) {
+            if starts[usize::from(b)] {
+                representatives.push(b);
+            }
+            *class = (representatives.len() - 1) as u8;
+        }
+        self.class_count = representatives.len();
+        self.ascii = (0..self.state_count())
+            .flat_map(|state| representatives.iter().map(move |&b| (state, char::from(b))))
+            .map(|(state, c)| self.step_char(state, c))
+            .collect();
     }
 
     /// Number of DFA states (bench metric).
@@ -126,46 +155,10 @@ impl Dfa {
         self.transitions[state]
             .iter()
             .find(|(set, _)| set.contains(c))
-            .map_or(DEAD, |&(_, next)| next as u32)
+            .map_or(DEAD, |&(_, next)| {
+                u32::try_from(next).expect("DFA state count fits u32")
+            })
     }
-}
-
-/// Splits the ASCII bytes into classes at every label boundary below 128
-/// and tabulates each state's successor per class.
-fn ascii_table(transitions: &[Vec<(CharSet, usize)>]) -> ([u8; 128], usize, Box<[u32]>) {
-    let mut starts = [false; 128];
-    starts[0] = true;
-    for (set, _) in transitions.iter().flatten() {
-        for &(lo, hi) in set.ranges() {
-            for bound in [lo, hi.saturating_add(1)] {
-                if let Some(start) = starts.get_mut(bound as usize) {
-                    *start = true;
-                }
-            }
-        }
-    }
-    let mut classes = [0u8; 128];
-    let mut representatives: Vec<u8> = Vec::new();
-    for (b, class) in (0u8..128).zip(classes.iter_mut()) {
-        if starts[usize::from(b)] {
-            representatives.push(b);
-        }
-        *class = (representatives.len() - 1) as u8;
-    }
-    let table = transitions
-        .iter()
-        .enumerate()
-        .flat_map(|(state, _)| representatives.iter().map(move |&b| (state, char::from(b))))
-        .map(|(state, c)| {
-            transitions[state]
-                .iter()
-                .find(|(set, _)| set.contains(c))
-                .map_or(DEAD, |&(_, next)| {
-                    u32::try_from(next).expect("DFA state count fits u32")
-                })
-        })
-        .collect();
-    (classes, representatives.len(), table)
 }
 
 /// Refines a collection of possibly-overlapping `CharSet`s into the
