@@ -5,7 +5,7 @@
 use xmlchars::chars::{is_name, is_nmtoken};
 use xmlchars::WhiteSpaceMode;
 
-use crate::value::{Date, DecimalBound, DecimalValue};
+use crate::value::Date;
 
 /// A built-in simple type.
 ///
@@ -228,8 +228,8 @@ impl BuiltinType {
             Boolean => matches!(value, "true" | "false" | "1" | "0")
                 .then_some(Parsed::Other)
                 .ok_or("boolean (true/false/1/0)"),
-            Decimal => DecimalValue::parse(value)
-                .map(Parsed::Decimal)
+            Decimal => crate::value::Decimal::scan(value)
+                .map(|(d, _)| Parsed::Decimal(d))
                 .ok_or("decimal"),
             Integer | NonPositiveInteger | NegativeInteger | NonNegativeInteger
             | PositiveInteger | Long | Int | Short | Byte | UnsignedLong | UnsignedInt
@@ -266,18 +266,16 @@ impl BuiltinType {
     /// An integer-family value: a decimal without a point, inside the
     /// type's range. Always inlined, like the decimal parse inside it.
     #[inline(always)]
-    fn parse_integer(self, value: &str) -> Result<DecimalValue<'_>, &'static str> {
+    fn parse_integer(self, value: &str) -> Result<crate::value::Decimal<'_>, &'static str> {
         use BuiltinType::*;
-        let Some(v) = DecimalValue::parse(value) else {
+        let Some((v, point)) = crate::value::Decimal::scan(value) else {
             return Err("integer");
         };
-        if v.point {
+        if point {
             return Err("integer (no fraction part)");
         }
-        let (lo, hi) = self.integer_range();
-        let below = lo.is_some_and(|lo| v.cmp_bound(lo).is_lt());
-        let above = hi.is_some_and(|hi| v.cmp_bound(hi).is_gt());
-        if below || above {
+        let [lo, hi] = self.integer_range();
+        if lo.is_some_and(|lo| v < lo) || hi.is_some_and(|hi| v > hi) {
             return Err(match self {
                 NonPositiveInteger => "nonPositiveInteger (≤ 0)",
                 NegativeInteger => "negativeInteger (< 0)",
@@ -289,56 +287,27 @@ impl BuiltinType {
         Ok(v)
     }
 
-    /// The inclusive value range of an integer type, as bounds of the
-    /// kind range facets compare against (`None`: unbounded that side).
-    fn integer_range(self) -> (Option<&'static DecimalBound>, Option<&'static DecimalBound>) {
+    /// The inclusive value range of an integer type, low end first
+    /// (`None`: unbounded that side).
+    fn integer_range(self) -> [Option<crate::value::Decimal<'static>>; 2] {
         use BuiltinType::*;
-        static ZERO: DecimalBound = DecimalBound::int(0, "");
-        static ONE: DecimalBound = DecimalBound::int(1, "1");
-        static MINUS_ONE: DecimalBound = DecimalBound::int(-1, "1");
-        static LONG: [DecimalBound; 2] = [
-            DecimalBound::int(i64::MIN, "9223372036854775808"),
-            DecimalBound::int(i64::MAX, "9223372036854775807"),
-        ];
-        static INT: [DecimalBound; 2] = [
-            DecimalBound::int(i32::MIN as i64, "2147483648"),
-            DecimalBound::int(i32::MAX as i64, "2147483647"),
-        ];
-        static SHORT: [DecimalBound; 2] = [
-            DecimalBound::int(i16::MIN as i64, "32768"),
-            DecimalBound::int(i16::MAX as i64, "32767"),
-        ];
-        static BYTE: [DecimalBound; 2] = [
-            DecimalBound::int(i8::MIN as i64, "128"),
-            DecimalBound::int(i8::MAX as i64, "127"),
-        ];
-        static U64_MAX: DecimalBound = DecimalBound::U64_MAX;
-        static U32_MAX: DecimalBound = DecimalBound::int(u32::MAX as i64, "4294967295");
-        static U16_MAX: DecimalBound = DecimalBound::int(u16::MAX as i64, "65535");
-        static U8_MAX: DecimalBound = DecimalBound::int(u8::MAX as i64, "255");
-        let [lo, hi] = match self {
-            Long => &LONG,
-            Int => &INT,
-            Short => &SHORT,
-            Byte => &BYTE,
-            NonPositiveInteger => return (None, Some(&ZERO)),
-            NegativeInteger => return (None, Some(&MINUS_ONE)),
-            NonNegativeInteger => return (Some(&ZERO), None),
-            PositiveInteger => return (Some(&ONE), None),
-            UnsignedLong => return (Some(&ZERO), Some(&U64_MAX)),
-            UnsignedInt => return (Some(&ZERO), Some(&U32_MAX)),
-            UnsignedShort => return (Some(&ZERO), Some(&U16_MAX)),
-            UnsignedByte => return (Some(&ZERO), Some(&U8_MAX)),
-            _ => return (None, None),
-        };
-        (Some(lo), Some(hi))
-    }
-
-    /// Whether values of this type support ordered range facets.
-    pub fn is_ordered(self) -> bool {
-        use BuiltinType::*;
-        self.derives_from(Decimal)
-            || matches!(self, Float | Double | Date | DateTime | Time | GYear)
+        let whole = |digits| Some(crate::value::Decimal::whole(false, digits));
+        let negated = |digits| Some(crate::value::Decimal::whole(true, digits));
+        match self {
+            Long => [negated("9223372036854775808"), whole("9223372036854775807")],
+            Int => [negated("2147483648"), whole("2147483647")],
+            Short => [negated("32768"), whole("32767")],
+            Byte => [negated("128"), whole("127")],
+            NonPositiveInteger => [None, whole("")],
+            NegativeInteger => [None, negated("1")],
+            NonNegativeInteger => [whole(""), None],
+            PositiveInteger => [whole("1"), None],
+            UnsignedLong => [whole(""), whole("18446744073709551615")],
+            UnsignedInt => [whole(""), whole("4294967295")],
+            UnsignedShort => [whole(""), whole("65535")],
+            UnsignedByte => [whole(""), whole("255")],
+            _ => [None, None],
+        }
     }
 }
 
@@ -348,7 +317,7 @@ impl BuiltinType {
 pub(crate) enum Parsed<'a> {
     /// Exact decimal (decimal and the integer family), borrowing the
     /// lexical value's digits.
-    Decimal(DecimalValue<'a>),
+    Decimal(crate::value::Decimal<'a>),
     /// IEEE double (float/double).
     Double(f64),
     /// Calendar date.
@@ -498,12 +467,12 @@ mod tests {
     #[test]
     fn ordered_values_compare() {
         use BuiltinType::*;
-        let (Ok(Parsed::Decimal(a)), Some(b)) =
-            (Decimal.parse("39.98"), DecimalBound::parse("148.95"))
+        let (Ok(Parsed::Decimal(a)), Ok(Parsed::Decimal(b))) =
+            (Decimal.parse("39.98"), Decimal.parse("148.95"))
         else {
             panic!("decimals parse");
         };
-        assert!(a.cmp_bound(&b).is_lt());
+        assert!(a < b);
         let (Ok(Parsed::Date(x)), Ok(Parsed::Date(y))) =
             (Date.parse("1999-05-21"), Date.parse("1999-10-20"))
         else {
@@ -511,27 +480,6 @@ mod tests {
         };
         assert!(x < y);
         assert!(matches!(String.parse("a"), Ok(Parsed::Other)));
-        assert!(!String.is_ordered() && Double.is_ordered());
-    }
-
-    #[test]
-    fn integers_compare_as_i64_or_exactly() {
-        use BuiltinType::*;
-        let value = |s| match Integer.parse(s) {
-            Ok(Parsed::Decimal(v)) => v,
-            other => panic!("{s}: {other:?}"),
-        };
-        assert_eq!(value("-9223372036854775808").small, Some(i64::MIN));
-        assert_eq!(value("+0009223372036854775807").small, Some(i64::MAX));
-        assert_eq!(value("9223372036854775808").small, None);
-        assert_eq!(value("-0").small, Some(0));
-        let bound = DecimalBound::parse("18446744073709551616").unwrap();
-        assert!(value("18446744073709551615").cmp_bound(&bound).is_lt());
-        assert!(value("-18446744073709551617").cmp_bound(&bound).is_lt());
-        assert!(value("18446744073709551616").cmp_bound(&bound).is_eq());
-        assert!(value("7")
-            .cmp_bound(&DecimalBound::parse("6.5").unwrap())
-            .is_gt());
     }
 
     #[test]

@@ -162,7 +162,7 @@ impl Bound {
     /// when they do not compare (a `NaN`, or a bound that never passes).
     fn admits(&self, value: &Parsed<'_>, accept: fn(Ordering) -> bool) -> bool {
         let ordering = match (value, self) {
-            (Parsed::Decimal(v), Bound::Decimal(b)) => Some(v.cmp_bound(b)),
+            (Parsed::Decimal(v), Bound::Decimal(b)) => Some(v.cmp(&b.as_decimal())),
             (Parsed::Double(v), Bound::Double(b)) => v.partial_cmp(b),
             (Parsed::Date(v), Bound::Date(b)) => Some(v.cmp(b)),
             _ => None,
@@ -195,7 +195,7 @@ impl FacetCheck {
     pub(crate) fn check(&self, value: &str, parsed: &Parsed<'_>) -> Result<(), FacetViolation> {
         let char_len = || value.chars().count() as u64;
         let decimal = || match parsed {
-            Parsed::Decimal(v) => Some(v.exact),
+            Parsed::Decimal(v) => Some(*v),
             _ => Decimal::parse(value).ok(),
         };
         let ok = match &self.facet {

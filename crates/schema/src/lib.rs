@@ -26,8 +26,8 @@
 //! its value kernel: the built-in at the bottom of the restriction chain,
 //! the effective whitespace mode, and the chain's facets, most derived
 //! first, with each range bound already parsed into the built-in's value
-//! space (exact decimal digits with an `i64` form where it fits, a date,
-//! or an `f64`). The built-in integer ranges (`positiveInteger`, `int`,
+//! space (exact decimal digits, a date, or an `f64`). The built-in
+//! integer ranges (`positiveInteger`, `int`,
 //! `unsignedByte`, …) are bounds of the same kind. [`check_value`] on a
 //! plan normalizes whitespace in one byte pass that borrows an already
 //! normal value, parses the value once with its built-in, and compares it

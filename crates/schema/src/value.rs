@@ -4,11 +4,10 @@
 //!
 //! Values are parsed in one pass over their bytes. A range bound is parsed
 //! once, when its simple type's plan is built, into exact decimal digits
-//! with an `i64` form where it fits (or a [`Date`], or an `f64`); a value
-//! then costs one parse and one comparison per bound, and integers that
-//! fit an `i64` compare as one.
+//! (or a [`Date`], or an `f64`); a value then costs one parse and one
+//! comparison per bound. Decimals of different integer-digit counts
+//! compare by the count alone.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -49,12 +48,72 @@ impl<'a> Decimal<'a> {
     /// Parses an `xsd:decimal` lexical value: optional sign, digits,
     /// optional fraction. At least one digit must be present.
     pub fn parse(lexical: &'a str) -> Result<Decimal<'a>, LexicalError> {
-        DecimalValue::parse(lexical)
-            .map(|v| v.exact)
+        Decimal::scan(lexical)
+            .map(|(d, _)| d)
             .ok_or_else(|| LexicalError {
                 lexical: lexical.to_string(),
                 expected: "decimal",
             })
+    }
+
+    /// [`parse`](Self::parse) in one pass over the bytes, also telling
+    /// whether a decimal point was written (an integer type rejects one
+    /// even in `5.` or `5.0`); `None` when the value is not a decimal.
+    /// Always inlined, so the result is built where its caller keeps it
+    /// instead of being returned through memory and copied.
+    #[inline(always)]
+    pub(crate) fn scan(lexical: &'a str) -> Option<(Decimal<'a>, bool)> {
+        let b = lexical.as_bytes();
+        let (negative, start) = match b.first() {
+            Some(b'-') => (true, 1),
+            Some(b'+') => (false, 1),
+            _ => (false, 0),
+        };
+        let mut at = start;
+        while at < b.len() && b[at] == b'0' {
+            at += 1;
+        }
+        let int_start = at;
+        while at < b.len() && b[at].is_ascii_digit() {
+            at += 1;
+        }
+        let int_end = at;
+        let point = at < b.len() && b[at] == b'.';
+        let frac_start = at + usize::from(point);
+        let mut frac_end = frac_start;
+        if point {
+            at += 1;
+            while at < b.len() && b[at].is_ascii_digit() {
+                at += 1;
+                if b[at - 1] != b'0' {
+                    frac_end = at;
+                }
+            }
+        }
+        // a stray byte, or no digit on either side of the point
+        if at != b.len() || (int_end == start && at == frac_start) {
+            return None;
+        }
+        // every byte is ASCII, so these split no character
+        let int_digits = &lexical[int_start..int_end];
+        let frac_digits = &lexical[frac_start..frac_end];
+        let zero = int_digits.is_empty() && frac_digits.is_empty();
+        let decimal = Decimal {
+            negative: negative && !zero,
+            int_digits,
+            frac_digits,
+        };
+        Some((decimal, point))
+    }
+
+    /// The whole number spelled `digits` (no sign, no leading zero; empty
+    /// for 0), negated when `negative`.
+    pub(crate) const fn whole(negative: bool, digits: &'a str) -> Decimal<'a> {
+        Decimal {
+            negative,
+            int_digits: digits,
+            frac_digits: "",
+        }
     }
 
     /// Whether the value is an integer (empty fraction).
@@ -144,135 +203,28 @@ impl Decimal<'_> {
     }
 }
 
-/// A decimal as its built-in parses it, in one pass: the exact view,
-/// whether a decimal point was written (an integer type rejects one even
-/// in `5.` or `5.0`), and the value as an `i64` when it is a whole number
-/// that fits one.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DecimalValue<'a> {
-    pub(crate) exact: Decimal<'a>,
-    pub(crate) point: bool,
-    pub(crate) small: Option<i64>,
-}
-
-impl<'a> DecimalValue<'a> {
-    /// Parses an `xsd:decimal` lexical value; `None` when it is not one.
-    /// Always inlined, so the 64-byte result is built where its caller
-    /// keeps it: returned through memory and copied, it cost the integer
-    /// path about a third of its time.
-    #[inline(always)]
-    pub(crate) fn parse(lexical: &'a str) -> Option<DecimalValue<'a>> {
-        let b = lexical.as_bytes();
-        let (negative, start) = match b.first() {
-            Some(b'-') => (true, 1),
-            Some(b'+') => (false, 1),
-            _ => (false, 0),
-        };
-        let mut at = start;
-        while at < b.len() && b[at] == b'0' {
-            at += 1;
-        }
-        let int_start = at;
-        // the integer part's magnitude; exact while at most 19 significant
-        // digits (below 10^19 < 2^64), which the count checks below
-        let mut magnitude = 0u64;
-        while at < b.len() && b[at].is_ascii_digit() {
-            magnitude = magnitude
-                .wrapping_mul(10)
-                .wrapping_add(u64::from(b[at] - b'0'));
-            at += 1;
-        }
-        let int_end = at;
-        let point = at < b.len() && b[at] == b'.';
-        let frac_start = at + usize::from(point);
-        let mut frac_end = frac_start;
-        if point {
-            at += 1;
-            while at < b.len() && b[at].is_ascii_digit() {
-                at += 1;
-                if b[at - 1] != b'0' {
-                    frac_end = at;
-                }
-            }
-        }
-        // a stray byte, or no digit on either side of the point
-        if at != b.len() || (int_end == start && at == frac_start) {
-            return None;
-        }
-        // every byte is ASCII, so these split no character
-        let int_digits = &lexical[int_start..int_end];
-        let frac_digits = &lexical[frac_start..frac_end];
-        let zero = int_end == int_start && frac_end == frac_start;
-        let small = if frac_end != frac_start || int_end - int_start > 19 {
-            None
-        } else if negative {
-            // -2^63 is the one magnitude i64 holds only negated
-            (magnitude <= 1 << 63).then(|| (magnitude as i64).wrapping_neg())
-        } else {
-            i64::try_from(magnitude).ok()
-        };
-        Some(DecimalValue {
-            exact: Decimal {
-                negative: negative && !zero,
-                int_digits,
-                frac_digits,
-            },
-            point,
-            small,
-        })
-    }
-
-    /// Compares with a bound: as `i64`s when both fit, exactly otherwise.
-    pub(crate) fn cmp_bound(&self, bound: &DecimalBound) -> Ordering {
-        match (self.small, bound.small) {
-            (Some(v), Some(b)) => v.cmp(&b),
-            _ => self.exact.cmp(&bound.exact()),
-        }
-    }
-}
-
-/// A decimal range bound, parsed once: its exact digits (borrowed for the
-/// built-in integer ranges, owned for a facet's bound) and its `i64`
-/// form when it is a whole number that fits one.
+/// A decimal range bound, parsed once when its plan is built: an owned
+/// [`Decimal`].
 #[derive(Debug, Clone)]
 pub(crate) struct DecimalBound {
     negative: bool,
-    int_digits: Cow<'static, str>,
-    frac_digits: Cow<'static, str>,
-    small: Option<i64>,
+    int_digits: String,
+    frac_digits: String,
 }
 
 impl DecimalBound {
-    /// The whole number `small`, spelled `digits` without its sign.
-    pub(crate) const fn int(small: i64, digits: &'static str) -> DecimalBound {
-        DecimalBound {
-            negative: small < 0,
-            int_digits: Cow::Borrowed(digits),
-            frac_digits: Cow::Borrowed(""),
-            small: Some(small),
-        }
-    }
-
-    /// `u64::MAX`, the one built-in range end beyond `i64`.
-    pub(crate) const U64_MAX: DecimalBound = DecimalBound {
-        negative: false,
-        int_digits: Cow::Borrowed("18446744073709551615"),
-        frac_digits: Cow::Borrowed(""),
-        small: None,
-    };
-
     /// Parses a facet's bound; `None` when it is not a decimal.
     pub(crate) fn parse(lexical: &str) -> Option<DecimalBound> {
-        let v = DecimalValue::parse(lexical)?;
+        let (d, _) = Decimal::scan(lexical)?;
         Some(DecimalBound {
-            negative: v.exact.negative,
-            int_digits: Cow::Owned(v.exact.int_digits.to_string()),
-            frac_digits: Cow::Owned(v.exact.frac_digits.to_string()),
-            small: v.small,
+            negative: d.negative,
+            int_digits: d.int_digits.to_string(),
+            frac_digits: d.frac_digits.to_string(),
         })
     }
 
-    fn exact(&self) -> Decimal<'_> {
+    /// The bound as a borrowed decimal.
+    pub(crate) fn as_decimal(&self) -> Decimal<'_> {
         Decimal {
             negative: self.negative,
             int_digits: &self.int_digits,

@@ -38,20 +38,6 @@ fn is_tab_or_eol(b: u8) -> bool {
     matches!(b, b'\t' | b'\n' | b'\r')
 }
 
-/// Whether any byte of `bytes` is at or below the space (0x20): each
-/// eight-byte word is tested at once, with the borrow trick that flags a
-/// byte below 0x21 (bytes of 0x80 and up never trip it).
-fn has_space_or_control(bytes: &[u8]) -> bool {
-    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
-    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
-    let mut words = bytes.chunks_exact(8);
-    let low_word = words.by_ref().any(|word| {
-        let x = u64::from_ne_bytes(word.try_into().expect("eight bytes"));
-        x.wrapping_sub(ONES * 0x21) & !x & HIGHS != 0
-    });
-    low_word || words.remainder().iter().any(|&b| b <= b' ')
-}
-
 /// `replace` normalization: each `#x9 | #xA | #xD` becomes a space.
 /// One byte pass; the value is borrowed when it holds none of them.
 pub fn replace(value: &str) -> Cow<'_, str> {
@@ -62,14 +48,9 @@ pub fn replace(value: &str) -> Cow<'_, str> {
 }
 
 /// `collapse` normalization: `replace`, then collapse space runs and trim.
-/// A value with no byte at or below the space (the usual number, date or
-/// token) is borrowed after a scan of eight bytes per step; any other
-/// value is borrowed when one byte pass finds it already collapsed (no
+/// One byte pass; the value is borrowed when it is already collapsed (no
 /// tab, CR or LF, no leading, trailing or doubled space).
 pub fn collapse(value: &str) -> Cow<'_, str> {
-    if !has_space_or_control(value.as_bytes()) {
-        return Cow::Borrowed(value);
-    }
     // a space at the start or after another space is redundant
     let mut after_space = true;
     for b in value.bytes() {
@@ -80,8 +61,8 @@ pub fn collapse(value: &str) -> Cow<'_, str> {
             _ => after_space = false,
         }
     }
-    // so is one at the end (the value holds a low byte: it is not empty)
-    if after_space {
+    // so is one at the end
+    if after_space && !value.is_empty() {
         return collapsed(value);
     }
     Cow::Borrowed(value)
@@ -134,24 +115,6 @@ mod tests {
         assert_eq!(collapse("x "), "x");
         assert_eq!(collapse(" "), "");
         assert!(matches!(collapse("x"), Cow::Borrowed(_)));
-    }
-
-    #[test]
-    fn low_bytes_are_found_in_every_lane() {
-        for len in 0..20 {
-            let clean = "x".repeat(len);
-            assert!(!has_space_or_control(clean.as_bytes()));
-            assert!(!has_space_or_control(
-                "é!~\u{7F}\u{A0}".repeat(len).as_bytes()
-            ));
-            for at in 0..len {
-                for low in [b' ', b'\t', 0u8, 0x1F] {
-                    let mut bytes = clean.clone().into_bytes();
-                    bytes[at] = low;
-                    assert!(has_space_or_control(&bytes), "{len} {at} {low}");
-                }
-            }
-        }
     }
 
     #[test]

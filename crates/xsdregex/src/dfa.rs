@@ -6,11 +6,6 @@
 //! yields at most one successor. Matching then walks one state per input
 //! character — the representation the paper's Sect. 6 preprocessor uses
 //! for repeated validation.
-//!
-//! ASCII input takes a shortcut: every ASCII byte maps to one of a few
-//! byte classes (runs of bytes no transition label splits), and a flat
-//! per-state table gives each class's successor, so an ASCII step is two
-//! array reads. Any other character walks the state's `CharSet` list.
 
 use std::collections::HashMap;
 
@@ -23,17 +18,7 @@ pub struct Dfa {
     /// Per-state transition table: disjoint `(CharSet, target)` pairs.
     transitions: Vec<Vec<(CharSet, usize)>>,
     accepting: Vec<bool>,
-    /// The byte class of each ASCII byte.
-    classes: [u8; 128],
-    /// Number of byte classes, the row width of `ascii`.
-    class_count: usize,
-    /// `ascii[state * class_count + class]`: the successor of `state`
-    /// on any byte of `class`, or [`DEAD`].
-    ascii: Box<[u32]>,
 }
-
-/// No successor: the input is rejected.
-const DEAD: u32 = u32::MAX;
 
 impl Dfa {
     /// Builds a DFA from `nfa` by subset construction.
@@ -83,43 +68,10 @@ impl Dfa {
             processed += 1;
         }
 
-        let mut dfa = Dfa {
+        Dfa {
             transitions,
             accepting,
-            classes: [0; 128],
-            class_count: 0,
-            ascii: Box::default(),
-        };
-        dfa.tabulate_ascii();
-        dfa
-    }
-
-    /// Splits the ASCII bytes into classes at every label boundary below
-    /// 128 and tabulates each state's successor per class.
-    fn tabulate_ascii(&mut self) {
-        let mut starts = [false; 128];
-        starts[0] = true;
-        for (set, _) in self.transitions.iter().flatten() {
-            for &(lo, hi) in set.ranges() {
-                for bound in [lo, hi.saturating_add(1)] {
-                    if let Some(start) = starts.get_mut(bound as usize) {
-                        *start = true;
-                    }
-                }
-            }
         }
-        let mut representatives: Vec<u8> = Vec::new();
-        for (b, class) in (0u8..128).zip(self.classes.iter_mut()) {
-            if starts[usize::from(b)] {
-                representatives.push(b);
-            }
-            *class = (representatives.len() - 1) as u8;
-        }
-        self.class_count = representatives.len();
-        self.ascii = (0..self.state_count())
-            .flat_map(|state| representatives.iter().map(move |&b| (state, char::from(b))))
-            .map(|(state, c)| self.step_char(state, c))
-            .collect();
     }
 
     /// Number of DFA states (bench metric).
@@ -127,37 +79,19 @@ impl Dfa {
         self.transitions.len()
     }
 
-    /// Whole-string match: ASCII bytes step through the byte-class
-    /// table, other characters through the state's `CharSet` list.
+    /// Whole-string match.
     pub fn is_match(&self, input: &str) -> bool {
-        let bytes = input.as_bytes();
         let mut state = 0usize;
-        let mut at = 0;
-        while let Some(&b) = bytes.get(at) {
-            let next = if b.is_ascii() {
-                at += 1;
-                self.ascii[state * self.class_count + usize::from(self.classes[usize::from(b)])]
-            } else {
-                let c = input[at..].chars().next().expect("at is a char boundary");
-                at += c.len_utf8();
-                self.step_char(state, c)
-            };
-            if next == DEAD {
-                return false;
+        for c in input.chars() {
+            match self.transitions[state]
+                .iter()
+                .find(|(set, _)| set.contains(c))
+            {
+                Some(&(_, next)) => state = next,
+                None => return false,
             }
-            state = next as usize;
         }
         self.accepting[state]
-    }
-
-    /// The successor of `state` on `c` by its `CharSet` list.
-    fn step_char(&self, state: usize, c: char) -> u32 {
-        self.transitions[state]
-            .iter()
-            .find(|(set, _)| set.contains(c))
-            .map_or(DEAD, |&(_, next)| {
-                u32::try_from(next).expect("DFA state count fits u32")
-            })
     }
 }
 
@@ -257,49 +191,6 @@ mod tests {
         }
         let union = cells.iter().fold(CharSet::empty(), |acc, c| acc.union(c));
         assert_eq!(union, a.union(&b));
-    }
-
-    #[test]
-    fn ascii_table_agrees_with_the_charset_walk() {
-        for pattern in [
-            r"\d{3}-[A-Z]{2}",
-            "[a-zé]+x?",
-            "[^a]+",
-            r"\w+( \w+)*",
-            ".{2}",
-            "",
-        ] {
-            let d = dfa(pattern);
-            for input in [
-                "926-AA",
-                "abc",
-                "x",
-                "é",
-                "aéx",
-                "a b",
-                "\u{7F}\u{80}",
-                "",
-                "日本",
-            ] {
-                let mut state = Some(0usize);
-                for c in input.chars() {
-                    state = state
-                        .map(|s| d.step_char(s, c))
-                        .filter(|&next| next != DEAD)
-                        .map(|next| next as usize);
-                }
-                let by_charset = state.is_some_and(|s| d.accepting[s]);
-                assert_eq!(d.is_match(input), by_charset, "{pattern} on {input:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn ascii_classes_are_few() {
-        // digits, '-', 'A'-'Z' and the three gaps around them
-        let d = dfa(r"\d{3}-[A-Z]{2}");
-        assert!(d.class_count <= 8, "{} classes", d.class_count);
-        assert_eq!(d.ascii.len(), d.state_count() * d.class_count);
     }
 
     #[test]

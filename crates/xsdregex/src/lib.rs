@@ -10,8 +10,7 @@
 //! * [`charset`] — sets of Unicode scalar values as sorted range lists;
 //! * [`nfa`] — Thompson construction and direct NFA simulation;
 //! * [`dfa`] — subset construction over a partition of the alphabet,
-//!   used by the `schema` crate when a pattern is matched many times;
-//!   ASCII input steps through a per-state byte-class table.
+//!   used by the `schema` crate when a pattern is matched many times.
 //!
 //! The engine is used by simple-type validation (e.g. the purchase-order
 //! schema's `SKU` type, `\d{3}-[A-Z]{2}`, paper Fig. 3).
