@@ -42,18 +42,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let schema = match schema::parse_schema(&source) {
-        Ok(s) => s,
+    let compiled = match schema::CompiledSchema::parse(&source) {
+        Ok(c) => c,
         Err(e) => {
             eprintln!("schema error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = schema.check() {
-        eprintln!("schema error: {e}");
-        return ExitCode::FAILURE;
-    }
-    let model = match normalize::build_model(&schema) {
+    let model = match normalize::build_model(compiled.schema()) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("model error: {e}");

@@ -234,12 +234,9 @@ impl BuiltinType {
             Integer | NonPositiveInteger | NegativeInteger | NonNegativeInteger
             | PositiveInteger | Long | Int | Short | Byte | UnsignedLong | UnsignedInt
             | UnsignedShort | UnsignedByte => self.parse_integer(value).map(Parsed::Decimal),
-            // Rust's float syntax takes no whitespace and spells the
-            // infinities and NaN case-insensitively, so `INF` parses too
-            Float | Double => value
-                .parse::<f64>()
+            Float | Double => crate::value::scan_float(value)
                 .map(Parsed::Double)
-                .map_err(|_| "floating-point number"),
+                .ok_or("floating-point number"),
             Date => crate::value::Date::scan(value)
                 .map(Parsed::Date)
                 .ok_or("date"),
@@ -355,7 +352,11 @@ fn validate_time(value: &str) -> bool {
     }
     let nums: Option<Vec<u8>> = parts.iter().map(|p| p.parse().ok()).collect();
     match nums {
-        Some(v) => v[0] <= 24 && v[1] <= 59 && v[2] <= 59,
+        // hour 24 only as the end of the day: 24:00:00, zero fraction
+        Some(v) => {
+            (v[0] < 24 && v[1] <= 59 && v[2] <= 59)
+                || (v == [24, 0, 0] && frac.is_none_or(|f| f.bytes().all(|b| b == b'0')))
+        }
         None => false,
     }
 }

@@ -3,28 +3,32 @@
 //!
 //! Two layers of sharing:
 //!
-//! * a **per-schema table**, the frozen [`SymIndex`], built once from the
-//!   schema: every complex type's content DFA and effective attributes,
-//!   and every element plan. Every per-type question a caller asks is
-//!   answered from it, and nothing a caller asks adds to it;
+//! * a **per-schema table**, the frozen [`SymIndex`], built by
+//!   [`CompiledSchema::new`]: every complex type's content DFA and
+//!   effective attributes, and every element plan. Every per-type
+//!   question a caller asks is answered from it, and nothing a caller asks
+//!   adds to it;
 //! * a **process-global intern table** (`content expression →
 //!   Arc<ContentDfa>`), so *identical content models* — across types,
 //!   across schemas, across registry entries — compile exactly once and
 //!   share one automaton. A fleet of worker threads validating against
 //!   overlapping schemas never compiles the same model twice.
 //!
-//! The intern table is the only lock here, taken while an index is
-//! built. It recovers from poisoning: an automaton enters the table only
-//! once compiled, so a panic under the lock leaves the table whole, and
-//! it must not wedge the table for every other worker.
+//! Each content model is expanded and its Glushkov automaton built and
+//! checked for unique particle attribution once per compile, outside any
+//! lock; only the subset construction of a model not yet interned runs
+//! under the intern table's lock, the only lock here. The table recovers
+//! from poisoning: an automaton enters it only once compiled, so a panic
+//! under the lock leaves the table whole, and it must not wedge the table
+//! for every other worker.
 
 use std::collections::HashMap;
-use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
 
-use automata::{ContentDfa, ContentExpr};
+use automata::{ContentDfa, ContentExpr, Glushkov};
 
 use crate::components::{AttributeUse, ContentModel, Schema, TypeDef, TypeRef};
-use crate::error::SchemaError;
+use crate::error::{SchemaError, SchemaErrorKind};
 use crate::resolve::{SimpleCheck, SimpleTypeError};
 use crate::symtab::SymIndex;
 
@@ -43,18 +47,32 @@ pub fn interned_dfa_count() -> usize {
     intern_table().len()
 }
 
-/// The content DFA of complex type `type_name`, looked up in the intern
-/// table and compiled on first sight; its size is reported per type.
+/// The content DFA of complex type `type_name`. The model's bounded
+/// occurrences are expanded and its Glushkov automaton is built and
+/// checked for unique particle attribution (Brüggemann-Klein and Wood: a
+/// model satisfies it exactly when that automaton is deterministic);
+/// only then is the intern table locked and, on first sight of the
+/// model, the subset construction run on the same automaton.
 ///
-/// Compilation happens *under* the table lock, so each distinct model is
-/// compiled exactly once no matter how many threads race here — the
-/// `schema_dfa_compiled_total` counter is a faithful count of real
-/// compilations. Failed compilations are not cached (every caller gets
-/// the same error).
+/// An ambiguous or over-large model never reaches the subset
+/// construction or the lock, and failed compiles are not cached (every
+/// caller gets the same error). Subset construction runs *under* the
+/// lock, so each distinct model is compiled exactly once no matter how
+/// many threads race here — the `schema_dfa_compiled_total` counter is a
+/// faithful count of real compilations.
 pub(crate) fn intern_dfa(
     expr: &ContentExpr,
     type_name: &str,
-) -> Result<Arc<ContentDfa>, SimpleTypeError> {
+) -> Result<Arc<ContentDfa>, SchemaError> {
+    // the expansion is dropped before the subset construction starts
+    let glushkov = Glushkov::construct(&expr.expand_occurrences().map_err(|bound| {
+        SchemaError::nowhere(SchemaErrorKind::BadOccurs(format!(
+            "maxOccurs={bound} too large for DFA construction"
+        )))
+    })?);
+    glushkov
+        .check_determinism()
+        .map_err(|e| SchemaError::nowhere(SchemaErrorKind::Ambiguous(e.to_string())))?;
     let mut table = intern_table();
     let dfa = match table.get(expr) {
         Some(dfa) => {
@@ -69,9 +87,7 @@ pub(crate) fn intern_dfa(
             dfa.clone()
         }
         None => {
-            let dfa = Arc::new(ContentDfa::compile(expr).map_err(|e| {
-                SimpleTypeError::Unresolved(format!("content model of {type_name}: {e}"))
-            })?);
+            let dfa = Arc::new(ContentDfa::from_glushkov(&glushkov));
             if obs::enabled() {
                 obs::metrics()
                     .counter(
@@ -111,18 +127,21 @@ pub(crate) fn intern_dfa(
 #[derive(Debug, Clone)]
 pub struct CompiledSchema {
     schema: Arc<Schema>,
-    /// Built once on first use (or eagerly by [`warm`](Self::warm)) and
-    /// shared by every clone.
-    sym_index: Arc<OnceLock<SymIndex>>,
+    /// Built by [`new`](Self::new) and shared by every clone.
+    sym_index: Arc<SymIndex>,
 }
 
 impl CompiledSchema {
-    /// Checks the schema (references, derivations, UPA) and wraps it.
+    /// Checks the schema's references and derivations, then builds its
+    /// index: every complex type's content model compiled (and checked
+    /// for unique particle attribution) and every element plan. Returns
+    /// the first error either step finds.
     pub fn new(schema: Schema) -> Result<CompiledSchema, SchemaError> {
         schema.check()?;
+        let sym_index = Arc::new(SymIndex::build(&schema)?);
         Ok(CompiledSchema {
             schema: Arc::new(schema),
-            sym_index: Arc::new(OnceLock::new()),
+            sym_index,
         })
     }
 
@@ -137,7 +156,7 @@ impl CompiledSchema {
                 obs::metrics()
                     .histogram(
                         "schema_compile_seconds",
-                        "Wall time to parse + check a schema.",
+                        "Wall time to parse, check and compile a schema.",
                         obs::DURATION_BUCKETS,
                     )
                     .observe_duration(elapsed);
@@ -157,13 +176,13 @@ impl CompiledSchema {
     /// schema) with structurally identical content models get
     /// pointer-equal `Arc<ContentDfa>`s.
     pub fn content_dfa(&self, type_name: &str) -> Result<Arc<ContentDfa>, SimpleTypeError> {
-        match self.sym_index().complex_type(type_name) {
-            Some(entry) => entry.dfa.clone(),
+        match self.sym_index.complex_type(type_name) {
+            Some(entry) => Ok(entry.dfa.clone()),
             // not a complex type: the walk reports why
-            None => self
+            None => Err(self
                 .schema
                 .content_expr(type_name)
-                .and_then(|expr| intern_dfa(&expr, type_name)),
+                .expect_err("every complex type is indexed")),
         }
     }
 
@@ -189,8 +208,8 @@ impl CompiledSchema {
         &self,
         type_name: &str,
     ) -> Result<Arc<[AttributeUse]>, SimpleTypeError> {
-        match self.sym_index().complex_type(type_name) {
-            Some(entry) => entry.attrs.clone(),
+        match self.sym_index.complex_type(type_name) {
+            Some(entry) => Ok(entry.attrs.clone()),
             // not a complex type: the walk reports why
             None => self.schema.effective_attributes(type_name).map(Arc::from),
         }
@@ -206,48 +225,27 @@ impl CompiledSchema {
     }
 
     /// The frozen per-schema tables: per-type facts and per-element open
-    /// plans keyed by interned QNames, built on first use. Every per-type
-    /// accessor here and the streaming validator's zero-allocation hot
-    /// path answer from it.
+    /// plans keyed by interned QNames. Every per-type accessor here and
+    /// the streaming validator's zero-allocation hot path answer from it.
     pub fn sym_index(&self) -> &SymIndex {
-        self.sym_index.get_or_init(|| SymIndex::build(self))
+        &self.sym_index
     }
 
     /// The resolved check for a simple type: the index's shared plan for
     /// any type an element or attribute of this schema uses, resolved
     /// afresh for any other.
     pub fn simple_plan(&self, type_ref: &TypeRef) -> SimpleCheck {
-        match self.sym_index().simple(type_ref) {
+        match self.sym_index.simple(type_ref) {
             Some(check) => check.clone(),
             None => self.schema.simple_plan(type_ref).map(Arc::new),
         }
     }
 
-    /// Builds the index now — every complex type's content DFA and
-    /// effective attributes, every element plan — so a server pays all
-    /// compilation cost *before* taking traffic instead of on the first
-    /// unlucky request. Idempotent and safe to race from several threads.
-    ///
-    /// Returns the number of complex types whose DFA is ready. Types
-    /// whose model cannot be DFA-compiled (occurrence bounds beyond the
-    /// expansion limit) keep reporting their error on the per-document
-    /// path, exactly as without warming.
+    /// The number of complex types, each with its content DFA ready.
+    /// [`new`](Self::new) compiles everything, so there is nothing left
+    /// to warm: this only counts, for callers that warm a schema before
+    /// taking traffic.
     pub fn warm(&self) -> usize {
-        let span = obs::span!("schema.warm");
-        let ready = self.sym_index().ready_dfa_count();
-        // one clock read shared by the trace record and the histogram
-        let elapsed = span.finish();
-        if obs::enabled() {
-            if let Some(elapsed) = elapsed {
-                obs::metrics()
-                    .histogram(
-                        "schema_warm_seconds",
-                        "Wall time to precompile a schema's DFAs and attribute tables.",
-                        obs::DURATION_BUCKETS,
-                    )
-                    .observe_duration(elapsed);
-            }
-        }
-        ready
+        self.sym_index.type_count()
     }
 }

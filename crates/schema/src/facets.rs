@@ -16,7 +16,7 @@ use xmlchars::WhiteSpaceMode;
 use xsdregex::{Dfa, Regex};
 
 use crate::builtin::{BuiltinType, Parsed};
-use crate::value::{Date, Decimal, DecimalBound};
+use crate::value::{scan_float, Date, Decimal, DecimalBound};
 
 /// One constraining facet.
 #[derive(Debug, Clone)]
@@ -150,7 +150,7 @@ impl Bound {
             DecimalBound::parse(text).map(Bound::Decimal)
         } else {
             match base {
-                BuiltinType::Float | BuiltinType::Double => text.parse().ok().map(Bound::Double),
+                BuiltinType::Float | BuiltinType::Double => scan_float(text).map(Bound::Double),
                 BuiltinType::Date => Date::scan(text).map(Bound::Date),
                 _ => None,
             }

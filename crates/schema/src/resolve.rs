@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use xmlchars::WhiteSpaceMode;
 
-use automata::{ContentExpr, Glushkov};
+use automata::ContentExpr;
 
 use crate::builtin::BuiltinType;
 use crate::components::*;
@@ -142,17 +142,19 @@ pub fn check_value(check: &SimpleCheck, raw: &str) -> Result<(), SimpleTypeError
     check.as_ref().map_err(Clone::clone)?.check(raw)
 }
 
-fn simple_to_schema(e: SimpleTypeError) -> SchemaError {
+/// A failed schema walk, reported as the schema error it makes.
+pub(crate) fn simple_to_schema(e: SimpleTypeError) -> SchemaError {
     SchemaError::nowhere(SchemaErrorKind::BadDerivation(e.to_string()))
 }
 
 impl Schema {
     // ---- well-formedness of the schema itself ---------------------------
 
-    /// Checks that every reference resolves, derivations are acyclic and
-    /// well-kinded, and every complex type's content model satisfies
-    /// unique particle attribution.
-    pub fn check(&self) -> Result<(), SchemaError> {
+    /// Checks that every reference resolves and derivations are acyclic
+    /// and well-kinded. Content models are checked for unique particle
+    /// attribution where their automata are built, by
+    /// [`CompiledSchema::new`](crate::CompiledSchema::new).
+    pub(crate) fn check(&self) -> Result<(), SchemaError> {
         for decl in self.elements.values() {
             self.check_type_ref(&decl.type_ref)?;
             if let Some(head) = &decl.substitution_group {
@@ -232,18 +234,6 @@ impl Schema {
         {
             self.check_type_ref(&a.type_ref)?;
         }
-        // UPA over the fully merged content model
-        let expr = self
-            .content_expr(&c.name)
-            .map_err(|e| SchemaError::nowhere(SchemaErrorKind::BadDerivation(e.to_string())))?;
-        let expanded = expr.expand_occurrences().map_err(|bound| {
-            SchemaError::nowhere(SchemaErrorKind::BadOccurs(format!(
-                "maxOccurs={bound} too large for DFA construction"
-            )))
-        })?;
-        Glushkov::construct(&expanded)
-            .check_determinism()
-            .map_err(|e| SchemaError::nowhere(SchemaErrorKind::Ambiguous(e.to_string())))?;
         Ok(())
     }
 

@@ -4,28 +4,24 @@
 //!
 //! The paper compiles content models ahead of time (Sect. 6); this module
 //! extends the idea to the *dispatch* around them and to simple types.
-//! For every complex type, [`SymIndex`] holds its content-DFA result,
-//! its effective attributes and its symbol; these answer
-//! `CompiledSchema`'s per-type accessors. For every element a schema can
-//! ever admit — root declarations and every `(complex type, child name)`
-//! pair — it holds an [`ElemPlan`]: the declared type, the effective
-//! attributes, each with its resolved
-//! [`SimplePlan`](crate::SimplePlan), the abstract-type verdict, and the
-//! content regime (a simple-type plan to check at close, a compiled DFA
-//! to step, or a precomputed error). A frozen
-//! per-schema name table maps every element name the schema declares to
-//! its symbol. Nothing is added to any of these tables after the build.
+//! [`CompiledSchema::new`](crate::CompiledSchema::new) builds the index,
+//! so a schema that compiles has every table below ready. For every
+//! complex type, [`SymIndex`] holds its content DFA, its effective
+//! attributes and its symbol; these answer `CompiledSchema`'s per-type
+//! accessors. For every element a schema can ever admit — root
+//! declarations and every `(complex type, child name)` pair — it holds an
+//! [`ElemPlan`]: the declared type, the effective attributes, each with
+//! its resolved [`SimplePlan`](crate::SimplePlan), the abstract-type
+//! verdict, and the content regime (a simple-type plan to check at close,
+//! or a compiled DFA to step). A frozen per-schema name table maps every
+//! element name the schema declares to its symbol. Nothing is added to
+//! any of these tables after the build.
 //!
 //! At validation time an element costs one hash of its name in that
 //! table and one integer-keyed lookup of its plan; no lock is taken, no
 //! simple type is resolved by name, and nothing is allocated. The global
 //! symbol table is written while the index is built and read again only
 //! to spell a name into an error message.
-//!
-//! The plans keep the validator's decision order, quirks included: an
-//! element whose type is unknown gets `UnknownType` and **no** attribute
-//! checks, while a broken content model reports *after* the attribute
-//! checks.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -34,9 +30,10 @@ use std::sync::Arc;
 use automata::ContentDfa;
 use symbols::Sym;
 
-use crate::compiled::{intern_dfa, CompiledSchema};
+use crate::compiled::intern_dfa;
 use crate::components::{AttributeUse, ContentModel, Schema, TypeDef, TypeRef};
-use crate::resolve::{SimpleCheck, SimpleTypeError};
+use crate::error::SchemaError;
+use crate::resolve::{simple_to_schema, SimpleCheck};
 
 /// How an element's content is validated, decided once at build time.
 #[derive(Debug, Clone)]
@@ -54,14 +51,6 @@ pub enum ContentPlan {
         /// Whether interleaved text is allowed.
         mixed: bool,
     },
-    /// The content model failed to compile (occurrence bounds beyond the
-    /// expansion limit). Reported as a `SimpleType` error with this
-    /// message, after the attribute checks, and the subtree is skipped.
-    Broken(String),
-    /// The declared type does not resolve. Reported as `UnknownType`
-    /// with this name; no attribute checks run, and the subtree is
-    /// skipped.
-    Unknown(String),
 }
 
 /// One declared attribute and the check its values go through.
@@ -149,10 +138,10 @@ type FrozenMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
 pub(crate) struct TypeEntry {
     /// The type's interned name, the parent half of its child keys.
     pub(crate) sym: Sym,
-    /// The interned content DFA, or the error compiling it reports.
-    pub(crate) dfa: Result<Arc<ContentDfa>, SimpleTypeError>,
-    /// The effective attribute uses, or the error resolving them reports.
-    pub(crate) attrs: Result<Arc<[AttributeUse]>, SimpleTypeError>,
+    /// The interned content DFA.
+    pub(crate) dfa: Arc<ContentDfa>,
+    /// The effective attribute uses.
+    pub(crate) attrs: Arc<[AttributeUse]>,
 }
 
 /// The symbol-keyed dispatch tables for one compiled schema.
@@ -173,10 +162,13 @@ impl SymIndex {
     /// Builds the index: compiles every complex type's content DFA and
     /// effective attributes, interns every declared name and precomputes
     /// a plan for every root and every `(complex type, child)` pair the
-    /// schema can admit, resolving each distinct type once.
+    /// schema can admit, resolving each distinct type once. Returns the
+    /// error of the first content model that fails to lower or to
+    /// compile (see `intern_dfa`).
     ///
-    /// Only the `Schema` walks are used here, never `CompiledSchema`'s
-    /// accessors, which answer from this index.
+    /// The schema's references must already be checked
+    /// (`Schema::check`); only the `Schema` walks are used here, never
+    /// `CompiledSchema`'s accessors, which answer from this index.
     ///
     /// Child candidates are the union of the content expression's
     /// symbols and *all* top-level element names — the latter because
@@ -184,23 +176,24 @@ impl SymIndex {
     /// head referenced by `ref=` even though the content expression
     /// excludes it (the DFA step fails, but the subtree still validates
     /// against the head's type, and the plans must agree with that).
-    pub fn build(compiled: &CompiledSchema) -> SymIndex {
-        let schema = compiled.schema();
-        let types = schema
-            .types
-            .iter()
-            .filter(|(_, def)| matches!(def, TypeDef::Complex(_)))
-            .map(|(name, _)| {
+    pub(crate) fn build(schema: &Schema) -> Result<SymIndex, SchemaError> {
+        let mut types = FrozenMap::default();
+        let mut models = Vec::new();
+        for (name, def) in &schema.types {
+            if let TypeDef::Complex(_) = def {
+                let expr = schema.content_expr(name).map_err(simple_to_schema)?;
                 let entry = TypeEntry {
                     sym: symbols::intern(name),
-                    dfa: schema
-                        .content_expr(name)
-                        .and_then(|expr| intern_dfa(&expr, name)),
-                    attrs: schema.effective_attributes(name).map(Arc::from),
+                    dfa: intern_dfa(&expr, name)?,
+                    attrs: schema
+                        .effective_attributes(name)
+                        .map_err(simple_to_schema)?
+                        .into(),
                 };
-                (Box::from(name.as_str()), entry)
-            })
-            .collect();
+                models.push((name, entry.sym, expr.symbols()));
+                types.insert(Box::from(name.as_str()), entry);
+            }
+        }
         let mut builder = Builder {
             schema,
             types,
@@ -228,32 +221,26 @@ impl SymIndex {
         }
 
         let mut children = FrozenMap::default();
-        for type_name in schema.types.keys() {
-            let Some(type_sym) = builder.types.get(type_name.as_str()).map(|t| t.sym) else {
-                continue;
-            };
+        for (type_name, type_sym, expr_symbols) in &models {
             let mut candidates: Vec<&str> = schema.elements.keys().map(String::as_str).collect();
-            let expr_symbols = schema.content_expr(type_name).map(|e| e.symbols());
-            if let Ok(syms) = &expr_symbols {
-                candidates.extend(syms.iter().map(String::as_str));
-            }
+            candidates.extend(expr_symbols.iter().map(String::as_str));
             candidates.sort_unstable();
             candidates.dedup();
             for child in candidates {
                 let child_sym = name_sym(child);
                 if let Some(child_type) = schema.child_element_type(type_name, child) {
-                    children.insert((type_sym, child_sym), builder.elem_plan(&child_type));
+                    children.insert((*type_sym, child_sym), builder.elem_plan(&child_type));
                 }
             }
         }
 
-        SymIndex {
+        Ok(SymIndex {
             types: builder.types,
             names,
             roots,
             children,
             simple: builder.simple,
-        }
+        })
     }
 
     /// The frozen facts of complex type `name`, `None` for any name that
@@ -263,9 +250,9 @@ impl SymIndex {
         self.types.get(name)
     }
 
-    /// Number of complex types whose content DFA compiled.
-    pub(crate) fn ready_dfa_count(&self) -> usize {
-        self.types.values().filter(|t| t.dfa.is_ok()).count()
+    /// Number of complex types.
+    pub(crate) fn type_count(&self) -> usize {
+        self.types.len()
     }
 
     /// The symbol of an element name this schema knows, `None` for any
@@ -346,49 +333,33 @@ impl Builder<'_> {
             TypeRef::Builtin(_) => return simple(self, type_ref),
             TypeRef::Named(name) | TypeRef::Anonymous(name) => name,
         };
-        match self.schema.type_def(name) {
-            Some(TypeDef::Simple(_)) => simple(self, type_ref),
-            Some(TypeDef::Complex(ct)) => {
-                let entry = &self.types[name.as_str()];
-                let (type_sym, dfa, uses) = (entry.sym, entry.dfa.clone(), entry.attrs.clone());
-                let attrs = uses
-                    .map(|uses| {
-                        uses.iter()
-                            .map(|decl| AttrPlan {
-                                decl: decl.clone(),
-                                check: self.simple_check(&decl.type_ref),
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let complex = |mixed| match dfa {
-                    Ok(dfa) => ContentPlan::Complex {
-                        type_sym,
-                        dfa,
-                        mixed,
-                    },
-                    Err(e) => ContentPlan::Broken(e.to_string()),
-                };
-                let content = match &ct.content {
-                    ContentModel::Simple(simple_ref) => {
-                        ContentPlan::Simple(self.simple_check(simple_ref))
-                    }
-                    ContentModel::Empty | ContentModel::ElementOnly(_) => complex(false),
-                    ContentModel::Mixed(_) => complex(true),
-                };
-                ElemPlan {
-                    attrs,
-                    abstract_type: ct.is_abstract.then(|| name.clone()),
-                    content,
-                    type_ref: type_ref.clone(),
-                }
-            }
-            None => ElemPlan {
-                attrs: Box::default(),
-                abstract_type: None,
-                content: ContentPlan::Unknown(name.clone()),
-                type_ref: type_ref.clone(),
+        let Some(TypeDef::Complex(ct)) = self.schema.type_def(name) else {
+            // a simple type; a checked schema has no dangling reference
+            // (were one here, its value check would report it)
+            return simple(self, type_ref);
+        };
+        let entry = &self.types[name.as_str()];
+        let (type_sym, dfa, uses) = (entry.sym, entry.dfa.clone(), entry.attrs.clone());
+        let attrs = uses
+            .iter()
+            .map(|decl| AttrPlan {
+                decl: decl.clone(),
+                check: self.simple_check(&decl.type_ref),
+            })
+            .collect();
+        let content = match &ct.content {
+            ContentModel::Simple(simple_ref) => ContentPlan::Simple(self.simple_check(simple_ref)),
+            model => ContentPlan::Complex {
+                type_sym,
+                dfa,
+                mixed: matches!(model, ContentModel::Mixed(_)),
             },
+        };
+        ElemPlan {
+            attrs,
+            abstract_type: ct.is_abstract.then(|| name.clone()),
+            content,
+            type_ref: type_ref.clone(),
         }
     }
 }
@@ -397,6 +368,7 @@ impl Builder<'_> {
 mod tests {
     use super::*;
     use crate::corpus::{PURCHASE_ORDER_XSD, WML_XSD};
+    use crate::CompiledSchema;
 
     #[test]
     fn po_index_covers_declared_children() {

@@ -233,6 +233,25 @@ impl DecimalBound {
     }
 }
 
+/// An `xsd:float`/`xsd:double` value: `INF`, `-INF`, `NaN`, or a signed
+/// decimal with an optional exponent. Rust's own float syntax also takes
+/// `inf`, `infinity`, `+inf` and `nan` in any case, which XSD does not,
+/// so only the decimal forms reach it.
+pub(crate) fn scan_float(lexical: &str) -> Option<f64> {
+    match lexical {
+        "INF" => Some(f64::INFINITY),
+        "-INF" => Some(f64::NEG_INFINITY),
+        "NaN" => Some(f64::NAN),
+        _ if lexical
+            .bytes()
+            .all(|b| b.is_ascii_digit() || matches!(b, b'+' | b'-' | b'.' | b'e' | b'E')) =>
+        {
+            lexical.parse().ok()
+        }
+        _ => None,
+    }
+}
+
 /// An `xsd:date` value: proleptic Gregorian year/month/day (timezones are
 /// accepted lexically and ignored for ordering, which suffices for the
 /// schema corpus in this reproduction).

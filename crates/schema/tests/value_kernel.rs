@@ -10,7 +10,8 @@
 //! facets on unordered built-ins (both fail every value), decimals and
 //! bounds beyond `i64`, signs, `-0`, leading zeros, `5.` and `.5`, the
 //! bounded integer types at their edges ±1, dates with timezones, leap
-//! days and five-digit years, `NaN` and `INF`, patterns over non-ASCII
+//! days and five-digit years, hour 24 (only `24:00:00`), `NaN` and `INF`
+//! and the Rust spellings XSD lacks (`inf`, `nan`), patterns over non-ASCII
 //! input, and tab, CR, LF, doubled spaces and U+00A0 under each
 //! whitespace mode.
 
@@ -117,6 +118,7 @@ const TYPES: &[(&str, &str, &str)] = &[
     ("IntBadBound", "xsd:integer", r#"<xsd:minInclusive value="1e3"/>"#),
     ("DateBadBound", "xsd:date", r#"<xsd:maxInclusive value="1999-1-1"/>"#),
     ("FloatBadBound", "xsd:float", r#"<xsd:minExclusive value="one"/>"#),
+    ("FloatInfBound", "xsd:float", r#"<xsd:maxInclusive value="inf"/>"#),
     // range facets on unordered built-ins: every value fails
     ("StrRange", "xsd:string", r#"<xsd:maxInclusive value="z"/>"#),
     ("BoolRange", "xsd:boolean", r#"<xsd:minInclusive value="0"/>"#),
@@ -248,7 +250,14 @@ const ROWS: &[Row] = &[
     ("xsd:float", "NaN", None),
     ("xsd:float", "INF", None),
     ("xsd:float", "-INF", None),
-    ("xsd:float", "inf", None),
+    ("xsd:float", "inf", Some("\"inf\" is not a valid xsd:float (floating-point number)")),
+    ("xsd:float", "infinity", Some("\"infinity\" is not a valid xsd:float (floating-point number)")),
+    ("xsd:float", "+inf", Some("\"+inf\" is not a valid xsd:float (floating-point number)")),
+    ("xsd:float", "nan", Some("\"nan\" is not a valid xsd:float (floating-point number)")),
+    ("xsd:float", "-inf", Some("\"-inf\" is not a valid xsd:float (floating-point number)")),
+    ("xsd:double", "+INF", Some("\"+INF\" is not a valid xsd:double (floating-point number)")),
+    ("xsd:double", "5.", None),
+    ("xsd:double", "1.E+2", None),
     ("xsd:float", "+1", None),
     ("xsd:float", "abc", Some("\"abc\" is not a valid xsd:float (floating-point number)")),
     ("xsd:float", "1 2", Some("\"1 2\" is not a valid xsd:float (floating-point number)")),
@@ -288,6 +297,15 @@ const ROWS: &[Row] = &[
     ("xsd:dateTime", "1999-05-21", Some("\"1999-05-21\" is not a valid xsd:dateTime (dateTime (date 'T' time))")),
     ("xsd:time", "13:20:00.5Z", None),
     ("xsd:time", "13:20", Some("\"13:20\" is not a valid xsd:time (time (hh:mm:ss))")),
+    ("xsd:time", "24:00:00", None),
+    ("xsd:time", "24:00:00.000Z", None),
+    ("xsd:time", "24:30:00", Some("\"24:30:00\" is not a valid xsd:time (time (hh:mm:ss))")),
+    ("xsd:time", "24:00:01", Some("\"24:00:01\" is not a valid xsd:time (time (hh:mm:ss))")),
+    ("xsd:time", "24:00:00.5", Some("\"24:00:00.5\" is not a valid xsd:time (time (hh:mm:ss))")),
+    ("xsd:dateTime", "1999-05-21T24:00:00", None),
+    ("xsd:dateTime", "1999-05-21T24:30:00", Some("\"1999-05-21T24:30:00\" is not a valid xsd:dateTime (dateTime (bad time part))")),
+    ("xsd:dateTime", "1999-05-21T24:00:01", Some("\"1999-05-21T24:00:01\" is not a valid xsd:dateTime (dateTime (bad time part))")),
+    ("xsd:dateTime", "1999-05-21T24:00:00.5", Some("\"1999-05-21T24:00:00.5\" is not a valid xsd:dateTime (dateTime (bad time part))")),
     ("xsd:gYear", "1999", None),
     ("xsd:gYear", "99", Some("\"99\" is not a valid xsd:gYear (gYear)")),
     ("Len3", "abc", None),
@@ -403,6 +421,7 @@ const ROWS: &[Row] = &[
     ("IntBadBound", "5000", Some("value \"5000\" violates facet minInclusive(1e3)")),
     ("DateBadBound", "1999-01-01", Some("value \"1999-01-01\" violates facet maxInclusive(1999-1-1)")),
     ("FloatBadBound", "1", Some("value \"1\" violates facet minExclusive(one)")),
+    ("FloatInfBound", "1", Some("value \"1\" violates facet maxInclusive(inf)")),
     ("StrRange", "a", Some("value \"a\" violates facet maxInclusive(z)")),
     ("BoolRange", "1", Some("value \"1\" violates facet minInclusive(0)")),
     ("DateTimeRange", "1999-05-21T13:20:00", Some("value \"1999-05-21T13:20:00\" violates facet maxInclusive(2000-01-01T00:00:00)")),

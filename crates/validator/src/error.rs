@@ -44,8 +44,6 @@ pub enum ValidationErrorKind {
     AbstractElement(String),
     /// An element whose type is abstract appeared in the instance.
     AbstractType(String),
-    /// A type reference could not be resolved (schema/tree mismatch).
-    UnknownType(String),
     /// A child element violated the parent's content model.
     UnexpectedChild {
         /// Parent element name.
@@ -127,7 +125,6 @@ impl ValidationErrorKind {
             ValidationErrorKind::UndeclaredRoot(_) => "UndeclaredRoot",
             ValidationErrorKind::AbstractElement(_) => "AbstractElement",
             ValidationErrorKind::AbstractType(_) => "AbstractType",
-            ValidationErrorKind::UnknownType(_) => "UnknownType",
             ValidationErrorKind::UnexpectedChild { .. } => "UnexpectedChild",
             ValidationErrorKind::IncompleteContent { .. } => "IncompleteContent",
             ValidationErrorKind::TextNotAllowed { .. } => "TextNotAllowed",
@@ -164,7 +161,6 @@ impl fmt::Display for ValidationErrorKind {
             ValidationErrorKind::AbstractType(n) => {
                 write!(f, "abstract type {n} may not appear in instances")
             }
-            ValidationErrorKind::UnknownType(n) => write!(f, "unknown type {n:?}"),
             ValidationErrorKind::UnexpectedChild {
                 parent,
                 child,

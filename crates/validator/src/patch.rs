@@ -670,9 +670,6 @@ impl IncrementalValidator {
                 dfa: dfa.clone(),
                 mixed: *mixed,
             }),
-            ContentPlan::Broken(_) | ContentPlan::Unknown(_) => Err(structure(
-                "parent's content model is unusable (cannot occur in a valid document)",
-            )),
         }
     }
 

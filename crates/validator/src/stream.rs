@@ -185,9 +185,8 @@ pub struct StreamingValidator<'a, 'src> {
 
 impl<'a, 'src> StreamingValidator<'a, 'src> {
     /// A validator with an empty stack, ready for a document's events,
-    /// under the resource budget `limits`. Builds the schema's
-    /// [`SymIndex`] if this is its first use (warmed schemas have it
-    /// precomputed). The validator enforces the collection-side budgets
+    /// under the resource budget `limits`, reading the schema's
+    /// [`SymIndex`]. The validator enforces the collection-side budgets
     /// (`max_errors`, deadline, cancellation); the parse-side budgets
     /// belong to [`xmlparse::Reader::with_limits`]. [`Limits::default`]'s
     /// ceilings are far above anything a legitimate document produces, so
@@ -501,8 +500,7 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
     }
 
     /// Runs the element-open checks (abstract type, attributes) against a
-    /// precomputed plan and pushes the frame, or starts a skipped subtree
-    /// when the plan cannot check the content.
+    /// precomputed plan and pushes the frame.
     fn open<A: AttrView>(
         &mut self,
         name: Sym,
@@ -510,15 +508,6 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
         attributes: &[A],
         span: Option<Span>,
     ) {
-        // an unresolvable type reports only itself: no attribute checks
-        if let ContentPlan::Unknown(type_name) = &plan.content {
-            self.errors.push(ValidationError::at_opt(
-                ValidationErrorKind::UnknownType(type_name.clone()),
-                span,
-            ));
-            self.skip = 1;
-            return;
-        }
         if let Some(type_name) = &plan.abstract_type {
             self.errors.push(ValidationError::at_opt(
                 ValidationErrorKind::AbstractType(type_name.clone()),
@@ -551,18 +540,6 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                 content_ok: true,
                 span,
             },
-            ContentPlan::Broken(message) => {
-                self.errors.push(ValidationError::at_opt(
-                    ValidationErrorKind::SimpleType {
-                        element: symbols::name(name).to_string(),
-                        message: message.clone(),
-                    },
-                    span,
-                ));
-                self.skip = 1;
-                return;
-            }
-            ContentPlan::Unknown(_) => unreachable!("handled above"),
         };
         self.stack.push(frame);
     }
@@ -953,7 +930,7 @@ fn record_stream_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{node_span, validate_document};
+    use crate::validate_document;
     use limits::{CancelToken, ResourceErrorKind};
     use schema::corpus::{PURCHASE_ORDER_XML, PURCHASE_ORDER_XSD, WML_XSD};
     use std::time::{Duration, Instant};
@@ -1072,48 +1049,6 @@ mod tests {
             &errors[0].kind,
             ValidationErrorKind::UnexpectedChild { child, .. } if child == "bogus"
         ));
-    }
-
-    /// `Broken` and `Unknown` content plans cannot come out of a checked
-    /// schema, so they are driven here directly: the element reports its
-    /// error (a broken plan after the attribute checks, an unknown type
-    /// instead of them) and its whole subtree, text included, is skipped.
-    #[test]
-    fn broken_and_unknown_plans_skip_their_subtree() {
-        let compiled = po();
-        let doc =
-            xmlparse::parse_document(r#"<comment a="1">x<b>y<c>z</c></b>w</comment>"#).unwrap();
-        let root = doc.root_element().unwrap();
-        let Ok(NodeKind::Element { name, attributes }) = doc.kind(root) else {
-            unreachable!()
-        };
-        let index = compiled.sym_index();
-        let sym = index.sym(name).unwrap();
-        let Some(RootPlan::Elem(declared)) = index.root(sym) else {
-            unreachable!()
-        };
-        for (content, labels) in [
-            (
-                ContentPlan::Broken("maxOccurs too large".into()),
-                &["UndeclaredAttribute", "SimpleType"][..],
-            ),
-            (ContentPlan::Unknown("Nope".into()), &["UnknownType"][..]),
-        ] {
-            let plan = ElemPlan {
-                content,
-                ..ElemPlan::clone(declared)
-            };
-            let mut v = StreamingValidator::new(&compiled, Limits::default());
-            v.open(sym, &plan, attributes, node_span(&doc, root));
-            v.walk(&doc, doc.child_slice(root).unwrap());
-            assert_eq!((v.depth(), v.max_depth()), (1, 3));
-            v.on_end();
-            assert_eq!(v.depth(), 0);
-            let errors = v.into_errors();
-            let kinds: Vec<_> = errors.iter().map(|e| e.kind.label()).collect();
-            assert_eq!(kinds, labels, "{errors:#?}");
-            assert_eq!(check_subtree(&compiled, &doc, root, Some(&plan)), errors);
-        }
     }
 
     #[test]

@@ -289,12 +289,9 @@ impl SchemaRegistry {
         Some(results)
     }
 
-    /// Parallel form of [`validate_batch`](Self::validate_batch): warms
-    /// the schema (every content-model DFA, attribute table, and
-    /// child-type entry compiled up front, see [`CompiledSchema::warm`];
-    /// warming moves compilation cost out of the first documents and
-    /// never changes a verdict), then fans the documents out across
-    /// `pool`'s workers. Returns one error list per document, **in input
+    /// Parallel form of [`validate_batch`](Self::validate_batch): fans
+    /// the documents out across `pool`'s workers, all reading the
+    /// schema's index, which was built when the schema compiled. Returns one error list per document, **in input
     /// order** — kinds, spans, and order are identical to the sequential
     /// path at any thread count (each document is validated by the same
     /// pure per-document routine; only the scheduling differs).
@@ -313,7 +310,6 @@ impl SchemaRegistry {
         limits: &Limits,
     ) -> Option<Vec<Vec<ValidationError>>> {
         let compiled = self.get(schema_name)?;
-        compiled.warm();
         let _span = obs::span!("registry.validate_batch_parallel");
         // documents are copied once into `Arc<str>` jobs: the pool needs
         // `'static` payloads

@@ -9,11 +9,10 @@
 use schema::{corpus, CompiledSchema};
 
 fn main() {
-    let schema = schema::parse_schema(corpus::PURCHASE_ORDER_XSD).unwrap();
-    schema.check().unwrap();
+    let compiled = CompiledSchema::parse(corpus::PURCHASE_ORDER_XSD).unwrap();
 
     // --- paper Appendix A: the generated V-DOM interfaces, in IDL -------
-    let model = normalize::build_model(&schema).unwrap();
+    let model = normalize::build_model(compiled.schema()).unwrap();
     println!("=== generated V-DOM interfaces (IDL, Appendix A) ===\n");
     println!("{}", codegen::render_idl(&model));
 
@@ -30,7 +29,6 @@ fn main() {
     );
 
     // --- the paper's Fig. 1 document through parse + validate -----------
-    let compiled = CompiledSchema::new(schema).unwrap();
     let doc = xmlparse::parse_document(corpus::PURCHASE_ORDER_XML).unwrap();
     let errors = validator::validate_document(&compiled, &doc);
     println!(

@@ -77,6 +77,30 @@ if grep -rn --include='*.rs' --include='Cargo.toml' 'parking_lot' crates tests e
   exit 1
 fi
 
+echo "==> one automaton per content model, built with the schema"
+# CompiledSchema::new builds the index eagerly (compiled.rs keeps no
+# OnceLock), and intern_dfa is the one place a content model is expanded
+# and Glushkov-constructed: the unique-particle-attribution check runs on
+# the automaton the subset construction then uses. So schema's non-test
+# code calls no ContentDfa::compile and has one Glushkov::construct call
+# site, Schema::check (resolve.rs) never mentions Glushkov, and the
+# content plans no checked schema can produce (Broken, Unknown) stay gone
+# with the UnknownType error they reported.
+schema_src="$(for f in $(find crates/schema/src -name '*.rs' | sort); do
+  sed '/^#\[cfg(test)\]/,$d' "$f" | sed "s|^|$f: |"
+done)"
+resolve_src="$(sed '/^#\[cfg(test)\]/,$d' crates/schema/src/resolve.rs)"
+constructs="$(grep -cF 'Glushkov::construct(' <<<"$schema_src" || true)"
+if grep -rnE --include='*.rs' 'ContentPlan::(Broken|Unknown)|UnknownType' crates tests \
+    || grep -F 'ContentDfa::compile(' <<<"$schema_src" \
+    || grep -n 'Glushkov' <<<"$resolve_src" \
+    || grep -n 'OnceLock' <<<"$compiled_src" \
+    || [ "$constructs" -gt 1 ]; then
+  echo "a second content-model construction or an impossible content plan is back" \
+    "(see above; $constructs Glushkov::construct call sites in crates/schema/src)" >&2
+  exit 1
+fi
+
 echo "==> one JSON codec, one event type"
 # obs::json holds the workspace's only JSON parser and string escaper
 # (a JSON escaper is recognised by its \u00XX control-character

@@ -7,10 +7,10 @@
 //! deepest nesting the streaming validator reports, skipped elements
 //! included.
 //!
-//! The two remaining skip sources, a `Broken` or `Unknown` content plan,
-//! cannot come out of a checked schema (`Schema::check` rejects the
-//! dangling type and the oversized occurrence bound first); the
-//! validator's unit tests drive those plans directly.
+//! These are the only skip sources: every element plan of a compiled
+//! schema has a simple type to check or a content DFA to step, because
+//! `CompiledSchema::new` rejects a dangling type, an ambiguous model and
+//! an oversized occurrence bound.
 
 use limits::Limits;
 use schema::CompiledSchema;
