@@ -1,8 +1,14 @@
 //! The typed document: a DOM that cannot be driven into an invalid
 //! state.
 //!
-//! Every element handle carries its schema type; every mutation is
-//! checked *as it happens*:
+//! Every element handle carries its schema type as the element plan
+//! (`schema::ElemPlan`) the schema's index decided for it: a global root
+//! resolves through its `RootPlan`, a child through the parent type's
+//! child plan, an explicitly typed root through
+//! `CompiledSchema::elem_plan`. The plan's content regime, abstractness,
+//! declared attributes and resolved value checks are the same ones the
+//! streaming validator reads, so this module decides no rule from the
+//! schema components itself. Every mutation is checked *as it happens*:
 //!
 //! * appending a child advances the parent's materialized content-model
 //!   DFA (O(1) per append, no re-validation of earlier children);
@@ -18,10 +24,11 @@
 //! occurrence-constraint caveat).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use automata::{DfaMatcher, Matcher};
 use dom::{Document, NodeId};
-use schema::{check_value, CompiledSchema, ContentModel, ElementDecl, TypeDef, TypeRef};
+use schema::{check_value, CompiledSchema, ContentPlan, ElemPlan, RootPlan, TypeRef};
 
 use crate::error::VdomError;
 
@@ -44,14 +51,26 @@ impl TypedElement {
 /// Per-element typed state.
 #[derive(Debug, Clone)]
 struct ElementState {
-    type_ref: TypeRef,
-    /// Content matcher for complex element-only/mixed content.
+    /// How the element validates, from the schema's index.
+    plan: Arc<ElemPlan>,
+    /// The content matcher, for complex (element-only, mixed or empty)
+    /// content.
     matcher: Option<DfaMatcher>,
-    /// Whether text is allowed (mixed or simple content).
-    text_allowed: bool,
-    /// Whether the content is simple (text validated at finish).
-    simple_content: Option<TypeRef>,
     finished: bool,
+}
+
+impl ElementState {
+    fn new(plan: Arc<ElemPlan>) -> ElementState {
+        let matcher = match &plan.content {
+            ContentPlan::Complex { dfa, .. } => Some(dfa.start()),
+            ContentPlan::Simple(_) => None,
+        };
+        ElementState {
+            plan,
+            matcher,
+            finished: false,
+        }
+    }
 }
 
 /// A schema-typed document under construction.
@@ -82,17 +101,13 @@ impl TypedDocument {
         &self.doc
     }
 
-    fn decl(&self, name: &str) -> Result<&ElementDecl, VdomError> {
-        self.compiled
-            .schema()
-            .element(name)
-            .ok_or_else(|| VdomError::NotDeclared(name.to_string()))
-    }
-
     /// Whether `el`'s content model permits character data (mixed or
     /// simple content).
     pub(crate) fn allows_text(&self, el: TypedElement) -> Result<bool, VdomError> {
-        Ok(self.state(el)?.text_allowed)
+        Ok(match self.state(el)?.plan.content {
+            ContentPlan::Simple(_) => true,
+            ContentPlan::Complex { mixed, .. } => mixed,
+        })
     }
 
     fn state(&self, el: TypedElement) -> Result<&ElementState, VdomError> {
@@ -103,53 +118,11 @@ impl TypedDocument {
         self.states.get_mut(&el.node).ok_or(VdomError::BadHandle)
     }
 
-    /// Initializes typed state for an element of `type_ref`.
-    fn init_state(&self, name: &str, type_ref: &TypeRef) -> Result<ElementState, VdomError> {
-        let schema = self.compiled.schema();
-        let (matcher, text_allowed, simple_content) =
-            match type_ref {
-                TypeRef::Builtin(_) => (None, true, Some(type_ref.clone())),
-                TypeRef::Named(n) | TypeRef::Anonymous(n) => match schema.type_def(n) {
-                    Some(TypeDef::Simple(_)) => (None, true, Some(type_ref.clone())),
-                    Some(TypeDef::Complex(ct)) => {
-                        if ct.is_abstract {
-                            return Err(VdomError::Abstract(name.to_string()));
-                        }
-                        match &ct.content {
-                            ContentModel::Simple(inner) => (None, true, Some(inner.clone())),
-                            ContentModel::Empty => (None, false, None),
-                            ContentModel::ElementOnly(_) => {
-                                let dfa = self.compiled.content_dfa(n).map_err(|e| {
-                                    VdomError::Simple {
-                                        element: name.to_string(),
-                                        attribute: None,
-                                        error: e,
-                                    }
-                                })?;
-                                (Some(dfa.start()), false, None)
-                            }
-                            ContentModel::Mixed(_) => {
-                                let dfa = self.compiled.content_dfa(n).map_err(|e| {
-                                    VdomError::Simple {
-                                        element: name.to_string(),
-                                        attribute: None,
-                                        error: e,
-                                    }
-                                })?;
-                                (Some(dfa.start()), true, None)
-                            }
-                        }
-                    }
-                    None => return Err(VdomError::NotDeclared(n.clone())),
-                },
-            };
-        Ok(ElementState {
-            type_ref: type_ref.clone(),
-            matcher,
-            text_allowed,
-            simple_content,
-            finished: false,
-        })
+    fn tag_name(&self, el: TypedElement) -> Result<String, VdomError> {
+        self.doc
+            .tag_name(el.node)
+            .map(str::to_string)
+            .map_err(|e| VdomError::Dom(e.to_string()))
     }
 
     // ---- creation --------------------------------------------------------
@@ -157,22 +130,12 @@ impl TypedDocument {
     /// Creates the root element from a global element declaration and
     /// attaches it to the document. Abstract elements are rejected.
     pub fn create_root(&mut self, name: &str) -> Result<TypedElement, VdomError> {
-        let decl = self.decl(name)?;
-        if decl.is_abstract {
-            return Err(VdomError::Abstract(name.to_string()));
+        let index = self.compiled.sym_index();
+        match index.sym(name).and_then(|sym| index.root(sym)) {
+            Some(RootPlan::Elem(plan)) => self.attach_root(name, plan.clone()),
+            Some(RootPlan::Abstract) => Err(VdomError::Abstract(name.to_string())),
+            None => Err(VdomError::NotDeclared(name.to_string())),
         }
-        let type_ref = decl.type_ref.clone();
-        let state = self.init_state(name, &type_ref)?;
-        let node = self
-            .doc
-            .create_element(name)
-            .map_err(|e| VdomError::Dom(e.to_string()))?;
-        let doc_node = self.doc.document_node();
-        self.doc
-            .append_child(doc_node, node)
-            .map_err(|e| VdomError::Dom(e.to_string()))?;
-        self.states.insert(node, state);
-        Ok(TypedElement { node })
     }
 
     /// Creates the root element with an explicitly given type, for
@@ -185,7 +148,13 @@ impl TypedDocument {
         name: &str,
         type_ref: &TypeRef,
     ) -> Result<TypedElement, VdomError> {
-        let state = self.init_state(name, type_ref)?;
+        self.attach_root(name, self.compiled.elem_plan(type_ref))
+    }
+
+    fn attach_root(&mut self, name: &str, plan: Arc<ElemPlan>) -> Result<TypedElement, VdomError> {
+        if plan.abstract_type.is_some() {
+            return Err(VdomError::Abstract(name.to_string()));
+        }
         let node = self
             .doc
             .create_element(name)
@@ -194,66 +163,54 @@ impl TypedDocument {
         self.doc
             .append_child(doc_node, node)
             .map_err(|e| VdomError::Dom(e.to_string()))?;
-        self.states.insert(node, state);
+        self.states.insert(node, ElementState::new(plan));
         Ok(TypedElement { node })
     }
 
     /// Appends a new child element to `parent`, advancing the parent's
-    /// content-model DFA. The child's type is looked up in the schema;
-    /// appending anything the model does not allow fails immediately.
+    /// content-model DFA. The child's plan is looked up under the
+    /// parent's type; appending anything the model does not allow fails
+    /// immediately.
     pub fn append_element(
         &mut self,
         parent: TypedElement,
         name: &str,
     ) -> Result<TypedElement, VdomError> {
-        let parent_name = self
-            .doc
-            .tag_name(parent.node)
-            .map_err(|e| VdomError::Dom(e.to_string()))?
-            .to_string();
         let parent_state = self.state(parent)?;
         if parent_state.finished {
             return Err(VdomError::BadHandle);
         }
-        // the child's declared type, found within the parent's type
-        let child_type = match &parent_state.type_ref {
-            TypeRef::Named(n) | TypeRef::Anonymous(n) => self
-                .compiled
-                .child_element_type(n, name)
-                .ok_or_else(|| VdomError::UnknownChild {
-                    parent: parent_name.clone(),
-                    child: name.to_string(),
-                })?,
-            TypeRef::Builtin(_) => {
-                return Err(VdomError::UnknownChild {
-                    parent: parent_name,
-                    child: name.to_string(),
-                })
-            }
+        // the child's plan, found within the parent's type
+        let index = self.compiled.sym_index();
+        let found = match &parent_state.plan.content {
+            ContentPlan::Complex { type_sym, .. } => index
+                .child_named(*type_sym, name)
+                .map(|(sym, plan)| (sym, plan.clone())),
+            ContentPlan::Simple(_) => None,
         };
-        let child_state = self.init_state(name, &child_type)?;
+        let Some((sym, plan)) = found else {
+            return Err(VdomError::UnknownChild {
+                parent: self.tag_name(parent)?,
+                child: name.to_string(),
+            });
+        };
+        if plan.abstract_type.is_some() {
+            return Err(VdomError::Abstract(name.to_string()));
+        }
         // advance the parent's matcher (the incremental check)
-        {
-            let state = self.state_mut(parent)?;
-            match &mut state.matcher {
-                Some(m) => {
-                    m.step(name).map_err(|step| VdomError::ContentModel {
-                        parent: parent_name.clone(),
-                        step,
-                    })?;
-                }
-                None => {
-                    // empty or simple content: no element children at all
-                    return Err(VdomError::ContentModel {
-                        parent: parent_name,
-                        step: automata::StepError {
-                            got: name.to_string(),
-                            expected: Vec::new(),
-                            could_end: true,
-                        },
-                    });
-                }
-            }
+        let matcher = self
+            .state_mut(parent)?
+            .matcher
+            .as_mut()
+            .expect("complex content has a matcher");
+        if !matcher.try_step_sym(sym) {
+            let step = matcher
+                .step(name)
+                .expect_err("sym and name transition tables agree");
+            return Err(VdomError::ContentModel {
+                parent: self.tag_name(parent)?,
+                step,
+            });
         }
         let node = self
             .doc
@@ -262,7 +219,7 @@ impl TypedDocument {
         self.doc
             .append_child(parent.node, node)
             .map_err(|e| VdomError::Dom(e.to_string()))?;
-        self.states.insert(node, child_state);
+        self.states.insert(node, ElementState::new(plan));
         Ok(TypedElement { node })
     }
 
@@ -274,8 +231,7 @@ impl TypedDocument {
         element: TypedElement,
         text: impl Into<String>,
     ) -> Result<(), VdomError> {
-        let state = self.state(element)?;
-        if !state.text_allowed {
+        if !self.allows_text(element)? {
             return Err(VdomError::TextNotAllowed {
                 element: self
                     .doc
@@ -304,34 +260,24 @@ impl TypedDocument {
         name: &str,
         value: impl Into<String>,
     ) -> Result<(), VdomError> {
-        let element_name = self
-            .doc
-            .tag_name(element.node)
-            .map_err(|e| VdomError::Dom(e.to_string()))?
-            .to_string();
-        let state = self.state(element)?;
+        let element_name = self.tag_name(element)?;
         let value = value.into();
-        let declared = match &state.type_ref {
-            TypeRef::Named(n) | TypeRef::Anonymous(n) => self
-                .compiled
-                .effective_attributes(n)
-                .unwrap_or_else(|_| Vec::new().into()),
-            TypeRef::Builtin(_) => Vec::new().into(),
-        };
-        let decl = declared.iter().find(|a| a.name == name).ok_or_else(|| {
-            VdomError::UndeclaredAttribute {
+        let attr = self
+            .state(element)?
+            .plan
+            .attrs
+            .iter()
+            .find(|a| a.decl.name == name)
+            .ok_or_else(|| VdomError::UndeclaredAttribute {
                 element: element_name.clone(),
                 attribute: name.to_string(),
-            }
+            })?;
+        check_value(&attr.check, &value).map_err(|error| VdomError::Simple {
+            element: element_name.clone(),
+            attribute: Some(name.to_string()),
+            error,
         })?;
-        check_value(&self.compiled.simple_plan(&decl.type_ref), &value).map_err(|error| {
-            VdomError::Simple {
-                element: element_name.clone(),
-                attribute: Some(name.to_string()),
-                error,
-            }
-        })?;
-        if let Some(fixed) = &decl.fixed {
+        if let Some(fixed) = &attr.decl.fixed {
             if &value != fixed {
                 return Err(VdomError::FixedMismatch {
                     element: element_name,
@@ -352,13 +298,9 @@ impl TypedDocument {
     /// value validity, and required attributes. Children must have been
     /// finished (they are finished automatically when complete).
     pub fn finish(&mut self, element: TypedElement) -> Result<(), VdomError> {
-        let element_name = self
-            .doc
-            .tag_name(element.node)
-            .map_err(|e| VdomError::Dom(e.to_string()))?
-            .to_string();
-        // completeness of element content
+        let element_name = self.tag_name(element)?;
         let state = self.state(element)?;
+        // completeness of element content
         if let Some(m) = &state.matcher {
             if !m.is_accepting() {
                 return Err(VdomError::Incomplete {
@@ -368,37 +310,31 @@ impl TypedDocument {
             }
         }
         // simple content value
-        if let Some(simple) = state.simple_content.clone() {
+        if let ContentPlan::Simple(check) = &state.plan.content {
             let text = self
                 .doc
                 .text_content(element.node)
                 .map_err(|e| VdomError::Dom(e.to_string()))?;
-            check_value(&self.compiled.simple_plan(&simple), &text).map_err(|error| {
-                VdomError::Simple {
-                    element: element_name.clone(),
-                    attribute: None,
-                    error,
-                }
+            check_value(check, &text).map_err(|error| VdomError::Simple {
+                element: element_name.clone(),
+                attribute: None,
+                error,
             })?;
         }
         // required attributes
-        if let TypeRef::Named(n) | TypeRef::Anonymous(n) = &state.type_ref {
-            if let Ok(attrs) = self.compiled.effective_attributes(n) {
-                for a in attrs.iter() {
-                    if a.required
-                        && self
-                            .doc
-                            .attribute(element.node, &a.name)
-                            .ok()
-                            .flatten()
-                            .is_none()
-                    {
-                        return Err(VdomError::MissingAttribute {
-                            element: element_name,
-                            attribute: a.name.clone(),
-                        });
-                    }
-                }
+        for a in state.plan.attrs.iter() {
+            if a.decl.required
+                && self
+                    .doc
+                    .attribute(element.node, &a.decl.name)
+                    .ok()
+                    .flatten()
+                    .is_none()
+            {
+                return Err(VdomError::MissingAttribute {
+                    element: element_name,
+                    attribute: a.decl.name.clone(),
+                });
             }
         }
         self.state_mut(element)?.finished = true;
@@ -441,7 +377,7 @@ impl TypedDocument {
 
     /// The element's declared type.
     pub fn type_of(&self, element: TypedElement) -> Result<&TypeRef, VdomError> {
-        Ok(&self.state(element)?.type_ref)
+        Ok(&self.state(element)?.plan.type_ref)
     }
 
     /// Child element names currently acceptable for `element`.

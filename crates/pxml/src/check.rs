@@ -3,16 +3,27 @@
 //! the schema *before the program runs*.
 //!
 //! Checked statically: element names and ordering (content-model DFA),
-//! choice membership, required/undeclared attributes, literal attribute
-//! values (including `fixed`), literal simple-typed content, text
-//! placement, and hole typing (element variables step the DFA with their
-//! tag; text variables require mixed/simple content). Hole *values* are,
-//! by nature, runtime data — the instantiation engine re-checks only
-//! those.
+//! choice membership, abstract elements and types, required/undeclared
+//! attributes, literal attribute values (including `fixed`), literal
+//! simple-typed content, text placement, and hole typing (element
+//! variables step the DFA with their tag; text variables require
+//! mixed/simple content). Hole *values* are, by nature, runtime data —
+//! the instantiation engine re-checks only those.
+//!
+//! Every rule comes from the element plans (`schema::ElemPlan`) of the
+//! schema's index, the ones the streaming validator and V-DOM read: a
+//! global root resolves through its `RootPlan`, a locally declared root
+//! through [`CompiledSchema::elem_plan`], each child through its parent
+//! type's child plan.
+
+use std::sync::Arc;
 
 use automata::Matcher;
 use dom::NodeKind;
-use schema::{CompiledSchema, ContentModel, TypeDef, TypeRef};
+use schema::{
+    check_value, AttrPlan, CompiledSchema, ContentPlan, ElemPlan, RootPlan, SimpleCheck, TypeRef,
+};
+use symbols::Sym;
 use xmlchars::{is_xml_whitespace, Position};
 
 use crate::error::{PxmlError, PxmlErrorKind};
@@ -42,6 +53,32 @@ fn record_check(errors: &[PxmlError]) {
     }
 }
 
+/// The plan a template's root element is checked and compiled under: a
+/// global declaration's `RootPlan` (an abstract one is refused), else the
+/// type of the first local declaration with the root's tag (see
+/// [`resolve_element_type`]).
+pub(crate) fn root_plan(
+    compiled: &CompiledSchema,
+    template: &Template,
+) -> Result<Arc<ElemPlan>, PxmlError> {
+    let tag = template.root_tag();
+    let index = compiled.sym_index();
+    let kind = match index.sym(tag).and_then(|sym| index.root(sym)) {
+        Some(RootPlan::Elem(plan)) => return Ok(plan.clone()),
+        Some(RootPlan::Abstract) => PxmlErrorKind::Abstract(tag.to_string()),
+        None => match resolve_element_type(compiled.schema(), tag) {
+            Some(type_ref) => return Ok(compiled.elem_plan(&type_ref)),
+            None => PxmlErrorKind::UnknownRootElement(tag.to_string()),
+        },
+    };
+    let position = template
+        .doc
+        .span(template.root)
+        .map(|s| s.start)
+        .unwrap_or_default();
+    Err(PxmlError::at(kind, position))
+}
+
 /// Statically checks `template` against the schema in `compiled`,
 /// inferring the root's type from its tag. Returns all diagnostics.
 pub fn check_template(
@@ -49,23 +86,7 @@ pub fn check_template(
     template: &Template,
     env: &TypeEnv,
 ) -> Vec<PxmlError> {
-    let tag = template.root_tag().to_string();
-    match resolve_element_type(compiled.schema(), &tag) {
-        // check_template_as records the check
-        Some(type_ref) => check_template_as(compiled, template, env, &type_ref),
-        None => {
-            let errors = vec![PxmlError::at(
-                PxmlErrorKind::UnknownRootElement(tag),
-                template
-                    .doc
-                    .span(template.root)
-                    .map(|s| s.start)
-                    .unwrap_or_default(),
-            )];
-            record_check(&errors);
-            errors
-        }
-    }
+    check_root(compiled, template, env, root_plan(compiled, template))
 }
 
 /// Statically checks `template` against an explicit root type.
@@ -75,14 +96,29 @@ pub fn check_template_as(
     env: &TypeEnv,
     root_type: &TypeRef,
 ) -> Vec<PxmlError> {
+    check_root(compiled, template, env, Ok(compiled.elem_plan(root_type)))
+}
+
+fn check_root(
+    compiled: &CompiledSchema,
+    template: &Template,
+    env: &TypeEnv,
+    root: Result<Arc<ElemPlan>, PxmlError>,
+) -> Vec<PxmlError> {
     let _span = obs::span!("pxml.check");
-    let mut errors = Vec::new();
-    let checker = Checker {
-        compiled,
-        template,
-        env,
+    let errors = match root {
+        Ok(plan) => {
+            let mut errors = Vec::new();
+            let checker = Checker {
+                compiled,
+                template,
+                env,
+            };
+            checker.check_element(template.root, &plan, &mut errors);
+            errors
+        }
+        Err(error) => vec![error],
     };
-    checker.check_element(template.root, root_type, &mut errors);
     record_check(&errors);
     errors
 }
@@ -102,36 +138,29 @@ impl<'a> Checker<'a> {
             .unwrap_or_default()
     }
 
-    fn check_element(&self, node: dom::NodeId, type_ref: &TypeRef, errors: &mut Vec<PxmlError>) {
+    fn check_element(&self, node: dom::NodeId, plan: &ElemPlan, errors: &mut Vec<PxmlError>) {
         let doc = &self.template.doc;
-        let schema = self.compiled.schema();
         let element = doc.tag_name(node).unwrap_or_default().to_string();
         let pos = self.pos(node);
+        if plan.abstract_type.is_some() {
+            errors.push(PxmlError::at(PxmlErrorKind::Abstract(element.clone()), pos));
+        }
 
         // ---- attributes ---------------------------------------------------
-        let declared = match type_ref {
-            TypeRef::Named(n) | TypeRef::Anonymous(n) => {
-                schema.effective_attributes(n).unwrap_or_default()
-            }
-            TypeRef::Builtin(_) => Vec::new(),
-        };
-        let present = doc.attributes(node).unwrap_or(&[]).to_vec();
-        for attr in &present {
+        let present = doc.attributes(node).unwrap_or(&[]);
+        for attr in present {
             if &*attr.name == "xmlns" || attr.name.starts_with("xmlns:") {
                 continue;
             }
-            let decl = match declared.iter().find(|d| *d.name == *attr.name) {
-                Some(d) => d,
-                None => {
-                    errors.push(PxmlError::at(
-                        PxmlErrorKind::UndeclaredAttribute {
-                            element: element.clone(),
-                            attribute: attr.name.to_string(),
-                        },
-                        pos,
-                    ));
-                    continue;
-                }
+            let Some(declared) = plan.attrs.iter().find(|a| *a.decl.name == *attr.name) else {
+                errors.push(PxmlError::at(
+                    PxmlErrorKind::UndeclaredAttribute {
+                        element: element.clone(),
+                        attribute: attr.name.to_string(),
+                    },
+                    pos,
+                ));
+                continue;
             };
             match split_holes(&attr.value) {
                 Ok(parts) => {
@@ -157,7 +186,7 @@ impl<'a> Checker<'a> {
                     }
                     if !has_hole {
                         // literal value: fully checkable now
-                        if let Err(e) = schema.validate_simple_value(&decl.type_ref, &attr.value) {
+                        if let Err(e) = check_value(&declared.check, &attr.value) {
                             errors.push(PxmlError::at(
                                 PxmlErrorKind::BadAttributeValue {
                                     element: element.clone(),
@@ -167,7 +196,7 @@ impl<'a> Checker<'a> {
                                 pos,
                             ));
                         }
-                        if let Some(fixed) = &decl.fixed {
+                        if let Some(fixed) = &declared.decl.fixed {
                             if &attr.value != fixed {
                                 errors.push(PxmlError::at(
                                     PxmlErrorKind::BadAttributeValue {
@@ -184,7 +213,7 @@ impl<'a> Checker<'a> {
                 Err(e) => errors.push(PxmlError::at(PxmlErrorKind::HoleSyntax(e.message), pos)),
             }
         }
-        for decl in &declared {
+        for AttrPlan { decl, .. } in plan.attrs.iter() {
             if decl.required && !present.iter().any(|a| *a.name == *decl.name) {
                 errors.push(PxmlError::at(
                     PxmlErrorKind::MissingAttribute {
@@ -197,29 +226,13 @@ impl<'a> Checker<'a> {
         }
 
         // ---- content -------------------------------------------------------
-        let (complex_name, mixed, simple) = self.classify(type_ref);
-        match complex_name {
-            Some(type_name) => {
-                self.check_complex_content(node, &element, &type_name, mixed, errors)
-            }
-            None => self.check_simple_content(node, &element, simple.as_ref(), errors),
-        }
-    }
-
-    /// Classifies the content of `type_ref`:
-    /// `(complex type name for DFA, mixed, simple content type)`.
-    fn classify(&self, type_ref: &TypeRef) -> (Option<String>, bool, Option<TypeRef>) {
-        match type_ref {
-            TypeRef::Builtin(_) => (None, false, Some(type_ref.clone())),
-            TypeRef::Named(n) | TypeRef::Anonymous(n) => match self.compiled.schema().type_def(n) {
-                Some(TypeDef::Simple(_)) => (None, false, Some(type_ref.clone())),
-                Some(TypeDef::Complex(ct)) => match &ct.content {
-                    ContentModel::Simple(inner) => (None, false, Some(inner.clone())),
-                    ContentModel::Mixed(_) => (Some(n.clone()), true, None),
-                    _ => (Some(n.clone()), false, None),
-                },
-                None => (None, false, None),
-            },
+        match &plan.content {
+            ContentPlan::Complex {
+                type_sym,
+                dfa,
+                mixed,
+            } => self.check_complex_content(node, &element, *type_sym, dfa, *mixed, errors),
+            ContentPlan::Simple(check) => self.check_simple_content(node, &element, check, errors),
         }
     }
 
@@ -227,25 +240,12 @@ impl<'a> Checker<'a> {
         &self,
         node: dom::NodeId,
         element: &str,
-        type_name: &str,
+        type_sym: Sym,
+        dfa: &automata::ContentDfa,
         mixed: bool,
         errors: &mut Vec<PxmlError>,
     ) {
         let doc = &self.template.doc;
-        let schema = self.compiled.schema();
-        let dfa = match self.compiled.content_dfa(type_name) {
-            Ok(d) => d,
-            Err(e) => {
-                errors.push(PxmlError::at(
-                    PxmlErrorKind::BadSimpleValue {
-                        element: element.to_string(),
-                        message: e.to_string(),
-                    },
-                    self.pos(node),
-                ));
-                return;
-            }
-        };
         let mut matcher = dfa.start();
         let mut content_ok = true;
         for child in doc.child_vec(node).unwrap_or_default() {
@@ -265,8 +265,8 @@ impl<'a> Checker<'a> {
                             content_ok = false;
                         }
                     }
-                    match schema.child_element_type(type_name, &name) {
-                        Some(t) => self.check_element(child, &t, errors),
+                    match self.compiled.sym_index().child_named(type_sym, &name) {
+                        Some((_, plan)) => self.check_element(child, plan, errors),
                         None => {
                             if content_ok {
                                 // DFA accepted it through a substitution
@@ -358,7 +358,7 @@ impl<'a> Checker<'a> {
         &self,
         node: dom::NodeId,
         element: &str,
-        simple: Option<&TypeRef>,
+        check: &SimpleCheck,
         errors: &mut Vec<PxmlError>,
     ) {
         let doc = &self.template.doc;
@@ -395,17 +395,14 @@ impl<'a> Checker<'a> {
                     }
                 }
                 if !has_hole {
-                    if let Some(simple) = simple {
-                        if let Err(e) = self.compiled.schema().validate_simple_value(simple, &text)
-                        {
-                            errors.push(PxmlError::at(
-                                PxmlErrorKind::BadSimpleValue {
-                                    element: element.to_string(),
-                                    message: e.to_string(),
-                                },
-                                self.pos(node),
-                            ));
-                        }
+                    if let Err(e) = check_value(check, &text) {
+                        errors.push(PxmlError::at(
+                            PxmlErrorKind::BadSimpleValue {
+                                element: element.to_string(),
+                                message: e.to_string(),
+                            },
+                            self.pos(node),
+                        ));
                     }
                 }
             }

@@ -29,6 +29,9 @@ pub enum PxmlErrorKind {
     HoleSyntax(String),
     /// The root element's type cannot be determined from the schema.
     UnknownRootElement(String),
+    /// An element whose declaration or type is abstract: only its
+    /// substitution-group members or derived types may appear.
+    Abstract(String),
     /// A `$var$` that is not in the type environment.
     UnboundVariable(String),
     /// An element-typed variable used inside an attribute value.
@@ -111,6 +114,9 @@ impl fmt::Display for PxmlErrorKind {
             PxmlErrorKind::HoleSyntax(m) => write!(f, "hole syntax error: {m}"),
             PxmlErrorKind::UnknownRootElement(n) => {
                 write!(f, "cannot determine the schema type of root element <{n}>")
+            }
+            PxmlErrorKind::Abstract(n) => {
+                write!(f, "<{n}> is abstract and cannot be instantiated")
             }
             PxmlErrorKind::UnboundVariable(v) => write!(f, "unbound variable ${v}$"),
             PxmlErrorKind::ElementHoleInAttribute {

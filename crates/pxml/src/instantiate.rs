@@ -231,11 +231,18 @@ fn instantiate_inner(
     holes: &mut u64,
 ) -> Result<Fragment, InstantiateError> {
     let tag = template.root_tag().to_string();
-    let type_ref = resolve_element_type(compiled.schema(), &tag).ok_or_else(|| {
-        InstantiateError::Binding(format!("root element <{tag}> is not declared"))
-    })?;
     let mut td = TypedDocument::new(compiled.clone());
-    let root = td.create_root_typed(&tag, &type_ref)?;
+    // a global declaration's root plan (an abstract one is refused), else
+    // the first local declaration with the root's tag
+    let root = if compiled.schema().element(&tag).is_some() {
+        td.create_root(&tag)?
+    } else {
+        let type_ref = resolve_element_type(compiled.schema(), &tag).ok_or_else(|| {
+            InstantiateError::Binding(format!("root element <{tag}> is not declared"))
+        })?;
+        td.create_root_typed(&tag, &type_ref)?
+    };
+    let type_ref = td.type_of(root)?.clone();
     fill(&mut td, root, template, template.root, bindings, holes)?;
     let doc = td.seal()?;
     let root = doc.root_element().expect("sealed fragment has a root");

@@ -20,6 +20,13 @@
 //!   exactly the declared type,
 //! * content-model completeness at each dynamic element's close.
 //!
+//! The lowering reads the same element plans (`schema::ElemPlan`) the
+//! checker and the validators read: each element's attributes with their
+//! resolved value checks, and its content regime. An element hole keeps
+//! its parent type's symbol, so a splice looks its child's plan up and
+//! steps the parent's DFA by the child's symbol, with no name resolved
+//! against the schema per render.
+//!
 //! The interpreter in [`crate::instantiate`](mod@crate::instantiate) is
 //! kept as the differential oracle: for every binding set, `render` produces the
 //! same bytes as `instantiate(..)` + [`Fragment::to_xml`] — or the same
@@ -39,16 +46,16 @@ use std::sync::Arc;
 
 use automata::{ContentDfa, DfaMatcher, Matcher};
 use dom::{Document, NodeId, NodeKind};
-use schema::{check_value, CompiledSchema, ContentModel, SimpleCheck, TypeDef, TypeRef};
+use schema::{check_value, AttrPlan, CompiledSchema, ContentPlan, ElemPlan, SimpleCheck, TypeRef};
 use symbols::Sym;
 use vdom::VdomError;
 use xmlchars::{escape_attribute, escape_text, is_xml_whitespace};
 
-use crate::check::{check_template, check_template_as};
+use crate::check::{check_template, check_template_as, root_plan};
 use crate::error::PxmlError;
 use crate::holes::{split_holes_ref, PartRef};
 use crate::instantiate::{unbound, Bindings, Fragment, InstantiateError, RenderedFragment, Value};
-use crate::template::{resolve_element_type, Template, TypeEnv};
+use crate::template::{Template, TypeEnv};
 
 /// One literal-or-hole piece of an attribute value or simple-content
 /// body, with `$$` escapes already resolved.
@@ -90,7 +97,8 @@ enum Op {
     Hole {
         name: String,
         element: String,
-        type_name: String,
+        /// The parent's complex type, the key of its child plans.
+        type_sym: Sym,
         mixed: bool,
     },
     /// Assemble simple-typed content from parts, validate the value,
@@ -99,7 +107,7 @@ enum Op {
         element: String,
         parts: Vec<TextPart>,
         /// The content's simple type, resolved when the plan was built.
-        simple: Option<SimpleCheck>,
+        simple: SimpleCheck,
     },
     /// Pop the innermost matcher and require an accepting state.
     CloseContent { element: String },
@@ -136,9 +144,8 @@ pub fn plan(
     if !errors.is_empty() {
         return Err(errors);
     }
-    let type_ref = resolve_element_type(compiled.schema(), template.root_tag())
-        .expect("check passed, so the root element resolves");
-    lower(compiled, template, &type_ref)
+    let root = root_plan(compiled, template).expect("check passed, so the root element resolves");
+    lower(compiled, template, &root)
 }
 
 /// Checks `template` against an explicit root type and lowers it.
@@ -152,13 +159,13 @@ pub fn plan_as(
     if !errors.is_empty() {
         return Err(errors);
     }
-    lower(compiled, template, root_type)
+    lower(compiled, template, &compiled.elem_plan(root_type))
 }
 
 fn lower(
     compiled: &CompiledSchema,
     template: &Template,
-    root_type: &TypeRef,
+    root: &ElemPlan,
 ) -> Result<CompiledTemplate, Vec<PxmlError>> {
     let _span = obs::span!("pxml.plan");
     let mut lowerer = Lowerer {
@@ -167,7 +174,7 @@ fn lower(
         ops: Vec::new(),
         holes: 0,
     };
-    lowerer.lower_element(template.root, root_type);
+    lowerer.lower_element(template.root, root);
     let static_len = lowerer
         .ops
         .iter()
@@ -187,7 +194,7 @@ fn lower(
     Ok(CompiledTemplate {
         compiled: compiled.clone(),
         root_tag: template.root_tag().to_string(),
-        type_ref: root_type.clone(),
+        type_ref: root.type_ref.clone(),
         ops: lowerer.ops,
         static_len,
         hole_count: lowerer.holes,
@@ -212,7 +219,7 @@ struct Lowerer<'a> {
     holes: usize,
 }
 
-impl Lowerer<'_> {
+impl<'a> Lowerer<'a> {
     /// Appends static bytes, merging with a trailing static segment.
     fn emit(&mut self, bytes: &[u8]) {
         if let Some(Op::Static(last)) = self.ops.last_mut() {
@@ -222,51 +229,40 @@ impl Lowerer<'_> {
         }
     }
 
-    /// Same classification as the checker: `(complex type name for the
-    /// content DFA, mixed, simple content type)`.
-    fn classify(&self, type_ref: &TypeRef) -> (Option<String>, bool, Option<TypeRef>) {
-        match type_ref {
-            TypeRef::Builtin(_) => (None, false, Some(type_ref.clone())),
-            TypeRef::Named(n) | TypeRef::Anonymous(n) => match self.compiled.schema().type_def(n) {
-                Some(TypeDef::Simple(_)) => (None, false, Some(type_ref.clone())),
-                Some(TypeDef::Complex(ct)) => match &ct.content {
-                    ContentModel::Simple(inner) => (None, false, Some(inner.clone())),
-                    ContentModel::Mixed(_) => (Some(n.clone()), true, None),
-                    _ => (Some(n.clone()), false, None),
-                },
-                None => (None, false, None),
-            },
-        }
+    /// The symbol and plan of the static child `name` under complex type
+    /// `type_sym`.
+    fn child_plan(&self, type_sym: Sym, name: &str) -> (Sym, &'a Arc<ElemPlan>) {
+        self.compiled
+            .sym_index()
+            .child_named(type_sym, name)
+            .expect("check passed, so every static child is declared")
     }
 
-    fn lower_element(&mut self, node: NodeId, type_ref: &TypeRef) {
+    fn lower_element(&mut self, node: NodeId, plan: &ElemPlan) {
         let doc = &self.template.doc;
         let tag = doc.tag_name(node).unwrap_or_default().to_string();
         self.emit(b"<");
         self.emit(tag.as_bytes());
-        self.lower_attributes(node, &tag, type_ref);
-        let (complex_name, mixed, simple) = self.classify(type_ref);
-        match complex_name {
-            Some(type_name) => self.lower_complex(node, &tag, &type_name, mixed),
-            None => self.lower_simple(node, &tag, simple.as_ref()),
+        self.lower_attributes(node, &tag, &plan.attrs);
+        match &plan.content {
+            ContentPlan::Complex {
+                type_sym,
+                dfa,
+                mixed,
+            } => self.lower_complex(node, &tag, *type_sym, dfa, *mixed),
+            ContentPlan::Simple(check) => self.lower_simple(node, &tag, check),
         }
     }
 
-    fn lower_attributes(&mut self, node: NodeId, tag: &str, type_ref: &TypeRef) {
+    fn lower_attributes(&mut self, node: NodeId, tag: &str, declared: &[AttrPlan]) {
         let doc = &self.template.doc;
-        let declared = match type_ref {
-            TypeRef::Named(n) | TypeRef::Anonymous(n) => self.compiled.effective_attributes(n).ok(),
-            TypeRef::Builtin(_) => None,
-        };
         for attr in doc.attributes(node).unwrap_or(&[]) {
             if &*attr.name == "xmlns" || attr.name.starts_with("xmlns:") {
                 continue;
             }
-            let decl = declared
-                .as_deref()
-                .unwrap_or(&[])
+            let AttrPlan { decl, check } = declared
                 .iter()
-                .find(|d| *d.name == *attr.name)
+                .find(|a| *a.decl.name == *attr.name)
                 .expect("check passed, so every template attribute is declared");
             let parts: Vec<TextPart> = split_holes_ref(&attr.value)
                 .expect("check passed, so hole syntax is valid")
@@ -289,7 +285,7 @@ impl Lowerer<'_> {
                     element: tag.to_string(),
                     attribute: attr.name.to_string(),
                     parts,
-                    check: self.compiled.simple_plan(&decl.type_ref),
+                    check: check.clone(),
                     fixed: decl.fixed.clone(),
                 });
             } else {
@@ -304,11 +300,7 @@ impl Lowerer<'_> {
                         TextPart::Hole(_) => unreachable!(),
                     })
                     .collect();
-                let valid = self
-                    .compiled
-                    .schema()
-                    .validate_simple_value(&decl.type_ref, &value)
-                    .is_ok()
+                let valid = check_value(check, &value).is_ok()
                     && decl.fixed.as_ref().is_none_or(|f| f == &value);
                 if valid {
                     self.emit(escape_attribute(&value).as_bytes());
@@ -317,7 +309,7 @@ impl Lowerer<'_> {
                         element: tag.to_string(),
                         attribute: attr.name.to_string(),
                         parts: vec![TextPart::Lit(value)],
-                        check: self.compiled.simple_plan(&decl.type_ref),
+                        check: check.clone(),
                         fixed: decl.fixed.clone(),
                     });
                 }
@@ -357,7 +349,14 @@ impl Lowerer<'_> {
         items
     }
 
-    fn lower_complex(&mut self, node: NodeId, tag: &str, type_name: &str, mixed: bool) {
+    fn lower_complex(
+        &mut self,
+        node: NodeId,
+        tag: &str,
+        type_sym: Sym,
+        dfa: &Arc<ContentDfa>,
+        mixed: bool,
+    ) {
         let items = self.content_items(node);
         let has_hole = items.iter().any(|i| matches!(i, Item::Hole(_)));
         let static_node = items
@@ -375,11 +374,8 @@ impl Lowerer<'_> {
             for item in items {
                 match item {
                     Item::Elem(child, name) => {
-                        let child_type = self
-                            .compiled
-                            .child_element_type(type_name, &name)
-                            .expect("check passed, so every static child is declared");
-                        self.lower_element(child, &child_type);
+                        let (_, plan) = self.child_plan(type_sym, &name);
+                        self.lower_element(child, plan);
                     }
                     Item::Lit(text) => self.emit(escape_text(&text).as_bytes()),
                     Item::Hole(_) => unreachable!(),
@@ -393,10 +389,6 @@ impl Lowerer<'_> {
 
         // holed content: verify the static prefix now, snapshot the DFA
         // state at the first hole, and leave the suffix to render time
-        let dfa = self
-            .compiled
-            .content_dfa(type_name)
-            .expect("check passed, so the content model compiles");
         let mut matcher = dfa.start();
         let mut entry = matcher.state();
         let mut seen_hole = false;
@@ -419,7 +411,10 @@ impl Lowerer<'_> {
                 Item::Lit(_) => {}
             }
         }
-        self.ops.push(Op::PushMatcher { dfa, entry });
+        self.ops.push(Op::PushMatcher {
+            dfa: dfa.clone(),
+            entry,
+        });
         if static_node {
             self.emit(b">");
         } else {
@@ -429,18 +424,15 @@ impl Lowerer<'_> {
         for item in items {
             match item {
                 Item::Elem(child, name) => {
+                    let (sym, plan) = self.child_plan(type_sym, &name);
                     if !before_entry {
                         self.ops.push(Op::StepStatic {
-                            sym: symbols::intern(&name),
+                            sym,
                             name: name.clone(),
                             element: tag.to_string(),
                         });
                     }
-                    let child_type = self
-                        .compiled
-                        .child_element_type(type_name, &name)
-                        .expect("check passed, so every static child is declared");
-                    self.lower_element(child, &child_type);
+                    self.lower_element(child, plan);
                 }
                 Item::Lit(text) => self.emit(escape_text(&text).as_bytes()),
                 Item::Hole(name) => {
@@ -449,7 +441,7 @@ impl Lowerer<'_> {
                     self.ops.push(Op::Hole {
                         name,
                         element: tag.to_string(),
-                        type_name: type_name.to_string(),
+                        type_sym,
                         mixed,
                     });
                 }
@@ -469,7 +461,7 @@ impl Lowerer<'_> {
         }
     }
 
-    fn lower_simple(&mut self, node: NodeId, tag: &str, simple: Option<&TypeRef>) {
+    fn lower_simple(&mut self, node: NodeId, tag: &str, check: &SimpleCheck) {
         let items = self.content_items(node);
         let mut parts = Vec::new();
         for item in items {
@@ -494,15 +486,7 @@ impl Lowerer<'_> {
                     TextPart::Hole(_) => unreachable!(),
                 })
                 .collect();
-            let valid = match simple {
-                Some(s) => self
-                    .compiled
-                    .schema()
-                    .validate_simple_value(s, &value)
-                    .is_ok(),
-                None => true,
-            };
-            if valid {
+            if check_value(check, &value).is_ok() {
                 if value.is_empty() {
                     self.emit(b"/>");
                 } else {
@@ -517,7 +501,7 @@ impl Lowerer<'_> {
                 self.ops.push(Op::SimpleBody {
                     element: tag.to_string(),
                     parts,
-                    simple: simple.map(|s| self.compiled.simple_plan(s)),
+                    simple: check.clone(),
                 });
                 self.emit(b"</");
                 self.emit(tag.as_bytes());
@@ -533,7 +517,7 @@ impl Lowerer<'_> {
         let body = Op::SimpleBody {
             element: tag.to_string(),
             parts,
-            simple: simple.map(|s| self.compiled.simple_plan(s)),
+            simple: check.clone(),
         };
         if static_node {
             self.emit(b">");
@@ -728,7 +712,7 @@ impl CompiledTemplate {
                 Op::Hole {
                     name,
                     element,
-                    type_name,
+                    type_sym,
                     mixed,
                 } => {
                     let value = bindings.get(name).ok_or_else(|| unbound(name))?;
@@ -736,7 +720,7 @@ impl CompiledTemplate {
                         value,
                         name,
                         element,
-                        type_name,
+                        *type_sym,
                         *mixed,
                         &mut matchers,
                         &mut nodes,
@@ -809,13 +793,11 @@ impl CompiledTemplate {
                             Cow::Owned(raw)
                         }
                     };
-                    if let Some(check) = simple {
-                        check_value(check, &raw).map_err(|error| VdomError::Simple {
-                            element: element.clone(),
-                            attribute: None,
-                            error,
-                        })?;
-                    }
+                    check_value(simple, &raw).map_err(|error| VdomError::Simple {
+                        element: element.clone(),
+                        attribute: None,
+                        error,
+                    })?;
                     // empty text makes no node in the typed layer, so it
                     // must not force a full close tag here either
                     if !raw.is_empty() {
@@ -844,7 +826,7 @@ impl CompiledTemplate {
         value: &Value,
         name: &str,
         element: &str,
-        type_name: &str,
+        type_sym: Sym,
         mixed: bool,
         matchers: &mut [DfaMatcher],
         nodes: &mut u64,
@@ -865,21 +847,21 @@ impl CompiledTemplate {
                 }
             }
             Value::Fragment(f) => {
-                self.splice_fragment(f, name, element, type_name, matchers, nodes, out)?
+                self.splice_fragment(f, name, element, type_sym, matchers, nodes, out)?
             }
             Value::FragmentList(fs) => {
                 for f in fs {
-                    self.splice_fragment(f, name, element, type_name, matchers, nodes, out)?;
+                    self.splice_fragment(f, name, element, type_sym, matchers, nodes, out)?;
                 }
             }
             Value::Rendered(r) => {
-                self.check_splice(&r.tag, &r.type_ref, name, element, type_name, matchers)?;
+                self.check_splice(&r.tag, &r.type_ref, name, element, type_sym, matchers)?;
                 out.extend_from_slice(r.xml.as_bytes());
                 *nodes += 1;
             }
             Value::RenderedList(rs) => {
                 for r in rs {
-                    self.check_splice(&r.tag, &r.type_ref, name, element, type_name, matchers)?;
+                    self.check_splice(&r.tag, &r.type_ref, name, element, type_sym, matchers)?;
                     out.extend_from_slice(r.xml.as_bytes());
                     *nodes += 1;
                 }
@@ -894,42 +876,54 @@ impl CompiledTemplate {
         f: &Fragment,
         name: &str,
         element: &str,
-        type_name: &str,
+        type_sym: Sym,
         matchers: &mut [DfaMatcher],
         nodes: &mut u64,
         out: &mut Vec<u8>,
     ) -> Result<(), InstantiateError> {
-        self.check_splice(&f.tag, &f.type_ref, name, element, type_name, matchers)?;
+        self.check_splice(&f.tag, &f.type_ref, name, element, type_sym, matchers)?;
         write_filtered(&f.doc, f.root, out).map_err(|e| VdomError::Dom(e.to_string()))?;
         *nodes += 1;
         Ok(())
     }
 
-    /// The fragment residue: declared child, content-model step,
-    /// declared type. Mirrors the typed `append_element` check order
-    /// (lookup, then step), with the type-equality residue last.
+    /// The fragment residue: declared child, concrete type, content-model
+    /// step, declared type. Mirrors the typed `append_element` check
+    /// order (lookup, then abstract, then step), with the type-equality
+    /// residue last.
     fn check_splice(
         &self,
         tag: &str,
         frag_type: &TypeRef,
         name: &str,
         element: &str,
-        type_name: &str,
+        type_sym: Sym,
         matchers: &mut [DfaMatcher],
     ) -> Result<(), InstantiateError> {
-        let child_type = self
+        let (sym, child) = self
             .compiled
-            .child_element_type(type_name, tag)
+            .sym_index()
+            .child_named(type_sym, tag)
             .ok_or_else(|| VdomError::UnknownChild {
                 parent: element.to_string(),
                 child: tag.to_string(),
             })?;
+        if child.abstract_type.is_some() {
+            return Err(VdomError::Abstract(tag.to_string()).into());
+        }
         let m = matchers.last_mut().expect("hole under a matcher");
-        m.step(tag).map_err(|step| VdomError::ContentModel {
-            parent: element.to_string(),
-            step,
-        })?;
-        if frag_type != &child_type {
+        if !m.try_step_sym(sym) {
+            let step = m
+                .step(tag)
+                .expect_err("sym and name transition tables agree");
+            return Err(VdomError::ContentModel {
+                parent: element.to_string(),
+                step,
+            }
+            .into());
+        }
+        let child_type = &child.type_ref;
+        if frag_type != child_type {
             return Err(InstantiateError::Binding(format!(
                 "fragment for ${name}$ has type {frag_type:?} \
                  but <{tag}> in <{element}> is declared as {child_type:?}"

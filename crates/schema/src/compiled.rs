@@ -4,10 +4,10 @@
 //! Two layers of sharing:
 //!
 //! * a **per-schema table**, the frozen [`SymIndex`], built by
-//!   [`CompiledSchema::new`]: every complex type's content DFA and
-//!   effective attributes, and every element plan. Every per-type
-//!   question a caller asks is answered from it, and nothing a caller asks
-//!   adds to it;
+//!   [`CompiledSchema::new`]: every element plan, one per complex type
+//!   (its content DFA and effective attributes) and one per root and
+//!   child declaration. Every per-type question a caller asks is answered
+//!   from it, and nothing a caller asks adds to it;
 //! * a **process-global intern table** (`content expression →
 //!   Arc<ContentDfa>`), so *identical content models* — across types,
 //!   across schemas, across registry entries — compile exactly once and
@@ -27,10 +27,10 @@ use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
 
 use automata::{ContentDfa, ContentExpr, Glushkov};
 
-use crate::components::{AttributeUse, ContentModel, Schema, TypeDef, TypeRef};
+use crate::components::{AttributeUse, Schema, TypeRef};
 use crate::error::{SchemaError, SchemaErrorKind};
 use crate::resolve::{SimpleCheck, SimpleTypeError};
-use crate::symtab::SymIndex;
+use crate::symtab::{ContentPlan, ElemPlan, SymIndex};
 
 /// The process-global DFA intern table. Keyed by the (unexpanded)
 /// content expression, which derives `Hash`/`Eq` structurally — two
@@ -67,12 +67,14 @@ pub(crate) fn intern_dfa(
     // the expansion is dropped before the subset construction starts
     let glushkov = Glushkov::construct(&expr.expand_occurrences().map_err(|bound| {
         SchemaError::nowhere(SchemaErrorKind::BadOccurs(format!(
-            "maxOccurs={bound} too large for DFA construction"
+            "maxOccurs={bound} in complex type {type_name} too large for DFA construction"
         )))
     })?);
-    glushkov
-        .check_determinism()
-        .map_err(|e| SchemaError::nowhere(SchemaErrorKind::Ambiguous(e.to_string())))?;
+    glushkov.check_determinism().map_err(|e| {
+        SchemaError::nowhere(SchemaErrorKind::Ambiguous(format!(
+            "complex type {type_name:?}: {e}"
+        )))
+    })?;
     let mut table = intern_table();
     let dfa = match table.get(expr) {
         Some(dfa) => {
@@ -176,30 +178,30 @@ impl CompiledSchema {
     /// schema) with structurally identical content models get
     /// pointer-equal `Arc<ContentDfa>`s.
     pub fn content_dfa(&self, type_name: &str) -> Result<Arc<ContentDfa>, SimpleTypeError> {
-        match self.sym_index.complex_type(type_name) {
-            Some(entry) => Ok(entry.dfa.clone()),
-            // not a complex type: the walk reports why
-            None => Err(self
-                .schema
-                .content_expr(type_name)
-                .expect_err("every complex type is indexed")),
+        match self
+            .sym_index
+            .complex_type(type_name)
+            .map(|plan| &plan.content)
+        {
+            Some(ContentPlan::Complex { dfa, .. }) => Ok(dfa.clone()),
+            // not a complex type, or one with simple content, whose plan
+            // steps no automaton: the walk reports why, or finds the
+            // model the index build interned
+            _ => {
+                let expr = self.schema.content_expr(type_name)?;
+                Ok(intern_dfa(&expr, type_name).expect("every complex type's model is interned"))
+            }
         }
     }
 
-    /// Whether the content of `type_name` allows interleaved text.
+    /// Whether the content of `type_ref` allows interleaved text.
     ///
     /// `true` for mixed and simple content; `false` for element-only and
-    /// empty content.
+    /// empty content, and for a type that does not resolve.
     pub fn allows_text(&self, type_ref: &TypeRef) -> bool {
-        match type_ref {
-            TypeRef::Builtin(_) => true,
-            TypeRef::Named(n) | TypeRef::Anonymous(n) => match self.schema.types.get(n) {
-                Some(TypeDef::Simple(_)) => true,
-                Some(TypeDef::Complex(c)) => {
-                    matches!(c.content, ContentModel::Mixed(_) | ContentModel::Simple(_))
-                }
-                None => false,
-            },
+        match &self.elem_plan(type_ref).content {
+            ContentPlan::Simple(check) => check.is_ok(),
+            ContentPlan::Complex { mixed, .. } => *mixed,
         }
     }
 
@@ -209,7 +211,7 @@ impl CompiledSchema {
         type_name: &str,
     ) -> Result<Arc<[AttributeUse]>, SimpleTypeError> {
         match self.sym_index.complex_type(type_name) {
-            Some(entry) => Ok(entry.attrs.clone()),
+            Some(plan) => Ok(plan.attrs.iter().map(|a| a.decl.clone()).collect()),
             // not a complex type: the walk reports why
             None => self.schema.effective_attributes(type_name).map(Arc::from),
         }
@@ -219,13 +221,24 @@ impl CompiledSchema {
     /// `None` when the type declares no such child.
     pub fn child_element_type(&self, type_name: &str, child: &str) -> Option<TypeRef> {
         let index = self.sym_index();
-        let parent = index.complex_type(type_name)?.sym;
-        let plan = index.child(parent, index.sym(child)?)?;
+        let ContentPlan::Complex { type_sym, .. } = index.complex_type(type_name)?.content else {
+            return None;
+        };
+        let plan = index.child(type_sym, index.sym(child)?)?;
         Some(plan.type_ref.clone())
     }
 
-    /// The frozen per-schema tables: per-type facts and per-element open
-    /// plans keyed by interned QNames. Every per-type accessor here and
+    /// How an element of type `type_ref` validates: the index's plan for
+    /// a complex type, and for any other type a plan with simple content,
+    /// no attributes and [`simple_plan`](Self::simple_plan)'s check.
+    pub fn elem_plan(&self, type_ref: &TypeRef) -> Arc<ElemPlan> {
+        self.sym_index
+            .complex_plan(type_ref)
+            .unwrap_or_else(|| Arc::new(ElemPlan::simple(type_ref, self.simple_plan(type_ref))))
+    }
+
+    /// The frozen per-schema tables: per-type and per-element open plans
+    /// keyed by interned QNames. Every per-type accessor here and
     /// the streaming validator's zero-allocation hot path answer from it.
     pub fn sym_index(&self) -> &SymIndex {
         &self.sym_index

@@ -228,13 +228,21 @@ impl Schema {
         if let ContentModel::ElementOnly(p) | ContentModel::Mixed(p) = &c.content {
             self.check_particle(p)?;
         }
-        for a in self
-            .effective_attributes(&c.name)
-            .map_err(simple_to_schema)?
-        {
-            self.check_type_ref(&a.type_ref)?;
+        // the type's own attribute uses and groups, in place; its base's
+        // are checked with the base
+        for name in &c.attribute_groups {
+            let group = self
+                .attribute_groups
+                .get(name)
+                .ok_or_else(|| simple_to_schema(SimpleTypeError::Unresolved(name.clone())))?;
+            group
+                .attributes
+                .iter()
+                .try_for_each(|a| self.check_type_ref(&a.type_ref))?;
         }
-        Ok(())
+        c.attributes
+            .iter()
+            .try_for_each(|a| self.check_type_ref(&a.type_ref))
     }
 
     fn check_particle(&self, p: &Particle) -> Result<(), SchemaError> {

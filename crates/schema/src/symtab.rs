@@ -5,17 +5,20 @@
 //! The paper compiles content models ahead of time (Sect. 6); this module
 //! extends the idea to the *dispatch* around them and to simple types.
 //! [`CompiledSchema::new`](crate::CompiledSchema::new) builds the index,
-//! so a schema that compiles has every table below ready. For every
-//! complex type, [`SymIndex`] holds its content DFA, its effective
-//! attributes and its symbol; these answer `CompiledSchema`'s per-type
-//! accessors. For every element a schema can ever admit — root
-//! declarations and every `(complex type, child name)` pair — it holds an
-//! [`ElemPlan`]: the declared type, the effective attributes, each with
-//! its resolved [`SimplePlan`](crate::SimplePlan), the abstract-type
-//! verdict, and the content regime (a simple-type plan to check at close,
-//! or a compiled DFA to step). A frozen per-schema name table maps every
-//! element name the schema declares to its symbol. Nothing is added to
-//! any of these tables after the build.
+//! so a schema that compiles has every table below ready. An
+//! [`ElemPlan`] is the one answer to "how does an element of this type
+//! validate?": the declared type, the effective attributes, each with its
+//! resolved [`SimplePlan`](crate::SimplePlan), the abstract-type verdict,
+//! and the content regime (a simple-type plan to check at close, or a
+//! compiled DFA to step). [`SymIndex`] holds one for every element a
+//! schema can ever admit — root declarations and every `(complex type,
+//! child name)` pair — and one per complex type, which answers
+//! `CompiledSchema`'s per-type accessors. The streaming validator, the
+//! incremental validator, V-DOM and the P-XML checker and compiler all
+//! read these plans; none of them decides a rule from the schema
+//! components itself. A frozen per-schema name table maps every element
+//! name the schema declares to its symbol. Nothing is added to any of
+//! these tables after the build.
 //!
 //! At validation time an element costs one hash of its name in that
 //! table and one integer-keyed lookup of its plan; no lock is taken, no
@@ -31,7 +34,7 @@ use automata::ContentDfa;
 use symbols::Sym;
 
 use crate::compiled::intern_dfa;
-use crate::components::{AttributeUse, ContentModel, Schema, TypeDef, TypeRef};
+use crate::components::{AttributeUse, ComplexType, ContentModel, Schema, TypeDef, TypeRef};
 use crate::error::SchemaError;
 use crate::resolve::{simple_to_schema, SimpleCheck};
 
@@ -62,7 +65,8 @@ pub struct AttrPlan {
     pub check: SimpleCheck,
 }
 
-/// The precomputed element-open plan.
+/// The precomputed element-open plan: how an element of one type
+/// validates.
 #[derive(Debug, Clone)]
 pub struct ElemPlan {
     /// Effective attributes with their value checks (empty for
@@ -75,6 +79,19 @@ pub struct ElemPlan {
     pub content: ContentPlan,
     /// The element's declared type.
     pub type_ref: TypeRef,
+}
+
+impl ElemPlan {
+    /// The plan of an element of a simple type (or of a reference that
+    /// does not resolve, which `check` then reports on every value).
+    pub(crate) fn simple(type_ref: &TypeRef, check: SimpleCheck) -> ElemPlan {
+        ElemPlan {
+            attrs: Box::default(),
+            abstract_type: None,
+            content: ContentPlan::Simple(check),
+            type_ref: type_ref.clone(),
+        }
+    }
 }
 
 /// A root element's plan, or the fact that the declaration is abstract.
@@ -133,22 +150,12 @@ impl Hasher for MulHasher {
 
 type FrozenMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
 
-/// One complex type's frozen facts, computed once from the schema.
-#[derive(Debug)]
-pub(crate) struct TypeEntry {
-    /// The type's interned name, the parent half of its child keys.
-    pub(crate) sym: Sym,
-    /// The interned content DFA.
-    pub(crate) dfa: Arc<ContentDfa>,
-    /// The effective attribute uses.
-    pub(crate) attrs: Arc<[AttributeUse]>,
-}
-
 /// The symbol-keyed dispatch tables for one compiled schema.
 #[derive(Debug)]
 pub struct SymIndex {
-    /// Every complex type of the schema, by name.
-    types: FrozenMap<Box<str>, TypeEntry>,
+    /// Every complex type of the schema, by name, to the plan of an
+    /// element of that type.
+    types: FrozenMap<Box<str>, Arc<ElemPlan>>,
     /// Every element name the schema declares or mentions in a content
     /// model, to its global symbol.
     names: FrozenMap<Box<str>, Sym>,
@@ -160,11 +167,11 @@ pub struct SymIndex {
 
 impl SymIndex {
     /// Builds the index: compiles every complex type's content DFA and
-    /// effective attributes, interns every declared name and precomputes
-    /// a plan for every root and every `(complex type, child)` pair the
-    /// schema can admit, resolving each distinct type once. Returns the
-    /// error of the first content model that fails to lower or to
-    /// compile (see `intern_dfa`).
+    /// effective attributes into its plan, interns every declared name
+    /// and precomputes a plan for every root and every `(complex type,
+    /// child)` pair the schema can admit, resolving each distinct type
+    /// once. Returns the error of the first content model that fails to
+    /// lower or to compile (see `intern_dfa`).
     ///
     /// The schema's references must already be checked
     /// (`Schema::check`); only the `Schema` walks are used here, never
@@ -177,29 +184,30 @@ impl SymIndex {
     /// excludes it (the DFA step fails, but the subtree still validates
     /// against the head's type, and the plans must agree with that).
     pub(crate) fn build(schema: &Schema) -> Result<SymIndex, SchemaError> {
-        let mut types = FrozenMap::default();
-        let mut models = Vec::new();
-        for (name, def) in &schema.types {
-            if let TypeDef::Complex(_) = def {
-                let expr = schema.content_expr(name).map_err(simple_to_schema)?;
-                let entry = TypeEntry {
-                    sym: symbols::intern(name),
-                    dfa: intern_dfa(&expr, name)?,
-                    attrs: schema
-                        .effective_attributes(name)
-                        .map_err(simple_to_schema)?
-                        .into(),
-                };
-                models.push((name, entry.sym, expr.symbols()));
-                types.insert(Box::from(name.as_str()), entry);
-            }
-        }
         let mut builder = Builder {
             schema,
-            types,
+            types: FrozenMap::default(),
             elem_plans: HashMap::new(),
             simple: HashMap::new(),
         };
+        let mut models = Vec::new();
+        for (name, def) in &schema.types {
+            let TypeDef::Complex(ct) = def else {
+                continue;
+            };
+            let expr = schema.content_expr(name).map_err(simple_to_schema)?;
+            let type_sym = symbols::intern(name);
+            let dfa = intern_dfa(&expr, name)?;
+            let uses = schema
+                .effective_attributes(name)
+                .map_err(simple_to_schema)?;
+            let plan = Arc::new(builder.type_plan(ct, type_sym, dfa, uses));
+            builder
+                .elem_plans
+                .insert(plan.type_ref.clone(), plan.clone());
+            builder.types.insert(Box::from(name.as_str()), plan);
+            models.push((name, type_sym, expr.symbols()));
+        }
         let mut names: FrozenMap<Box<str>, Sym> = FrozenMap::default();
         let mut name_sym = |name: &str| -> Sym {
             if let Some(&sym) = names.get(name) {
@@ -243,11 +251,17 @@ impl SymIndex {
         })
     }
 
-    /// The frozen facts of complex type `name`, `None` for any name that
-    /// is not one of the schema's complex types.
+    /// The plan of an element of complex type `name`, `None` for any
+    /// name that is not one of the schema's complex types.
     #[inline]
-    pub(crate) fn complex_type(&self, name: &str) -> Option<&TypeEntry> {
+    pub(crate) fn complex_type(&self, name: &str) -> Option<&Arc<ElemPlan>> {
         self.types.get(name)
+    }
+
+    /// The plan of an element of type `type_ref`, `None` unless it names
+    /// one of the schema's complex types.
+    pub(crate) fn complex_plan(&self, type_ref: &TypeRef) -> Option<Arc<ElemPlan>> {
+        complex_plan(&self.types, type_ref)
     }
 
     /// Number of complex types.
@@ -275,6 +289,14 @@ impl SymIndex {
         self.children.get(&(parent_type, child))
     }
 
+    /// The symbol and plan of the child named `name` within complex type
+    /// `parent_type`: [`sym`](Self::sym), then [`child`](Self::child).
+    #[inline]
+    pub fn child_named(&self, parent_type: Sym, name: &str) -> Option<(Sym, &Arc<ElemPlan>)> {
+        let sym = self.sym(name)?;
+        Some((sym, self.child(parent_type, sym)?))
+    }
+
     /// The plan of a simple type some element or attribute of the schema
     /// uses, `None` for any other type reference.
     pub(crate) fn simple(&self, type_ref: &TypeRef) -> Option<&SimpleCheck> {
@@ -292,12 +314,34 @@ impl SymIndex {
     }
 }
 
+/// The plan of an element of type `type_ref` when it names a complex
+/// type in `types`: that type's plan, relabelled when the reference is of
+/// the other kind (named for anonymous, or the reverse).
+fn complex_plan(
+    types: &FrozenMap<Box<str>, Arc<ElemPlan>>,
+    type_ref: &TypeRef,
+) -> Option<Arc<ElemPlan>> {
+    let (TypeRef::Named(name) | TypeRef::Anonymous(name)) = type_ref else {
+        return None;
+    };
+    let plan = types.get(name.as_str())?;
+    Some(if plan.type_ref == *type_ref {
+        plan.clone()
+    } else {
+        Arc::new(ElemPlan {
+            type_ref: type_ref.clone(),
+            ..ElemPlan::clone(plan)
+        })
+    })
+}
+
 /// Memo tables for one index build: each distinct type gets one element
 /// plan and each distinct simple type one [`SimplePlan`], shared by every
 /// element and attribute that uses it.
 struct Builder<'s> {
     schema: &'s Schema,
-    types: FrozenMap<Box<str>, TypeEntry>,
+    /// Every complex type's plan, by name.
+    types: FrozenMap<Box<str>, Arc<ElemPlan>>,
     elem_plans: HashMap<TypeRef, Arc<ElemPlan>>,
     simple: HashMap<TypeRef, SimpleCheck>,
 }
@@ -312,39 +356,33 @@ impl Builder<'_> {
         check
     }
 
+    /// The plan of an element of type `type_ref`, once every complex
+    /// type's plan is built. A checked schema has no dangling reference
+    /// (were one here, its value check would report it).
     fn elem_plan(&mut self, type_ref: &TypeRef) -> Arc<ElemPlan> {
         if let Some(plan) = self.elem_plans.get(type_ref) {
             return plan.clone();
         }
-        let plan = Arc::new(self.build_plan(type_ref));
+        let plan = complex_plan(&self.types, type_ref)
+            .unwrap_or_else(|| Arc::new(ElemPlan::simple(type_ref, self.simple_check(type_ref))));
         self.elem_plans.insert(type_ref.clone(), plan.clone());
         plan
     }
 
-    /// Derives the open plan for one type reference.
-    fn build_plan(&mut self, type_ref: &TypeRef) -> ElemPlan {
-        let simple = |this: &mut Self, content: &TypeRef| ElemPlan {
-            attrs: Box::default(),
-            abstract_type: None,
-            content: ContentPlan::Simple(this.simple_check(content)),
-            type_ref: type_ref.clone(),
-        };
-        let name = match type_ref {
-            TypeRef::Builtin(_) => return simple(self, type_ref),
-            TypeRef::Named(name) | TypeRef::Anonymous(name) => name,
-        };
-        let Some(TypeDef::Complex(ct)) = self.schema.type_def(name) else {
-            // a simple type; a checked schema has no dangling reference
-            // (were one here, its value check would report it)
-            return simple(self, type_ref);
-        };
-        let entry = &self.types[name.as_str()];
-        let (type_sym, dfa, uses) = (entry.sym, entry.dfa.clone(), entry.attrs.clone());
+    /// The plan of an element of complex type `ct`, from the type's
+    /// symbol, content DFA and effective attribute uses.
+    fn type_plan(
+        &mut self,
+        ct: &ComplexType,
+        type_sym: Sym,
+        dfa: Arc<ContentDfa>,
+        uses: Vec<AttributeUse>,
+    ) -> ElemPlan {
         let attrs = uses
-            .iter()
+            .into_iter()
             .map(|decl| AttrPlan {
-                decl: decl.clone(),
                 check: self.simple_check(&decl.type_ref),
+                decl,
             })
             .collect();
         let content = match &ct.content {
@@ -355,11 +393,16 @@ impl Builder<'_> {
                 mixed: matches!(model, ContentModel::Mixed(_)),
             },
         };
+        let name = ct.name.clone();
         ElemPlan {
             attrs,
             abstract_type: ct.is_abstract.then(|| name.clone()),
             content,
-            type_ref: type_ref.clone(),
+            type_ref: if ct.anonymous {
+                TypeRef::Anonymous(name)
+            } else {
+                TypeRef::Named(name)
+            },
         }
     }
 }

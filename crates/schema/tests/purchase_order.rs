@@ -284,7 +284,7 @@ fn bad_schemas_rejected() {
             "ambiguous complex type that no element uses: a?, a",
             xsd(optional_then_required),
             "Ambiguous",
-            r#"content model violates unique particle attribution: element "a" is matched by competing particles #0 and #1 at 1:1"#,
+            r#"complex type "T": content model violates unique particle attribution: element "a" is matched by competing particles #0 and #1 at 1:1"#,
         ),
         (
             // failed compiles are not cached: the same model, met again in
@@ -294,7 +294,7 @@ fn bad_schemas_rejected() {
                 r#"<xsd:element name="r" type="T"/>{optional_then_required}"#
             )),
             "Ambiguous",
-            r#"content model violates unique particle attribution: element "a" is matched by competing particles #0 and #1 at 1:1"#,
+            r#"complex type "T": content model violates unique particle attribution: element "a" is matched by competing particles #0 and #1 at 1:1"#,
         ),
         (
             "choice of two equal particles: (a | a)",
@@ -306,7 +306,7 @@ fn bad_schemas_rejected() {
                   </xsd:choice>
                 </xsd:complexType>"#),
             "Ambiguous",
-            r#"content model violates unique particle attribution: element "a" is matched by competing particles #0 and #1 at 1:1"#,
+            r#"complex type "T": content model violates unique particle attribution: element "a" is matched by competing particles #0 and #1 at 1:1"#,
         ),
         (
             "extension whose merged model is ambiguous: base a?, extension a",
@@ -323,7 +323,7 @@ fn bad_schemas_rejected() {
                   </xsd:complexContent>
                 </xsd:complexType>"#),
             "Ambiguous",
-            r#"content model violates unique particle attribution: element "a" is matched by competing particles #0 and #1 at 1:1"#,
+            r#"complex type "Derived": content model violates unique particle attribution: element "a" is matched by competing particles #0 and #1 at 1:1"#,
         ),
         (
             "ambiguity reached through a group reference",
@@ -339,7 +339,7 @@ fn bad_schemas_rejected() {
                   </xsd:sequence>
                 </xsd:complexType>"#),
             "Ambiguous",
-            r#"content model violates unique particle attribution: element "a" is matched by competing particles #0 and #1 at 1:1"#,
+            r#"complex type "T": content model violates unique particle attribution: element "a" is matched by competing particles #0 and #1 at 1:1"#,
         ),
         (
             "occurrence bound beyond the expansion limit",
@@ -349,7 +349,7 @@ fn bad_schemas_rejected() {
                   </xsd:sequence>
                 </xsd:complexType>"#),
             "BadOccurs",
-            r#"invalid occurrence bound "maxOccurs=5000 too large for DFA construction" at 1:1"#,
+            r#"invalid occurrence bound "maxOccurs=5000 in complex type T too large for DFA construction" at 1:1"#,
         ),
         (
             "wildcard",

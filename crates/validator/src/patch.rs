@@ -389,14 +389,21 @@ fn insert_unchecked(
 enum ParentCtx {
     /// The document node: root-declaration rules apply.
     Document,
-    /// Simple (text-only) content under this open plan.
-    Simple(Arc<ElemPlan>),
-    /// Complex content stepped by the type's interned DFA.
-    Complex {
-        type_sym: Sym,
-        dfa: Arc<ContentDfa>,
-        mixed: bool,
-    },
+    /// An element, validated under its open plan.
+    Elem(Arc<ElemPlan>),
+}
+
+impl ParentCtx {
+    /// The content DFA of an element parent with complex content.
+    fn dfa(&self) -> Option<&Arc<ContentDfa>> {
+        match self {
+            ParentCtx::Elem(plan) => match &plan.content {
+                ContentPlan::Complex { dfa, .. } => Some(dfa),
+                ContentPlan::Simple(_) => None,
+            },
+            ParentCtx::Document => None,
+        }
+    }
 }
 
 /// What a child-list patch did, for the suffix walk and the rollback.
@@ -658,19 +665,7 @@ impl IncrementalValidator {
         if parent == self.doc.document_node() {
             return Ok(ParentCtx::Document);
         }
-        let plan = self.elem_plan(parent)?;
-        match &plan.content {
-            ContentPlan::Simple(_) => Ok(ParentCtx::Simple(plan.clone())),
-            ContentPlan::Complex {
-                type_sym,
-                dfa,
-                mixed,
-            } => Ok(ParentCtx::Complex {
-                type_sym: *type_sym,
-                dfa: dfa.clone(),
-                mixed: *mixed,
-            }),
-        }
+        Ok(ParentCtx::Elem(self.elem_plan(parent)?))
     }
 
     // ---- DFA state snapshots --------------------------------------------
@@ -735,24 +730,20 @@ impl IncrementalValidator {
         if parent == self.doc.document_node() {
             return Err(structure("text is not allowed at document level"));
         }
-        let ctx = self.parent_ctx(parent)?;
+        let plan = self.elem_plan(parent)?;
         self.doc
             .set_text(node, text)
             .map_err(|e| structure(format!("{e}")))?;
         let mut errors = Vec::new();
-        match ctx {
-            ParentCtx::Simple(plan) => {
-                if let ContentPlan::Simple(check) = &plan.content {
-                    check_simple_text(
-                        || self.doc.tag_name(parent).unwrap_or_default().to_string(),
-                        check,
-                        &self.doc.text_content(parent).unwrap_or_default(),
-                        node_span(&self.doc, parent),
-                        &mut errors,
-                    );
-                }
-            }
-            ParentCtx::Complex { mixed: false, .. } => {
+        match &plan.content {
+            ContentPlan::Simple(check) => check_simple_text(
+                || self.doc.tag_name(parent).unwrap_or_default().to_string(),
+                check,
+                &self.doc.text_content(parent).unwrap_or_default(),
+                node_span(&self.doc, parent),
+                &mut errors,
+            ),
+            ContentPlan::Complex { mixed: false, .. } => {
                 if !text.chars().all(is_xml_whitespace) {
                     errors.push(ValidationError::at_opt(
                         ValidationErrorKind::TextNotAllowed {
@@ -762,7 +753,7 @@ impl IncrementalValidator {
                     ));
                 }
             }
-            ParentCtx::Complex { mixed: true, .. } | ParentCtx::Document => {}
+            ContentPlan::Complex { mixed: true, .. } => {}
         }
         self.last_nodes_rechecked = 1;
         if errors.is_empty() {
@@ -873,7 +864,7 @@ impl IncrementalValidator {
         }
 
         // Snapshot DFA states over the *pre-edit* child list.
-        if let ParentCtx::Complex { dfa, .. } = &ctx {
+        if let Some(dfa) = ctx.dfa() {
             self.ensure_states(parent, dfa);
         }
 
@@ -918,28 +909,31 @@ impl IncrementalValidator {
         let old_states = self.states.remove(&parent).unwrap_or_default();
         let (mut errors, trial_states) = match &ctx {
             ParentCtx::Document => (self.recheck_document_level(new), Vec::new()),
-            ParentCtx::Simple(plan) => {
-                // re-walk the parent: its children and text, checked at close
-                let errors = check_subtree(&self.compiled, &self.doc, parent, Some(plan));
-                self.last_nodes_rechecked = self.doc.child_count(parent).unwrap_or(0).max(1);
-                (errors, Vec::new())
-            }
-            ParentCtx::Complex {
-                type_sym,
-                dfa,
-                mixed,
-            } => self.recheck_complex_suffix(parent, &op, index, new, &old_states, {
-                ComplexCtx {
-                    type_sym: *type_sym,
-                    dfa: dfa.clone(),
-                    mixed: *mixed,
+            ParentCtx::Elem(plan) => match &plan.content {
+                ContentPlan::Simple(_) => {
+                    // re-walk the parent: its children and text, checked at close
+                    let errors = check_subtree(&self.compiled, &self.doc, parent, Some(plan));
+                    self.last_nodes_rechecked = self.doc.child_count(parent).unwrap_or(0).max(1);
+                    (errors, Vec::new())
                 }
-            }),
+                ContentPlan::Complex {
+                    type_sym,
+                    dfa,
+                    mixed,
+                } => self.recheck_complex_suffix(
+                    parent,
+                    &op,
+                    index,
+                    new,
+                    &old_states,
+                    (*type_sym, dfa, *mixed),
+                ),
+            },
         };
 
         if errors.is_empty() {
             // Commit: splice states, free the detached subtree.
-            if matches!(ctx, ParentCtx::Complex { .. }) {
+            if ctx.dfa().is_some() {
                 let mut spliced = old_states;
                 spliced.truncate(index);
                 spliced.extend_from_slice(&trial_states);
@@ -952,7 +946,7 @@ impl IncrementalValidator {
             Ok(())
         } else {
             // Rollback: undo the mutation in reverse order.
-            if matches!(ctx, ParentCtx::Complex { .. }) {
+            if ctx.dfa().is_some() {
                 self.states.insert(parent, old_states);
             }
             if let Some(id) = new {
@@ -1034,12 +1028,12 @@ impl IncrementalValidator {
         index: usize,
         new: Option<NodeId>,
         old_states: &[usize],
-        ctx: ComplexCtx,
+        (type_sym, dfa, mixed): (Sym, &ContentDfa, bool),
     ) -> (Vec<ValidationError>, Vec<usize>) {
         let parent_name = self.doc.tag_name(parent).unwrap_or_default().to_string();
         let plans = self.compiled.sym_index();
         let children = self.doc.child_vec(parent).unwrap_or_default();
-        let mut matcher = ctx.dfa.resume(old_states[index]);
+        let mut matcher = dfa.resume(old_states[index]);
         let mut content_ok = true;
         let mut errors: Vec<ValidationError> = Vec::new();
         let mut trial: Vec<usize> = Vec::new();
@@ -1095,7 +1089,7 @@ impl IncrementalValidator {
                     // Walk only the freshly spliced subtree; untouched
                     // siblings are valid by the invariant.
                     if Some(child) == new {
-                        if let Some(plan) = sym.and_then(|s| plans.child(ctx.type_sym, s)) {
+                        if let Some(plan) = sym.and_then(|s| plans.child(type_sym, s)) {
                             errors.extend(check_subtree(
                                 &self.compiled,
                                 &self.doc,
@@ -1106,7 +1100,7 @@ impl IncrementalValidator {
                         }
                     }
                 }
-                Ok(NodeKind::Text(t)) if !ctx.mixed && !t.chars().all(is_xml_whitespace) => {
+                Ok(NodeKind::Text(t)) if !mixed && !t.chars().all(is_xml_whitespace) => {
                     errors.push(ValidationError::at_opt(
                         ValidationErrorKind::TextNotAllowed {
                             element: parent_name.clone(),
@@ -1135,12 +1129,6 @@ impl IncrementalValidator {
         self.last_nodes_rechecked = rechecked.max(1);
         (errors, trial)
     }
-}
-
-struct ComplexCtx {
-    type_sym: Sym,
-    dfa: Arc<ContentDfa>,
-    mixed: bool,
 }
 
 fn subtree_size(doc: &Document, node: NodeId) -> usize {

@@ -101,6 +101,22 @@ if grep -rnE --include='*.rs' 'ContentPlan::(Broken|Unknown)|UnknownType' crates
   exit 1
 fi
 
+echo "==> rules are decided once, in the index"
+# V-DOM, the P-XML checker and the template compiler read each element's
+# rules (content regime, abstractness, declared attributes with their
+# value checks) from the ElemPlans of the schema's SymIndex, the ones the
+# validators read: pxml keeps no classify of its own, and the non-test
+# code of crates/core/src and crates/pxml/src (each file cut at its first
+# column-0 #[cfg(test)]) never matches on a schema ContentModel.
+typed_src="$(for f in $(find crates/core/src crates/pxml/src -name '*.rs' | sort); do
+  sed '/^#\[cfg(test)\]/,$d' "$f" | sed "s|^|$f: |"
+done)"
+if grep -rn 'fn classify' crates/pxml/src || grep -F 'ContentModel::' <<<"$typed_src"; then
+  echo "V-DOM or P-XML decides a schema rule outside the index's element plans" \
+    "(see above)" >&2
+  exit 1
+fi
+
 echo "==> one JSON codec, one event type"
 # obs::json holds the workspace's only JSON parser and string escaper
 # (a JSON escaper is recognised by its \u00XX control-character
