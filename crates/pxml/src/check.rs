@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use automata::Matcher;
+use automata::{ContentDfa, Matcher};
 use dom::NodeKind;
 use schema::{
     check_value, AttrPlan, CompiledSchema, ContentPlan, ElemPlan, RootPlan, SimpleCheck, TypeRef,
@@ -241,7 +241,7 @@ impl<'a> Checker<'a> {
         node: dom::NodeId,
         element: &str,
         type_sym: Sym,
-        dfa: &automata::ContentDfa,
+        dfa: &ContentDfa,
         mixed: bool,
         errors: &mut Vec<PxmlError>,
     ) {

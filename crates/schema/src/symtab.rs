@@ -187,7 +187,6 @@ impl SymIndex {
         let mut builder = Builder {
             schema,
             types: FrozenMap::default(),
-            elem_plans: HashMap::new(),
             simple: HashMap::new(),
         };
         let mut models = Vec::new();
@@ -202,9 +201,6 @@ impl SymIndex {
                 .effective_attributes(name)
                 .map_err(simple_to_schema)?;
             let plan = Arc::new(builder.type_plan(ct, type_sym, dfa, uses));
-            builder
-                .elem_plans
-                .insert(plan.type_ref.clone(), plan.clone());
             builder.types.insert(Box::from(name.as_str()), plan);
             models.push((name, type_sym, expr.symbols()));
         }
@@ -335,14 +331,13 @@ fn complex_plan(
     })
 }
 
-/// Memo tables for one index build: each distinct type gets one element
-/// plan and each distinct simple type one [`SimplePlan`], shared by every
-/// element and attribute that uses it.
+/// Tables for one index build: every complex type's plan, shared by every
+/// element of that type, and one [`SimplePlan`] per distinct simple type,
+/// shared by every element and attribute that uses it.
 struct Builder<'s> {
     schema: &'s Schema,
     /// Every complex type's plan, by name.
     types: FrozenMap<Box<str>, Arc<ElemPlan>>,
-    elem_plans: HashMap<TypeRef, Arc<ElemPlan>>,
     simple: HashMap<TypeRef, SimpleCheck>,
 }
 
@@ -360,13 +355,8 @@ impl Builder<'_> {
     /// type's plan is built. A checked schema has no dangling reference
     /// (were one here, its value check would report it).
     fn elem_plan(&mut self, type_ref: &TypeRef) -> Arc<ElemPlan> {
-        if let Some(plan) = self.elem_plans.get(type_ref) {
-            return plan.clone();
-        }
-        let plan = complex_plan(&self.types, type_ref)
-            .unwrap_or_else(|| Arc::new(ElemPlan::simple(type_ref, self.simple_check(type_ref))));
-        self.elem_plans.insert(type_ref.clone(), plan.clone());
-        plan
+        complex_plan(&self.types, type_ref)
+            .unwrap_or_else(|| Arc::new(ElemPlan::simple(type_ref, self.simple_check(type_ref))))
     }
 
     /// The plan of an element of complex type `ct`, from the type's
