@@ -167,6 +167,36 @@ fn text_in_element_only_content_caught() {
 }
 
 #[test]
+fn abstract_elements_and_types_caught_statically() {
+    let c = CompiledSchema::parse(
+        r#"<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+          <xsd:element name="note" type="xsd:string" abstract="true"/>
+          <xsd:element name="root" type="R"/>
+          <xsd:complexType name="R">
+            <xsd:sequence><xsd:element name="a" type="A"/></xsd:sequence>
+          </xsd:complexType>
+          <xsd:complexType name="A" abstract="true"/>
+        </xsd:schema>"#,
+    )
+    .unwrap();
+    // an abstract global element as the root, an element of an abstract type
+    for (source, element) in [("<note>hi</note>", "note"), ("<root><a/></root>", "a")] {
+        let t = Template::parse(source).unwrap();
+        let errors: Vec<String> = check_template(&c, &t, &TypeEnv::new())
+            .iter()
+            .map(|e| e.kind.to_string())
+            .collect();
+        assert_eq!(
+            errors,
+            [format!(
+                "<{element}> is abstract and cannot be instantiated"
+            )],
+            "{source}"
+        );
+    }
+}
+
+#[test]
 fn instantiation_produces_valid_fragments() {
     let c = po();
     let name = Template::parse("<name>Alice Smith</name>").unwrap();
