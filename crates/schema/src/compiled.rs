@@ -224,8 +224,7 @@ impl CompiledSchema {
         let ContentPlan::Complex { type_sym, .. } = index.complex_type(type_name)?.content else {
             return None;
         };
-        let plan = index.child(type_sym, index.sym(child)?)?;
-        Some(plan.type_ref.clone())
+        Some(index.child_named(type_sym, child)?.1.type_ref.clone())
     }
 
     /// How an element of type `type_ref` validates: the index's plan for

@@ -20,11 +20,15 @@
 //! name the schema declares to its symbol. Nothing is added to any of
 //! these tables after the build.
 //!
-//! At validation time an element costs one hash of its name in that
-//! table and one integer-keyed lookup of its plan; no lock is taken, no
-//! simple type is resolved by name, and nothing is allocated. The global
-//! symbol table is written while the index is built and read again only
-//! to spell a name into an error message.
+//! At validation time a child element costs one step,
+//! [`SymIndex::child_named`]: one integer-keyed probe finds the parent
+//! type's child table, whose names are compared with the tag's bytes —
+//! scanned up to eight children, binary-searched above, so at worst
+//! ⌈log₂ n⌉ + 1 name compares for n children, and no name hash. Only a
+//! root element's name is hashed. No lock is taken, no simple type is
+//! resolved by name, and nothing is allocated. The global symbol table
+//! is written while the index is built and read again only to spell a
+//! name into an error message.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -34,7 +38,9 @@ use automata::ContentDfa;
 use symbols::Sym;
 
 use crate::compiled::intern_dfa;
-use crate::components::{AttributeUse, ComplexType, ContentModel, Schema, TypeDef, TypeRef};
+use crate::components::{
+    AttributeUse, ComplexType, ContentModel, DerivationMethod, Schema, TypeDef, TypeRef,
+};
 use crate::error::SchemaError;
 use crate::resolve::{simple_to_schema, SimpleCheck};
 
@@ -150,6 +156,28 @@ impl Hasher for MulHasher {
 
 type FrozenMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
 
+/// One child element a complex type admits.
+#[derive(Debug)]
+struct Child {
+    name: Box<str>,
+    sym: Sym,
+    plan: Arc<ElemPlan>,
+}
+
+/// The widest child table that is scanned rather than binary-searched.
+/// The corpus schemas' types admit at most five children each.
+const SCAN_WIDTH: usize = 8;
+
+/// The child named `name` in `table`, which is sorted by name.
+#[inline]
+fn find_named<'t>(table: &'t [Child], name: &str) -> Option<&'t Child> {
+    if table.len() <= SCAN_WIDTH {
+        return table.iter().find(|c| *c.name == *name);
+    }
+    let at = table.binary_search_by(|c| (*c.name).cmp(name));
+    Some(&table[at.ok()?])
+}
+
 /// The symbol-keyed dispatch tables for one compiled schema.
 #[derive(Debug)]
 pub struct SymIndex {
@@ -160,7 +188,9 @@ pub struct SymIndex {
     /// model, to its global symbol.
     names: FrozenMap<Box<str>, Sym>,
     roots: FrozenMap<Sym, RootPlan>,
-    children: FrozenMap<(Sym, Sym), Arc<ElemPlan>>,
+    /// Every complex type's children, sorted by name, by the type's
+    /// symbol.
+    children: FrozenMap<Sym, Box<[Child]>>,
     /// One plan per simple type an element or attribute uses.
     simple: HashMap<TypeRef, SimpleCheck>,
 }
@@ -228,14 +258,21 @@ impl SymIndex {
         for (type_name, type_sym, expr_symbols) in &models {
             let mut candidates: Vec<&str> = schema.elements.keys().map(String::as_str).collect();
             candidates.extend(expr_symbols.iter().map(String::as_str));
+            // sorted candidates make a table sorted by name
             candidates.sort_unstable();
             candidates.dedup();
+            let mut table = Vec::new();
             for child in candidates {
-                let child_sym = name_sym(child);
+                let sym = name_sym(child);
                 if let Some(child_type) = schema.child_element_type(type_name, child) {
-                    children.insert((*type_sym, child_sym), builder.elem_plan(&child_type));
+                    table.push(Child {
+                        name: Box::from(child),
+                        sym,
+                        plan: builder.elem_plan(&child_type),
+                    });
                 }
             }
+            children.insert(*type_sym, table.into());
         }
 
         Ok(SymIndex {
@@ -279,18 +316,28 @@ impl SymIndex {
     }
 
     /// The plan for `child` within complex type `parent_type`, `None`
-    /// when the type admits no such child (the subtree is skipped).
+    /// when the type admits no such child, read from the same table as
+    /// [`child_named`](Self::child_named): scanned by symbol, or, above
+    /// the scan width, searched by the symbol's name.
     #[inline]
     pub fn child(&self, parent_type: Sym, child: Sym) -> Option<&Arc<ElemPlan>> {
-        self.children.get(&(parent_type, child))
+        let table = self.children.get(&parent_type)?;
+        let found = if table.len() <= SCAN_WIDTH {
+            table.iter().find(|c| c.sym == child)
+        } else {
+            find_named(table, symbols::name(child))
+        };
+        Some(&found?.plan)
     }
 
     /// The symbol and plan of the child named `name` within complex type
-    /// `parent_type`: [`sym`](Self::sym), then [`child`](Self::child).
+    /// `parent_type`, `None` when the type admits no such child (the
+    /// subtree is skipped): every engine opens a child element through
+    /// this one lookup, which compares names and hashes none.
     #[inline]
     pub fn child_named(&self, parent_type: Sym, name: &str) -> Option<(Sym, &Arc<ElemPlan>)> {
-        let sym = self.sym(name)?;
-        Some((sym, self.child(parent_type, sym)?))
+        let child = find_named(self.children.get(&parent_type)?, name)?;
+        Some((child.sym, &child.plan))
     }
 
     /// The plan of a simple type some element or attribute of the schema
@@ -306,7 +353,7 @@ impl SymIndex {
 
     /// Number of `(type, child)` plans (bench/obs metric).
     pub fn child_count(&self) -> usize {
-        self.children.len()
+        self.children.values().map(|t| t.len()).sum()
     }
 }
 
@@ -329,6 +376,19 @@ fn complex_plan(
             ..ElemPlan::clone(plan)
         })
     })
+}
+
+/// Whether text may interleave the children of complex type `ct`: its own
+/// `mixed`, or, for an extension that adds no particle, its base's (XSD
+/// gives such an extension its base's content type).
+fn is_mixed(schema: &Schema, ct: &ComplexType) -> bool {
+    match (&ct.content, &ct.derivation) {
+        (ContentModel::Mixed(_), _) => true,
+        (ContentModel::Empty, Some(d)) if d.method == DerivationMethod::Extension => {
+            matches!(schema.types.get(&d.base), Some(TypeDef::Complex(base)) if is_mixed(schema, base))
+        }
+        _ => false,
+    }
 }
 
 /// Tables for one index build: every complex type's plan, shared by every
@@ -377,10 +437,10 @@ impl Builder<'_> {
             .collect();
         let content = match &ct.content {
             ContentModel::Simple(simple_ref) => ContentPlan::Simple(self.simple_check(simple_ref)),
-            model => ContentPlan::Complex {
+            _ => ContentPlan::Complex {
                 type_sym,
                 dfa,
-                mixed: matches!(model, ContentModel::Mixed(_)),
+                mixed: is_mixed(self.schema, ct),
             },
         };
         let name = ct.name.clone();
@@ -469,6 +529,73 @@ mod tests {
         let index = compiled.sym_index();
         assert!(index.root_count() >= 1);
         assert!(index.child_count() > 0);
+    }
+
+    fn xsd(body: &str) -> String {
+        format!(r#"<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">{body}</xsd:schema>"#)
+    }
+
+    #[test]
+    fn tables_just_past_the_scan_width_are_searched() {
+        for width in [SCAN_WIDTH, SCAN_WIDTH + 1, 3 * SCAN_WIDTH] {
+            let names: Vec<String> = (0..width).rev().map(|i| format!("c{i:02}")).collect();
+            let choice: String = names
+                .iter()
+                .map(|n| format!(r#"<xsd:element name="{n}" type="xsd:string"/>"#))
+                .collect();
+            let type_name = format!("Wide{width}");
+            let compiled = CompiledSchema::parse(&xsd(&format!(
+                r#"<xsd:element name="r" type="{type_name}"/>
+                <xsd:complexType name="{type_name}"><xsd:choice>{choice}</xsd:choice></xsd:complexType>"#
+            )))
+            .unwrap();
+            let index = compiled.sym_index();
+            let wide = symbols::lookup(&type_name).unwrap();
+            let table = &index.children[&wide];
+            assert!(table.windows(2).all(|w| w[0].name < w[1].name), "{width}");
+            for name in &names {
+                let (sym, plan) = index.child_named(wide, name).unwrap();
+                assert_eq!(Some(sym), index.sym(name), "{name}");
+                assert!(Arc::ptr_eq(plan, index.child(wide, sym).unwrap()), "{name}");
+            }
+            for miss in ["", "c", "c0", "c000", "b99", "d00", "r"] {
+                assert!(index.child_named(wide, miss).is_none(), "{width}: {miss:?}");
+            }
+            let other = symbols::intern("symtest-wide-miss");
+            assert!(index.child(wide, other).is_none());
+        }
+    }
+
+    #[test]
+    fn an_attribute_only_extension_takes_its_bases_mixed() {
+        let compiled = CompiledSchema::parse(&xsd(r#"<xsd:element name="root" type="C"/>
+            <xsd:complexType name="A" mixed="true">
+              <xsd:sequence><xsd:element name="x" type="xsd:string"/></xsd:sequence>
+            </xsd:complexType>
+            <xsd:complexType name="B">
+              <xsd:complexContent><xsd:extension base="A">
+                <xsd:attribute name="id" type="xsd:string"/>
+              </xsd:extension></xsd:complexContent>
+            </xsd:complexType>
+            <xsd:complexType name="C">
+              <xsd:complexContent><xsd:extension base="B"/></xsd:complexContent>
+            </xsd:complexType>
+            <xsd:complexType name="D">
+              <xsd:complexContent><xsd:extension base="A">
+                <xsd:sequence><xsd:element name="y" type="xsd:string"/></xsd:sequence>
+              </xsd:extension></xsd:complexContent>
+            </xsd:complexType>"#))
+        .unwrap();
+        // D adds a particle without mixed="true": its own content decides
+        for (name, mixed) in [("A", true), ("B", true), ("C", true), ("D", false)] {
+            let type_ref = TypeRef::Named(name.into());
+            assert_eq!(compiled.allows_text(&type_ref), mixed, "{name}");
+            let plan = compiled.sym_index().complex_type(name).unwrap();
+            assert!(
+                matches!(plan.content, ContentPlan::Complex { mixed: m, .. } if m == mixed),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -389,16 +389,17 @@ fn insert_unchecked(
 enum ParentCtx {
     /// The document node: root-declaration rules apply.
     Document,
-    /// An element, validated under its open plan.
-    Elem(Arc<ElemPlan>),
+    /// An element, its symbol and the open plan it validates under.
+    Elem(Sym, Arc<ElemPlan>),
 }
 
 impl ParentCtx {
-    /// The content DFA of an element parent with complex content.
-    fn dfa(&self) -> Option<&Arc<ContentDfa>> {
+    /// The type symbol and content DFA of an element parent with complex
+    /// content.
+    fn complex(&self) -> Option<(Sym, &ContentDfa)> {
         match self {
-            ParentCtx::Elem(plan) => match &plan.content {
-                ContentPlan::Complex { dfa, .. } => Some(dfa),
+            ParentCtx::Elem(_, plan) => match &plan.content {
+                ContentPlan::Complex { type_sym, dfa, .. } => Some((*type_sym, dfa)),
                 ContentPlan::Simple(_) => None,
             },
             ParentCtx::Document => None,
@@ -606,11 +607,12 @@ impl IncrementalValidator {
 
     // ---- plan resolution ------------------------------------------------
 
-    /// The open plan for an element of the held (valid) document,
-    /// resolved by walking its ancestor chain through the `SymIndex`.
-    /// O(depth); failures are defensive — they cannot occur for elements
-    /// of a valid document.
-    fn elem_plan(&self, node: NodeId) -> Result<Arc<ElemPlan>, PatchError> {
+    /// The symbol and open plan of an element of the held (valid)
+    /// document, resolved by walking its ancestor chain through the
+    /// `SymIndex`: the root's declaration, then one child lookup per
+    /// level. O(depth); failures are defensive — they cannot occur for
+    /// elements of a valid document.
+    fn elem_plan(&self, node: NodeId) -> Result<(Sym, Arc<ElemPlan>), PatchError> {
         let mut chain = Vec::new();
         let mut cur = node;
         let doc_node = self.doc.document_node();
@@ -622,41 +624,27 @@ impl IncrementalValidator {
                 .map_err(|e| structure(format!("{e}")))?
                 .ok_or_else(|| structure("node is detached"))?;
         }
-        chain.reverse();
         let index = self.compiled.sym_index();
-        let mut plan: Option<Arc<ElemPlan>> = None;
-        for &n in &chain {
+        let mut plan: Option<(Sym, Arc<ElemPlan>)> = None;
+        for &n in chain.iter().rev() {
             let tag = self
                 .doc
                 .tag_name(n)
                 .map_err(|_| structure("path traverses a non-element node"))?;
-            let sym = index
-                .sym(tag)
-                .ok_or_else(|| structure(format!("element `{tag}` is not schema-tracked")))?;
-            plan = Some(match plan {
-                None => match index.root(sym) {
-                    Some(RootPlan::Elem(p)) => p.clone(),
-                    _ => return Err(structure(format!("`{tag}` is not a concrete root plan"))),
+            // the root by its declaration, every other element within its
+            // parent's complex type
+            let found = match &plan {
+                None => match index.sym(tag).map(|sym| (sym, index.root(sym))) {
+                    Some((sym, Some(RootPlan::Elem(p)))) => Some((sym, p)),
+                    _ => None,
                 },
-                Some(p) => {
-                    let type_sym = match &p.content {
-                        ContentPlan::Complex { type_sym, .. } => *type_sym,
-                        _ => {
-                            return Err(structure(format!(
-                                "`{tag}`'s parent does not admit element children"
-                            )))
-                        }
-                    };
-                    match index.child(type_sym, sym) {
-                        Some(p) => p.clone(),
-                        None => {
-                            return Err(structure(format!(
-                                "no plan for `{tag}` under its parent type"
-                            )))
-                        }
-                    }
-                }
-            });
+                Some((_, parent)) => match &parent.content {
+                    ContentPlan::Complex { type_sym, .. } => index.child_named(*type_sym, tag),
+                    ContentPlan::Simple(_) => None,
+                },
+            };
+            let (sym, p) = found.ok_or_else(|| structure(format!("`{tag}` has no plan here")))?;
+            plan = Some((sym, p.clone()));
         }
         plan.ok_or_else(|| structure("the document node has no element plan"))
     }
@@ -665,7 +653,8 @@ impl IncrementalValidator {
         if parent == self.doc.document_node() {
             return Ok(ParentCtx::Document);
         }
-        Ok(ParentCtx::Elem(self.elem_plan(parent)?))
+        let (sym, plan) = self.elem_plan(parent)?;
+        Ok(ParentCtx::Elem(sym, plan))
     }
 
     // ---- DFA state snapshots --------------------------------------------
@@ -674,7 +663,7 @@ impl IncrementalValidator {
     /// built on first use by one full walk over its (pre-edit, valid)
     /// child list. Entry `i` is the state before slot `i`; the last
     /// entry is the final (always accepting) state.
-    fn ensure_states(&mut self, parent: NodeId, dfa: &ContentDfa) {
+    fn ensure_states(&mut self, parent: NodeId, (type_sym, dfa): (Sym, &ContentDfa)) {
         let IncrementalValidator {
             states,
             doc,
@@ -690,8 +679,9 @@ impl IncrementalValidator {
             for child in children {
                 if let Ok(NodeKind::Element { name, .. }) = doc.kind(child) {
                     // the held document is valid: every step succeeds,
-                    // by symbol unless the schema does not know the name
-                    if !index.sym(name).is_some_and(|s| m.try_step_sym(s)) {
+                    // by symbol unless the type has no plan for the name
+                    let child = index.child_named(type_sym, name);
+                    if !child.is_some_and(|(s, _)| m.try_step_sym(s)) {
                         let _ = m.step(name);
                     }
                 }
@@ -730,7 +720,7 @@ impl IncrementalValidator {
         if parent == self.doc.document_node() {
             return Err(structure("text is not allowed at document level"));
         }
-        let plan = self.elem_plan(parent)?;
+        let (_, plan) = self.elem_plan(parent)?;
         self.doc
             .set_text(node, text)
             .map_err(|e| structure(format!("{e}")))?;
@@ -779,7 +769,7 @@ impl IncrementalValidator {
             .attributes(node)
             .map_err(|_| structure("attribute target is not an element"))?
             .to_vec();
-        let plan = self.elem_plan(node)?;
+        let (_, plan) = self.elem_plan(node)?;
         match value {
             Some(value) => {
                 require_xml_chars("attribute value", value)?;
@@ -864,8 +854,8 @@ impl IncrementalValidator {
         }
 
         // Snapshot DFA states over the *pre-edit* child list.
-        if let Some(dfa) = ctx.dfa() {
-            self.ensure_states(parent, dfa);
+        if let Some(complex) = ctx.complex() {
+            self.ensure_states(parent, complex);
         }
 
         // Materialize and depth-check the incoming node.
@@ -909,10 +899,11 @@ impl IncrementalValidator {
         let old_states = self.states.remove(&parent).unwrap_or_default();
         let (mut errors, trial_states) = match &ctx {
             ParentCtx::Document => (self.recheck_document_level(new), Vec::new()),
-            ParentCtx::Elem(plan) => match &plan.content {
+            ParentCtx::Elem(sym, plan) => match &plan.content {
                 ContentPlan::Simple(_) => {
                     // re-walk the parent: its children and text, checked at close
-                    let errors = check_subtree(&self.compiled, &self.doc, parent, Some(plan));
+                    let errors =
+                        check_subtree(&self.compiled, &self.doc, parent, Some((*sym, plan)));
                     self.last_nodes_rechecked = self.doc.child_count(parent).unwrap_or(0).max(1);
                     (errors, Vec::new())
                 }
@@ -933,7 +924,7 @@ impl IncrementalValidator {
 
         if errors.is_empty() {
             // Commit: splice states, free the detached subtree.
-            if ctx.dfa().is_some() {
+            if ctx.complex().is_some() {
                 let mut spliced = old_states;
                 spliced.truncate(index);
                 spliced.extend_from_slice(&trial_states);
@@ -946,7 +937,7 @@ impl IncrementalValidator {
             Ok(())
         } else {
             // Rollback: undo the mutation in reverse order.
-            if ctx.dfa().is_some() {
+            if ctx.complex().is_some() {
                 self.states.insert(parent, old_states);
             }
             if let Some(id) = new {
@@ -1054,11 +1045,10 @@ impl IncrementalValidator {
                 synced = true;
                 break;
             }
-            if !content_ok && errors.is_empty() {
-                // cannot happen (content_ok only drops with an error),
-                // but keep the invariant obvious
-                debug_assert!(false);
-            }
+            debug_assert!(
+                content_ok || !errors.is_empty(),
+                "content_ok drops with an error"
+            );
             if !content_ok && j >= resync_from {
                 // Past the edit region with the DFA already failed: the
                 // remaining (unchanged, individually valid) siblings can
@@ -1070,10 +1060,10 @@ impl IncrementalValidator {
             trial.push(matcher.state());
             match self.doc.kind(child) {
                 Ok(NodeKind::Element { name, .. }) => {
-                    let sym = plans.sym(name);
+                    let child_plan = plans.child_named(type_sym, name);
                     // step by symbol; re-step by string only on a miss, for
                     // the rich error
-                    if content_ok && !sym.is_some_and(|s| matcher.try_step_sym(s)) {
+                    if content_ok && !child_plan.is_some_and(|(s, _)| matcher.try_step_sym(s)) {
                         if let Err(e) = matcher.step(name) {
                             errors.push(ValidationError::at_opt(
                                 ValidationErrorKind::UnexpectedChild {
@@ -1089,12 +1079,12 @@ impl IncrementalValidator {
                     // Walk only the freshly spliced subtree; untouched
                     // siblings are valid by the invariant.
                     if Some(child) == new {
-                        if let Some(plan) = sym.and_then(|s| plans.child(type_sym, s)) {
+                        if let Some((sym, plan)) = child_plan {
                             errors.extend(check_subtree(
                                 &self.compiled,
                                 &self.doc,
                                 child,
-                                Some(plan),
+                                Some((sym, plan)),
                             ));
                             rechecked += subtree_size(&self.doc, child).saturating_sub(1);
                         }
@@ -1110,9 +1100,6 @@ impl IncrementalValidator {
                 }
                 _ => {}
             }
-            // fix up the recorded state: the entry for slot j must be
-            // the state *before* it, which we pushed above; nothing to
-            // do here — the next iteration pushes the post-step state.
         }
         if !synced {
             trial.push(matcher.state());

@@ -34,10 +34,13 @@
 //! O(1) memory and O(1) work per event however deep it nests.
 //!
 //! The parser path is **allocation-free and lock-free**: the schema's
-//! precomputed [`SymIndex`] resolves each element name to its symbol with
-//! one hash in a frozen per-schema table, then dispatches with one
-//! integer-keyed lookup (root or `(type, child)` → [`ElemPlan`]); the
-//! content DFA steps by symbol, attribute values and leaf text are
+//! precomputed [`SymIndex`] resolves a child element in one step,
+//! [`SymIndex::child_named`], which finds the parent type's child table
+//! by its integer key and compares the tag's bytes with the names there,
+//! answering the child's symbol and [`ElemPlan`] together; only the root
+//! element's name is hashed, once per document. The content DFA steps by
+//! that symbol (a name the type admits no plan for takes the string
+//! step, which reports the rich error); attribute values and leaf text are
 //! checked against simple-type plans resolved when the index was built,
 //! and leaf text buffers as a borrowed slice of the source. The global
 //! symbol table is read only to spell a name into an error. For a valid,
@@ -437,8 +440,11 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                     content_ok,
                     ..
                 } => {
-                    let sym = index.sym(name);
-                    if *content_ok && !sym.is_some_and(|s| matcher.try_step_sym(s)) {
+                    // a name the type does not admit has no symbol here:
+                    // it takes the string step, which also advances the
+                    // DFA when the model has the name but no child plan
+                    let child = index.child_named(*type_sym, name);
+                    if *content_ok && !child.is_some_and(|(s, _)| matcher.try_step_sym(s)) {
                         // the cold path: re-step by string for the rich
                         // error (a failed step leaves the state unchanged,
                         // so the re-step sees the exact same state)
@@ -456,7 +462,7 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                     }
                     // enter declared children regardless, so nested errors
                     // surface too; undeclared ones were just reported
-                    match sym.and_then(|s| index.child(*type_sym, s).map(|p| (s, p))) {
+                    match child {
                         Some((s, plan)) => self.open(s, plan, attributes, span),
                         None => self.skip = 1,
                     }
@@ -628,30 +634,26 @@ pub(crate) fn walk_document(
 }
 
 /// The errors of the element subtree at `node` alone, walked into a
-/// fresh unbounded validator. With a `plan`, `node` opens under it — a
-/// child whose parent's frame is not on the stack; without one, `node` is
-/// dispatched as the document root.
+/// fresh unbounded validator. With a plan, `node` opens under it as the
+/// element `sym` — a child whose parent's frame is not on the stack;
+/// without one, `node` is dispatched as the document root.
 pub(crate) fn check_subtree(
     compiled: &CompiledSchema,
     doc: &Document,
     node: NodeId,
-    plan: Option<&ElemPlan>,
+    plan: Option<(Sym, &ElemPlan)>,
 ) -> Vec<ValidationError> {
     let mut v = StreamingValidator::new(compiled, Limits::unbounded());
-    let Some(plan) = plan else {
+    let Some((sym, plan)) = plan else {
         v.walk(doc, std::slice::from_ref(&node));
         return v.errors;
     };
     if let Ok(NodeView {
-        kind: NodeKind::Element { name, attributes },
+        kind: NodeKind::Element { attributes, .. },
         span,
         children,
     }) = doc.view(node)
     {
-        let sym = v
-            .index
-            .sym(name)
-            .expect("an element with a plan has an indexed name");
         v.open(sym, plan, attributes, parsed_span(span));
         v.walk(doc, children);
         v.on_end();
@@ -701,37 +703,30 @@ fn validate_str_streaming_inner(
 ) -> (Vec<ValidationError>, DocTally) {
     let mut reader = Reader::with_limits(src, limits.clone());
     let mut validator = StreamingValidator::new(compiled, limits.clone());
-    loop {
-        let outcome = reader.next_event_borrowed();
-        match outcome {
-            Ok(BorrowedEvent::Eof) => {
-                let tally = DocTally {
-                    stats: reader.stats(),
-                    max_depth: validator.max_depth() as u64,
-                };
-                return (validator.finish(), tally);
-            }
+    let outcome = loop {
+        match reader.next_event_borrowed() {
+            Ok(BorrowedEvent::Eof) => break Ok(()),
             Ok(event) => {
                 validator.feed(event);
+                // the budget marker is already the last error; stop
+                // pulling events so a hostile tail costs nothing
                 if validator.tripped() {
-                    // the budget marker is already the last error; stop
-                    // pulling events so a hostile tail costs nothing
-                    let tally = DocTally {
-                        stats: reader.stats(),
-                        max_depth: validator.max_depth() as u64,
-                    };
-                    return (validator.into_errors(), tally);
+                    break Ok(());
                 }
             }
-            Err(e) => {
-                let tally = DocTally {
-                    stats: reader.stats(),
-                    max_depth: validator.max_depth() as u64,
-                };
-                return (terminal_parse_error(validator, e), tally);
-            }
+            Err(e) => break Err(e),
         }
-    }
+    };
+    let tally = DocTally {
+        stats: reader.stats(),
+        max_depth: validator.max_depth() as u64,
+    };
+    let errors = match outcome {
+        Ok(()) if validator.tripped() => validator.into_errors(),
+        Ok(()) => validator.finish(),
+        Err(e) => terminal_parse_error(validator, e),
+    };
+    (errors, tally)
 }
 
 /// Ends a streaming run on a fatal parse error: appends the terminal

@@ -704,7 +704,8 @@ impl<'a> Reader<'a> {
             }
         }
         if let Some((name, span)) = self.pending_end.take() {
-            self.finish_element(name)?;
+            // the self-closing tag pushed this very name
+            self.close_open();
             return Ok(RawEvent::End { name, span });
         }
         // Outside the root element, skip whitespace-only text.
@@ -779,6 +780,29 @@ impl<'a> Reader<'a> {
             ));
         }
         self.attr_buf.clear();
+        // `>` right after the name, the common start tag, skips the loop
+        let self_closing = if self.peek_byte() == Some(b'>') {
+            self.advance_ascii(1);
+            false
+        } else {
+            self.read_attributes()?
+        };
+        let span = Span::new(start, self.pos);
+        self.open.push(Cow::Borrowed(name));
+        self.root_seen = true;
+        if self_closing {
+            self.pending_end = Some((name, span));
+        }
+        Ok(RawEvent::Start {
+            name,
+            self_closing,
+            span,
+        })
+    }
+
+    /// Reads a start tag's attributes into `attr_buf` through its closing
+    /// `>` or `/>`; returns whether the tag closed itself.
+    fn read_attributes(&mut self) -> Result<bool, ParseError> {
         loop {
             let before = self.pos.offset;
             self.skip_whitespace();
@@ -786,20 +810,12 @@ impl<'a> Reader<'a> {
             match self.peek() {
                 Some('>') => {
                     self.advance_ascii(1);
-                    break;
+                    return Ok(false);
                 }
                 Some('/') => {
                     self.advance_ascii(1);
                     self.eat(b'>', "self-closing tag")?;
-                    let span = Span::new(start, self.pos);
-                    self.open.push(Cow::Borrowed(name));
-                    self.root_seen = true;
-                    self.pending_end = Some((name, span));
-                    return Ok(RawEvent::Start {
-                        name,
-                        self_closing: true,
-                        span,
-                    });
+                    return Ok(true);
                 }
                 Some(c) if is_name_start_char(c) => {
                     if !had_space {
@@ -835,14 +851,6 @@ impl<'a> Reader<'a> {
                 }
             }
         }
-        let span = Span::new(start, self.pos);
-        self.open.push(Cow::Borrowed(name));
-        self.root_seen = true;
-        Ok(RawEvent::Start {
-            name,
-            self_closing: false,
-            span,
-        })
     }
 
     fn read_attribute(&mut self) -> Result<BorrowedAttribute<'a>, ParseError> {
@@ -907,19 +915,34 @@ impl<'a> Reader<'a> {
 
     /// Reads an end tag. The common case is checked by comparing bytes:
     /// the open element's name must follow `</`, and the byte after it
-    /// must be ASCII and no NameChar. Anything else, including a compare
-    /// that runs into the end of the buffer, takes the general path,
-    /// which reads the name and reports a mismatch with its text.
+    /// must be ASCII and no NameChar; that one compare is the match, and
+    /// the element is popped without another. Anything else, including a
+    /// compare that runs into the end of the buffer, takes the general
+    /// path, which reads the name and reports a mismatch with its text.
     fn read_end_tag(&mut self, start: Position) -> Result<RawEvent<'a>, ParseError> {
         let name = match self.match_open_name() {
-            Some(name) => name,
-            None => self.read_name()?,
+            Some(name) => {
+                if self.peek_byte() == Some(b'>') {
+                    self.advance_ascii(1);
+                } else {
+                    self.skip_whitespace();
+                    self.eat(b'>', "end tag")?;
+                }
+                self.close_open();
+                name
+            }
+            None => {
+                let name = self.read_name()?;
+                self.skip_whitespace();
+                self.eat(b'>', "end tag")?;
+                self.finish_element(name)?;
+                name
+            }
         };
-        self.skip_whitespace();
-        self.eat(b'>', "end tag")?;
-        let span = Span::new(start, self.pos);
-        self.finish_element(name)?;
-        Ok(RawEvent::End { name, span })
+        Ok(RawEvent::End {
+            name,
+            span: Span::new(start, self.pos),
+        })
     }
 
     /// Consumes the innermost open element's name if the input continues
@@ -944,6 +967,15 @@ impl<'a> Reader<'a> {
         self.pos.column += name.chars().count() as u32;
         self.prev_cr = false;
         Some(name)
+    }
+
+    /// Pops the innermost open element, whose name the caller matched.
+    #[inline]
+    fn close_open(&mut self) {
+        self.open.pop();
+        if self.open.is_empty() {
+            self.root_closed = true;
+        }
     }
 
     fn finish_element(&mut self, name: &str) -> Result<(), ParseError> {

@@ -117,6 +117,28 @@ if grep -rn 'fn classify' crates/pxml/src || grep -F 'ContentModel::' <<<"$typed
   exit 1
 fi
 
+echo "==> one child lookup, from tag to plan"
+# Every engine opens a child element through SymIndex::child_named, one
+# probe of the parent type's child table that answers symbol and plan
+# together. The non-test code of crates/validator/src, crates/pxml/src,
+# crates/core/src and crates/schema/src/compiled.rs (each file cut at its
+# first column-0 #[cfg(test)]) makes no SymIndex::child(type, sym) call
+# (a .child( call whose arguments hold no closure), and each .sym( call
+# there resolves a root: .root( follows on the same or the next line.
+lookup_src="$(for f in $(find crates/validator/src crates/pxml/src crates/core/src -name '*.rs' | sort) \
+    crates/schema/src/compiled.rs; do
+  sed '/^#\[cfg(test)\]/,$d' "$f" | sed "s|^|$f: |"
+done)"
+two_step="$(grep -E '\.child\([^|)]*\)' <<<"$lookup_src" || true)
+$(awk 'held != "" { if ($0 !~ /\.root\(/) print held; held = "" }
+  /\.sym\(/ && !/\.root\(/ { held = $0 }
+  END { if (held != "") print held }' <<<"$lookup_src")"
+if [ -n "${two_step//[[:space:]]/}" ]; then
+  echo "$two_step" >&2
+  echo "a two-step child lookup (sym, then child) is back (see above)" >&2
+  exit 1
+fi
+
 echo "==> one JSON codec, one event type"
 # obs::json holds the workspace's only JSON parser and string escaper
 # (a JSON escaper is recognised by its \u00XX control-character

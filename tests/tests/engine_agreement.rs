@@ -8,7 +8,9 @@
 //! once disagreed: an extension that only adds attributes (the derived
 //! type's own content is empty, its merged content is the base's), an
 //! element of an abstract complex type, and an abstract global element
-//! used as a document or template root.
+//! used as a document or template root. Rows marked "(d)" are a shape
+//! every engine once rejected alike: text in an extension that only adds
+//! attributes to a mixed base, whose content type is the base's.
 
 use dom::{Document, NodeId, NodeKind};
 use limits::Limits;
@@ -26,6 +28,23 @@ fn xsd(body: &str) -> String {
 fn attribute_only_extension() -> String {
     xsd(r#"<xsd:element name="root" type="B"/>
         <xsd:complexType name="A">
+          <xsd:sequence><xsd:element name="x" type="xsd:string"/></xsd:sequence>
+        </xsd:complexType>
+        <xsd:complexType name="B">
+          <xsd:complexContent>
+            <xsd:extension base="A">
+              <xsd:attribute name="id" type="xsd:string"/>
+            </xsd:extension>
+          </xsd:complexContent>
+        </xsd:complexType>"#)
+}
+
+/// `B` extends the mixed `A = sequence(x)` and adds only an attribute;
+/// `a` is of type `A`, `root` of type `B`.
+fn mixed_attribute_only_extension() -> String {
+    xsd(r#"<xsd:element name="root" type="B"/>
+        <xsd:element name="a" type="A"/>
+        <xsd:complexType name="A" mixed="true">
           <xsd:sequence><xsd:element name="x" type="xsd:string"/></xsd:sequence>
         </xsd:complexType>
         <xsd:complexType name="B">
@@ -74,6 +93,18 @@ fn rows() -> Vec<(&'static str, String, &'static str, bool)> {
             "(a) extension adding only attributes: its attribute is declared",
             attribute_only_extension(),
             r#"<root id="7"><x>hi</x></root>"#,
+            true,
+        ),
+        (
+            "(d) text in the mixed base type",
+            mixed_attribute_only_extension(),
+            "<a>text<x>hi</x></a>",
+            true,
+        ),
+        (
+            "(d) extension adding only attributes keeps the base's mixed content",
+            mixed_attribute_only_extension(),
+            r#"<root id="7">text<x>hi</x>tail</root>"#,
             true,
         ),
         (
