@@ -7,6 +7,8 @@
 
 use std::borrow::Cow;
 
+use xmlchars::Position;
+
 /// One segment of text-with-holes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Part {
@@ -159,6 +161,12 @@ pub fn hole_names(text: &str) -> Result<Vec<String>, HoleSyntaxError> {
             Part::Text(_) => None,
         })
         .collect())
+}
+
+/// Attaches a source position to a hole syntax error (for diagnostics
+/// carrying template positions).
+pub fn at_position(err: HoleSyntaxError, base: Position) -> (Position, String) {
+    (base, err.message)
 }
 
 #[cfg(test)]

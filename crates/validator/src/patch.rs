@@ -631,8 +631,6 @@ impl IncrementalValidator {
                 .doc
                 .tag_name(n)
                 .map_err(|_| structure("path traverses a non-element node"))?;
-            // the root by its declaration, every other element within its
-            // parent's complex type
             let found = match &plan {
                 None => match index.sym(tag).map(|sym| (sym, index.root(sym))) {
                     Some((sym, Some(RootPlan::Elem(p)))) => Some((sym, p)),
@@ -1045,10 +1043,11 @@ impl IncrementalValidator {
                 synced = true;
                 break;
             }
-            debug_assert!(
-                content_ok || !errors.is_empty(),
-                "content_ok drops with an error"
-            );
+            if !content_ok && errors.is_empty() {
+                // cannot happen (content_ok only drops with an error),
+                // but keep the invariant obvious
+                debug_assert!(false);
+            }
             if !content_ok && j >= resync_from {
                 // Past the edit region with the DFA already failed: the
                 // remaining (unchanged, individually valid) siblings can
@@ -1100,6 +1099,9 @@ impl IncrementalValidator {
                 }
                 _ => {}
             }
+            // fix up the recorded state: the entry for slot j must be
+            // the state *before* it, which we pushed above; nothing to
+            // do here — the next iteration pushes the post-step state.
         }
         if !synced {
             trial.push(matcher.state());

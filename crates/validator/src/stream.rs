@@ -440,9 +440,8 @@ impl<'a, 'src> StreamingValidator<'a, 'src> {
                     content_ok,
                     ..
                 } => {
-                    // a name the type does not admit has no symbol here:
-                    // it takes the string step, which also advances the
-                    // DFA when the model has the name but no child plan
+                    // a name without a plan here takes the string step,
+                    // which still advances a model that has the name
                     let child = index.child_named(*type_sym, name);
                     if *content_ok && !child.is_some_and(|(s, _)| matcher.try_step_sym(s)) {
                         // the cold path: re-step by string for the rich
@@ -703,30 +702,37 @@ fn validate_str_streaming_inner(
 ) -> (Vec<ValidationError>, DocTally) {
     let mut reader = Reader::with_limits(src, limits.clone());
     let mut validator = StreamingValidator::new(compiled, limits.clone());
-    let outcome = loop {
-        match reader.next_event_borrowed() {
-            Ok(BorrowedEvent::Eof) => break Ok(()),
+    loop {
+        let outcome = reader.next_event_borrowed();
+        match outcome {
+            Ok(BorrowedEvent::Eof) => {
+                let tally = DocTally {
+                    stats: reader.stats(),
+                    max_depth: validator.max_depth() as u64,
+                };
+                return (validator.finish(), tally);
+            }
             Ok(event) => {
                 validator.feed(event);
-                // the budget marker is already the last error; stop
-                // pulling events so a hostile tail costs nothing
                 if validator.tripped() {
-                    break Ok(());
+                    // the budget marker is already the last error; stop
+                    // pulling events so a hostile tail costs nothing
+                    let tally = DocTally {
+                        stats: reader.stats(),
+                        max_depth: validator.max_depth() as u64,
+                    };
+                    return (validator.into_errors(), tally);
                 }
             }
-            Err(e) => break Err(e),
+            Err(e) => {
+                let tally = DocTally {
+                    stats: reader.stats(),
+                    max_depth: validator.max_depth() as u64,
+                };
+                return (terminal_parse_error(validator, e), tally);
+            }
         }
-    };
-    let tally = DocTally {
-        stats: reader.stats(),
-        max_depth: validator.max_depth() as u64,
-    };
-    let errors = match outcome {
-        Ok(()) if validator.tripped() => validator.into_errors(),
-        Ok(()) => validator.finish(),
-        Err(e) => terminal_parse_error(validator, e),
-    };
-    (errors, tally)
+    }
 }
 
 /// Ends a streaming run on a fatal parse error: appends the terminal
