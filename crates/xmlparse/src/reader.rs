@@ -920,29 +920,25 @@ impl<'a> Reader<'a> {
     /// compare that runs into the end of the buffer, takes the general
     /// path, which reads the name and reports a mismatch with its text.
     fn read_end_tag(&mut self, start: Position) -> Result<RawEvent<'a>, ParseError> {
-        let name = match self.match_open_name() {
-            Some(name) => {
-                if self.peek_byte() == Some(b'>') {
-                    self.advance_ascii(1);
-                } else {
-                    self.skip_whitespace();
-                    self.eat(b'>', "end tag")?;
-                }
-                self.close_open();
-                name
-            }
-            None => {
-                let name = self.read_name()?;
-                self.skip_whitespace();
-                self.eat(b'>', "end tag")?;
-                self.finish_element(name)?;
-                name
-            }
+        let (name, matched) = match self.match_open_name() {
+            Some(name) => (name, true),
+            None => (self.read_name()?, false),
         };
-        Ok(RawEvent::End {
-            name,
-            span: Span::new(start, self.pos),
-        })
+        // `>` right after the name, the common end tag, skips the
+        // whitespace skip
+        if self.peek_byte() == Some(b'>') {
+            self.advance_ascii(1);
+        } else {
+            self.skip_whitespace();
+            self.eat(b'>', "end tag")?;
+        }
+        let span = Span::new(start, self.pos);
+        if matched {
+            self.close_open();
+        } else {
+            self.finish_element(name)?;
+        }
+        Ok(RawEvent::End { name, span })
     }
 
     /// Consumes the innermost open element's name if the input continues
