@@ -23,9 +23,9 @@
 //! At validation time a child element costs one step,
 //! [`SymIndex::child_named`]: one integer-keyed probe finds the parent
 //! type's child table, whose names are compared with the tag's bytes —
-//! scanned up to eight children, binary-searched above, so at worst
-//! ⌈log₂ n⌉ + 1 name compares for n children, and no name hash. Only a
-//! root element's name is hashed. No lock is taken, no simple type is
+//! scanned up to 32 children, binary-searched above, so at worst 32 name
+//! compares, or ⌈log₂ n⌉ + 1 for n > 32 children, and no name hash. Only
+//! a root element's name is hashed. No lock is taken, no simple type is
 //! resolved by name, and nothing is allocated. The global symbol table
 //! is written while the index is built and read again only to spell a
 //! name into an error message.
@@ -159,24 +159,18 @@ type FrozenMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
 /// One child element a complex type admits.
 #[derive(Debug)]
 struct Child {
-    name: Box<str>,
+    /// The interned spelling of `sym`.
+    name: &'static str,
     sym: Sym,
     plan: Arc<ElemPlan>,
 }
 
 /// The widest child table that is scanned rather than binary-searched.
-/// The corpus schemas' types admit at most five children each.
-const SCAN_WIDTH: usize = 8;
-
-/// The child named `name` in `table`, which is sorted by name.
-#[inline]
-fn find_named<'t>(table: &'t [Child], name: &str) -> Option<&'t Child> {
-    if table.len() <= SCAN_WIDTH {
-        return table.iter().find(|c| *c.name == *name);
-    }
-    let at = table.binary_search_by(|c| (*c.name).cmp(name));
-    Some(&table[at.ok()?])
-}
+/// A scan compares lengths first and bytes only on a length match, so
+/// it beat the binary search at every width up to 32, even with names all
+/// of one length, and lost from 48 on with such names (EXPERIMENTS.md
+/// §B24). The corpus schemas' types admit at most five children each.
+const SCAN_WIDTH: usize = 32;
 
 /// The symbol-keyed dispatch tables for one compiled schema.
 #[derive(Debug)]
@@ -266,7 +260,7 @@ impl SymIndex {
                 let sym = name_sym(child);
                 if let Some(child_type) = schema.child_element_type(type_name, child) {
                     table.push(Child {
-                        name: Box::from(child),
+                        name: symbols::name(sym),
                         sym,
                         plan: builder.elem_plan(&child_type),
                     });
@@ -316,18 +310,12 @@ impl SymIndex {
     }
 
     /// The plan for `child` within complex type `parent_type`, `None`
-    /// when the type admits no such child, read from the same table as
-    /// [`child_named`](Self::child_named): scanned by symbol, or, above
-    /// the scan width, searched by the symbol's name.
+    /// when the type admits no such child: [`child_named`](Self::child_named)
+    /// under the symbol's name, which takes the global symbol table's
+    /// read lock. The engines call `child_named` with the tag's bytes.
     #[inline]
     pub fn child(&self, parent_type: Sym, child: Sym) -> Option<&Arc<ElemPlan>> {
-        let table = self.children.get(&parent_type)?;
-        let found = if table.len() <= SCAN_WIDTH {
-            table.iter().find(|c| c.sym == child)
-        } else {
-            find_named(table, symbols::name(child))
-        };
-        Some(&found?.plan)
+        Some(self.child_named(parent_type, symbols::name(child))?.1)
     }
 
     /// The symbol and plan of the child named `name` within complex type
@@ -336,7 +324,12 @@ impl SymIndex {
     /// this one lookup, which compares names and hashes none.
     #[inline]
     pub fn child_named(&self, parent_type: Sym, name: &str) -> Option<(Sym, &Arc<ElemPlan>)> {
-        let child = find_named(self.children.get(&parent_type)?, name)?;
+        let table = self.children.get(&parent_type)?;
+        let child = if table.len() <= SCAN_WIDTH {
+            table.iter().find(|c| c.name == name)?
+        } else {
+            &table[table.binary_search_by(|c| c.name.cmp(name)).ok()?]
+        };
         Some((child.sym, &child.plan))
     }
 
@@ -458,6 +451,7 @@ impl Builder<'_> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // `child` is checked against `child_named`
 mod tests {
     use super::*;
     use crate::corpus::{PURCHASE_ORDER_XSD, WML_XSD};
