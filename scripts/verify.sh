@@ -118,24 +118,12 @@ if grep -rn 'fn classify' crates/pxml/src || grep -F 'ContentModel::' <<<"$typed
 fi
 
 echo "==> one child lookup, from tag to plan"
-# Every engine opens a child element through SymIndex::child_named, one
-# probe of the parent type's child table that answers symbol and plan
-# together. The non-test code of crates/validator/src, crates/pxml/src,
-# crates/core/src and crates/schema/src/compiled.rs (each file cut at its
-# first column-0 #[cfg(test)]) makes no SymIndex::child(type, sym) call
-# (a .child( call whose arguments hold no closure), and each .sym( call
-# there resolves a root: .root( follows on the same or the next line.
-lookup_src="$(for f in $(find crates/validator/src crates/pxml/src crates/core/src -name '*.rs' | sort) \
-    crates/schema/src/compiled.rs; do
-  sed '/^#\[cfg(test)\]/,$d' "$f" | sed "s|^|$f: |"
-done)"
-two_step="$(grep -E '\.child\([^|)]*\)' <<<"$lookup_src" || true)
-$(awk 'held != "" { if ($0 !~ /\.root\(/) print held; held = "" }
-  /\.sym\(/ && !/\.root\(/ { held = $0 }
-  END { if (held != "") print held }' <<<"$lookup_src")"
-if [ -n "${two_step//[[:space:]]/}" ]; then
-  echo "$two_step" >&2
-  echo "a two-step child lookup (sym, then child) is back (see above)" >&2
+# Every engine opens a child element with SymIndex::child_named, one
+# search of the parent type's child table with the tag's bytes. clippy.toml
+# disallows SymIndex::child, the lookup by symbol, so the clippy step below
+# fails on any call to it outside a test that allows it by name.
+if ! grep -qF 'path = "schema::SymIndex::child"' clippy.toml; then
+  echo "clippy.toml no longer disallows SymIndex::child" >&2
   exit 1
 fi
 

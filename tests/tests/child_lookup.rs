@@ -60,6 +60,7 @@ fn element_names(schema: &Schema) -> BTreeSet<String> {
 
 /// Asserts `child_named(parent, name)` equals `sym(name)` then
 /// `child(parent, sym)`; returns whether the name resolved.
+#[allow(clippy::disallowed_methods)] // the two-step lookup is the reference
 fn assert_one_step(index: &SymIndex, parent: Sym, name: &str, label: &str) -> bool {
     let two_step = index
         .sym(name)
