@@ -168,7 +168,7 @@ struct Child {
 /// The widest child table that is scanned rather than binary-searched.
 /// A scan compares lengths first and bytes only on a length match, so
 /// it beat the binary search at every width up to 32, even with names all
-/// of one length, and lost from 48 on with such names (EXPERIMENTS.md
+/// of one length, and lost to it from 64 such names on (EXPERIMENTS.md
 /// §B24). The corpus schemas' types admit at most five children each.
 const SCAN_WIDTH: usize = 32;
 
